@@ -57,8 +57,10 @@ def _parse_dart(token: str, vertex_count: int, line: int) -> int:
 def parse_arr(text: str) -> PlaneGraph:
     """Parse ARR text into a graph; errors carry line numbers."""
     vertex_count: int | None = None
-    twin: list[int] = []
-    twin_line: list[int] = []
+    # dart -> twin and dart -> line, filled per 'v' line: nothing of size
+    # O(V) is allocated before the rotation lines are known to exist
+    refs: dict[int, int] = {}
+    ref_line: dict[int, int] = {}
     seen_vertex: set[int] = set()
     coords: dict[int, tuple[float, float]] = {}
     outer: int | None = None
@@ -75,8 +77,6 @@ def parse_arr(text: str) -> PlaneGraph:
             vertex_count = int(tokens[1])
             if vertex_count < 1:
                 raise ArrSemanticError(lineno, "vertex count must be positive")
-            twin = [-1] * (4 * vertex_count)
-            twin_line = [0] * (4 * vertex_count)
             continue
         if tokens[0] == "v":
             if len(tokens) != 6 or not tokens[1].isdigit():
@@ -89,8 +89,8 @@ def parse_arr(text: str) -> PlaneGraph:
             seen_vertex.add(vid)
             for s, token in enumerate(tokens[2:]):
                 d = 4 * vid + s
-                twin[d] = _parse_dart(token, vertex_count, lineno)
-                twin_line[d] = lineno
+                refs[d] = _parse_dart(token, vertex_count, lineno)
+                ref_line[d] = lineno
         elif tokens[0] == "coord":
             if len(tokens) != 4 or not tokens[1].isdigit():
                 raise ArrSyntaxError(lineno, "expected 'coord <id> <x> <y>'")
@@ -111,15 +111,16 @@ def parse_arr(text: str) -> PlaneGraph:
             raise ArrSyntaxError(lineno, f"unknown directive {tokens[0]!r}")
     if vertex_count is None:
         raise ArrSyntaxError(last_line or 1, "missing 'arrangement' header")
-    missing = sorted(set(range(vertex_count)) - seen_vertex)
-    if missing:
+    if len(seen_vertex) < vertex_count:
+        missing = next(x for x in range(vertex_count) if x not in seen_vertex)
         raise ArrSyntaxError(
-            last_line, f"truncated: no rotation line for vertex {missing[0]}"
+            last_line, f"truncated: no rotation line for vertex {missing}"
         )
+    twin = [refs[d] for d in range(4 * vertex_count)]
     for d, t in enumerate(twin):
         if twin[t] != d:
             raise ArrSemanticError(
-                twin_line[d],
+                ref_line[d],
                 f"twin mismatch: dart {d >> 2}.{d & 3} names {t >> 2}.{t & 3}, "
                 f"which names {twin[t] >> 2}.{twin[t] & 3}",
             )

@@ -1,8 +1,16 @@
 """Vertex connectivity with explicit certificates.
 
-Two independent routes are provided.  A unit-capacity max-flow on the
-vertex-split digraph yields, for any vertex pair, the maximum number of
-internally disjoint paths together with a matching minimum separator.  For
+Everything here rests on the distance-2 reduction of Menger's theorem: a
+connected graph that is not complete has connectivity equal to the
+minimum, over its distance-2 pairs, of the number of internally disjoint
+paths.  Proof: each vertex s of a minimum separator S has neighbours on
+two sides of S (otherwise S - {s} would separate), and two such
+neighbours are a distance-2 pair that S separates.  Connectivity is also
+at most the minimum degree, which bounds every flow worth computing.
+
+Two routes supply the disjoint paths.  A unit-capacity max-flow on the
+vertex-split digraph, built once per graph and reset per pair, yields the
+path count of any pair together with a matching minimum separator.  For
 4-regular arrangements satisfying unique face incidence there is also a
 direct construction: around any common neighbour z of a distance-2 pair,
 four disjoint paths can be read off the two curves crossing at z and the
@@ -13,6 +21,7 @@ so its output is always a sound certificate.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -110,16 +119,7 @@ def verify_cut(g: RotationMap, cert: CutCertificate) -> bool:
     a, b = cert.sides
     if not a or not b or a & b or (a | b) & cert.cut:
         return False
-    adj = g.adjacency_sets
-    seen = set(a)
-    queue = deque(a)
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in cert.cut and y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return not (seen & b)
+    return not (g.reachable(a, cert.cut) & b)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +127,7 @@ def verify_cut(g: RotationMap, cert: CutCertificate) -> bool:
 # ---------------------------------------------------------------------------
 
 class _FlowNet:
-    """Unit-capacity vertex-split digraph.
+    """Unit-capacity vertex-split digraph, built once and reused per pair.
 
     Node 2w is w-in, node 2w+1 is w-out; every vertex contributes the arc
     in -> out of capacity one, every edge two crossing arcs out -> in.  Arc
@@ -159,23 +159,29 @@ class _FlowNet:
             add(2 * b + 1, 2 * a)
         for x in range(n):
             self.adj[x].sort(key=lambda i: (self.target[i], i))
+        self.initial = tuple(self.capacity)
 
-    def max_flow(self, s: int, t: int) -> int:
+    def max_flow(self, u: int, v: int, cap: float = math.inf) -> int:
+        """Reset all capacities, then push up to ``cap`` units from u to v.
+
+        A result below ``cap`` is the maximum flow, and the residual state
+        then holds a minimum cut.
+        """
+        self.capacity[:] = self.initial
+        s, t = 2 * u + 1, 2 * v
         total = 0
-        n = len(self.adj)
-        while True:
-            prev_arc = [-1] * n
-            prev_arc[s] = -2
+        while total < cap:
+            prev_arc = {s: -1}
             queue = deque([s])
-            while queue and prev_arc[t] == -1:
+            while queue and t not in prev_arc:
                 x = queue.popleft()
                 for i in self.adj[x]:
                     y = self.target[i]
-                    if self.capacity[i] > 0 and prev_arc[y] == -1:
+                    if self.capacity[i] > 0 and y not in prev_arc:
                         prev_arc[y] = i
                         queue.append(y)
-            if prev_arc[t] == -1:
-                return total
+            if t not in prev_arc:
+                break
             y = t
             while y != s:
                 i = prev_arc[y]
@@ -183,17 +189,12 @@ class _FlowNet:
                 self.capacity[i ^ 1] += 1
                 y = self.target[i ^ 1]
             total += 1
-
-    def flow_on(self, i: int) -> int:
-        """Flow pushed through forward arc i (i even)."""
-        return self.capacity[i ^ 1]
+        return total
 
 
-def _trace_paths(
-    net: _FlowNet, u: int, v: int, k: int
-) -> tuple[tuple[int, ...], ...]:
-    """Decompose the flow into k vertex paths, lowest-id target first."""
-    flow = {i: net.flow_on(i) for i in range(0, len(net.target), 2) if net.flow_on(i)}
+def _trace_paths(net: _FlowNet, g: RotationMap, u: int, v: int, k: int) -> PathCertificate:
+    """Decompose the flow into k verified vertex paths, lowest-id target first."""
+    used: dict[int, int] = {}
     source, sink = 2 * u + 1, 2 * v
     paths = []
     for _ in range(k):
@@ -203,12 +204,12 @@ def _trace_paths(
         while node != sink:
             nxt_arc = None
             for i in net.adj[node]:
-                if i % 2 == 0 and flow.get(i, 0) > 0:
+                if i % 2 == 0 and net.capacity[i ^ 1] > used.get(i, 0):
                     nxt_arc = i
                     break
             if nxt_arc is None:
                 raise AssertionError("flow decomposition lost conservation")
-            flow[nxt_arc] -= 1
+            used[nxt_arc] = used.get(nxt_arc, 0) + 1
             nxt = net.target[nxt_arc]
             if nxt in pos:
                 # cancel the circulation just traced
@@ -222,30 +223,30 @@ def _trace_paths(
             nodes.append(nxt)
             node = nxt
         paths.append(tuple([u] + [x >> 1 for x in nodes if x % 2 == 0]))
-    return tuple(paths)
+    cert = PathCertificate(u, v, tuple(paths))
+    if not verify_certificate(g, cert):
+        raise AssertionError("flow paths failed verification")
+    return cert
 
 
 def _extract_cut(net: _FlowNet, g: RotationMap, u: int, v: int, k: int) -> CutCertificate:
     source = 2 * u + 1
-    reach = [False] * len(net.adj)
-    reach[source] = True
+    reach = {source}
     queue = deque([source])
     while queue:
         x = queue.popleft()
         for i in net.adj[x]:
             y = net.target[i]
-            if net.capacity[i] > 0 and not reach[y]:
-                reach[y] = True
+            if net.capacity[i] > 0 and y not in reach:
+                reach.add(y)
                 queue.append(y)
     cut: set[int] = set()
-    for x in range(len(net.adj)):
-        if not reach[x]:
-            continue
+    for x in reach:
         for i in net.adj[x]:
             if i % 2 != 0 or net.target[i ^ 1] != x:
                 continue  # only forward arcs leaving x
             y = net.target[i]
-            if reach[y] or net.capacity[i] > 0:
+            if y in reach or net.capacity[i] > 0:
                 continue
             if x % 2 == 0:
                 cut.add(x >> 1)  # vertex arc w-in -> w-out
@@ -256,23 +257,24 @@ def _extract_cut(net: _FlowNet, g: RotationMap, u: int, v: int, k: int) -> CutCe
     cut.discard(v)
     if len(cut) != k:
         raise AssertionError(f"cut of size {len(cut)} does not match flow {k}")
-    adj = g.adjacency_sets
-
-    def component(start: int) -> frozenset[int]:
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in cut and y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return frozenset(seen)
-
-    cert = CutCertificate(frozenset(cut), (component(u), component(v)))
+    cert = CutCertificate(
+        frozenset(cut), (g.reachable((u,), cut), g.reachable((v,), cut))
+    )
     if not verify_cut(g, cert):
         raise AssertionError("extracted cut failed verification")
     return cert
+
+
+def _witnesses(
+    net: _FlowNet, g: RotationMap, u: int, v: int
+) -> tuple[int, PathCertificate, CutCertificate | None]:
+    """Maximum flow between u and v on ``net``, with verified witnesses."""
+    k = net.max_flow(u, v)
+    cert = _trace_paths(net, g, u, v, k)
+    cut = None
+    if v not in g.adjacency_sets[u]:
+        cut = _extract_cut(net, g, u, v, k)
+    return k, cert, cut
 
 
 def max_disjoint_paths(
@@ -285,24 +287,30 @@ def max_disjoint_paths(
     """
     if u == v:
         raise SameVertexError(f"u = v = {u}")
-    net = _FlowNet(g)
-    k = net.max_flow(2 * u + 1, 2 * v)
-    cert = PathCertificate(u, v, _trace_paths(net, u, v, k))
-    if not verify_certificate(g, cert):
-        raise AssertionError("flow paths failed verification")
-    cut = None
-    if v not in g.adjacency_sets[u]:
-        cut = _extract_cut(net, g, u, v, k)
-    return k, cert, cut
+    return _witnesses(_FlowNet(g), g, u, v)
+
+
+def _unique_pairs(g: RotationMap) -> dict[tuple[int, int], int]:
+    """Every distance-2 pair u < v, in sorted order, with its smallest
+    common neighbour."""
+    by_pair: dict[tuple[int, int], int] = {}
+    for u, z, v in g.distance2_pairs():
+        by_pair.setdefault((u, v), z)
+    return by_pair
 
 
 def vertex_connectivity(g: RotationMap) -> tuple[int, CutCertificate | None]:
     """Exact vertex connectivity with a witness cut when one exists.
 
-    Standard sound pair cover: flows from a minimum-degree vertex s to all
-    its non-neighbours, then from each neighbour of s to all of that
-    neighbour's non-neighbours.  Returns ``(vertex_count - 1, None)`` for
-    complete graphs, which no vertex set separates.
+    Connectivity is the minimum path count over the distance-2 pairs
+    alone: each vertex of a minimum separator S has neighbours on two
+    sides of S, and two of them form a distance-2 pair that S separates.
+    It is also at most the minimum degree.  So one flow network serves
+    every pair, each pair's flow stops at the best count so far, starting
+    from the minimum degree, and only the pair that sets the answer is
+    traced into verified paths and a verified cut.  Returns
+    ``(vertex_count - 1, None)`` for complete graphs, which no vertex set
+    separates.
     """
     n = g.vertex_count
     if n < 2:
@@ -312,18 +320,24 @@ def vertex_connectivity(g: RotationMap) -> tuple[int, CutCertificate | None]:
         side_a = frozenset(comps[0])
         side_b = frozenset(x for c in comps[1:] for x in c)
         return 0, CutCertificate(frozenset(), (side_a, side_b))
+    pairs = _unique_pairs(g)
+    if not pairs:
+        return n - 1, None
     adj = g.adjacency_sets
-    best = n - 1
-    best_cut: CutCertificate | None = None
     s = min(range(n), key=lambda v: (len(adj[v] - {v}), v))
-    for src in [s] + sorted(adj[s] - {s}):
-        for t in range(n):
-            if t == src or t in adj[src]:
-                continue
-            k, _, cut = max_disjoint_paths(g, src, t)
-            if k < best:
-                best, best_cut = k, cut
-    return best, best_cut
+    best = len(adj[s] - {s})
+    # s has a distance-2 partner, as the graph is connected and not
+    # complete; s's neighbours separate the two, so they have <= best paths
+    witness = next(p for p in pairs if s in p)
+    net = _FlowNet(g)
+    for u, v in pairs:
+        k = net.max_flow(u, v, best)
+        if k < best:
+            best, witness = k, (u, v)
+    k, _, cut = _witnesses(net, g, *witness)
+    if k != best:
+        raise AssertionError(f"witness pair has flow {k}, expected {best}")
+    return best, cut
 
 
 # ---------------------------------------------------------------------------
@@ -509,36 +523,35 @@ def certify_distance_two(g: RotationMap, k: int) -> Distance2Certification:
     By the distance-2 reduction of Menger's criterion, success proves the
     graph k-connected.  On V-graphs with k = 4 the constructive builder
     supplies the certificates (falling back to flow when verification
-    demands it); otherwise the flow oracle is used directly.  The first
-    failing pair, if any, is returned as a counterexample with its flow
-    value and minimum cut.
+    demands it); otherwise one flow network serves every pair, each flow
+    stopping at k.  The first failing pair, if any, is returned as a
+    counterexample with its flow value and minimum cut.
     """
     if not g.is_connected:
         raise DisconnectedError("certification requires a connected graph")
-    triples = g.distance2_pairs()
-    if not triples:
+    pairs = _unique_pairs(g)
+    if not pairs:
         raise VacuousCertificationError("no distance-2 pairs; pairwise criterion is vacuous")
-    by_pair: dict[tuple[int, int], int] = {}
-    for u, z, v in triples:
-        by_pair.setdefault((u, v), z)
     constructive = (
         k == 4
         and isinstance(g, PlaneGraph)
         and validate(g, with_venn=False).is_vgraph
     )
     certificates = []
-    fallbacks = 0
-    for (u, v), z in sorted(by_pair.items()):
-        if constructive:
+    if constructive:
+        fallbacks = 0
+        for (u, v), z in pairs.items():
             res = proof_paths(g, u, z, v, validated=True)
             fallbacks += res.used_fallback
             certificates.append((u, z, v, PathCertificate(u, v, res.paths)))
-        else:
-            kk, cert, cut = max_disjoint_paths(g, u, v)
-            if kk < k:
-                return Distance2Certification(
-                    k, len(by_pair), tuple(certificates), fallbacks,
-                    Counterexample(u, v, kk, cut),
-                )
-            certificates.append((u, z, v, PathCertificate(u, v, cert.paths[:k])))
-    return Distance2Certification(k, len(by_pair), tuple(certificates), fallbacks, None)
+        return Distance2Certification(k, len(pairs), tuple(certificates), fallbacks, None)
+    net = _FlowNet(g)
+    for (u, v), z in pairs.items():
+        flow = net.max_flow(u, v, k)
+        if flow < k:
+            return Distance2Certification(
+                k, len(pairs), tuple(certificates), 0,
+                Counterexample(u, v, flow, _extract_cut(net, g, u, v, flow)),
+            )
+        certificates.append((u, z, v, _trace_paths(net, g, u, v, k)))
+    return Distance2Certification(k, len(pairs), tuple(certificates), 0, None)

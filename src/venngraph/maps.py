@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 
 class MapError(Exception):
@@ -194,9 +194,6 @@ class RotationMap:
             sets[self._vertex_of[d]].add(self._vertex_of[t])
         return tuple(frozenset(s) for s in sets)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self.adjacency_sets[v]))
-
     # -- faces ----------------------------------------------------------
 
     @cached_property
@@ -232,24 +229,34 @@ class RotationMap:
 
     # -- connectivity / Euler -------------------------------------------
 
+    def reachable(
+        self, sources: Iterable[int], blocked: Collection[int] = ()
+    ) -> frozenset[int]:
+        """Vertices reachable from ``sources`` without entering ``blocked``.
+
+        Sources are included even when blocked; the search never passes
+        through a blocked vertex.
+        """
+        adj = self.adjacency_sets
+        seen = set(sources)
+        queue = deque(seen)
+        while queue:
+            x = queue.popleft()
+            for y in adj[x]:
+                if y not in seen and y not in blocked:
+                    seen.add(y)
+                    queue.append(y)
+        return frozenset(seen)
+
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
-        seen = [False] * self.vertex_count
+        seen: set[int] = set()
         comps = []
         for start in range(self.vertex_count):
-            if seen[start]:
-                continue
-            comp = [start]
-            seen[start] = True
-            queue = deque([start])
-            while queue:
-                x = queue.popleft()
-                for y in self.adjacency_sets[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        comp.append(y)
-                        queue.append(y)
-            comps.append(tuple(sorted(comp)))
+            if start not in seen:
+                comp = self.reachable((start,))
+                seen |= comp
+                comps.append(tuple(sorted(comp)))
         return tuple(comps)
 
     @property
@@ -332,16 +339,6 @@ class PlaneGraph(RotationMap):
         self.coords = dict(coords) if coords else None
         self.outer_dart = outer_dart
 
-    @classmethod
-    def build(
-        cls,
-        vertex_count: int,
-        twin: Sequence[int],
-        coords: Mapping[int, tuple[float, float]] | None = None,
-        outer_dart: int | None = None,
-    ) -> "PlaneGraph":
-        return cls(vertex_count, twin, coords, outer_dart)
-
     # fast paths for the fixed degree
     def dart(self, v: int, s: int) -> int:
         if not 0 <= s < 4:
@@ -392,8 +389,28 @@ class PlaneGraph(RotationMap):
         return tuple(orbits), tuple(orbit_of)
 
     @cached_property
-    def _curve_data(self) -> tuple[tuple[Curve, ...], tuple[int, ...]]:
+    def unchecked_curves(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """Curve orbits and the curve id of every dart, without checks.
+
+        Orientation orbits are paired through ``opposite``; the orbit with
+        the smaller first dart is kept.  A self-crossing curve simply ends
+        up with both dart pairs at a vertex carrying the same id, which
+        validators report and :attr:`curves` raises.
+        """
         orbits, orbit_of = self.curve_orbit_data
+        curve_of = [-1] * self.dart_count
+        kept: list[tuple[int, ...]] = []
+        for orbit in orbits:
+            if curve_of[orbit[0]] >= 0:
+                continue
+            for d in orbit + orbits[orbit_of[orbit[0] ^ 2]]:
+                curve_of[d] = len(kept)
+            kept.append(orbit)
+        return tuple(kept), tuple(curve_of)
+
+    @cached_property
+    def _curve_data(self) -> tuple[tuple[Curve, ...], tuple[int, ...]]:
+        orbits, curve_of = self.unchecked_curves
         for orbit in orbits:
             seen: set[int] = set()
             for d in orbit:
@@ -403,25 +420,13 @@ class PlaneGraph(RotationMap):
                         f"curve revisits vertex {v}; not a simple closed curve"
                     )
                 seen.add(v)
-        curve_of = [-1] * self.dart_count
-        curves: list[Curve] = []
-        for orbit in orbits:
-            if curve_of[orbit[0]] >= 0:
-                continue
-            partner = orbits[orbit_of[orbit[0] ^ 2]]
-            cid = len(curves)
-            curves.append(Curve(cid, orbit))
-            for d in orbit:
-                curve_of[d] = cid
-            for d in partner:
-                curve_of[d] = cid
         for v in range(self.vertex_count):
             if curve_of[4 * v] == curve_of[4 * v + 1]:
                 raise SameCurveCrossingError(
                     f"both dart pairs at vertex {v} belong to curve "
                     f"{curve_of[4 * v]}"
                 )
-        return tuple(curves), tuple(curve_of)
+        return tuple(Curve(cid, o) for cid, o in enumerate(orbits)), curve_of
 
     @property
     def curves(self) -> tuple[Curve, ...]:
@@ -442,6 +447,3 @@ class PlaneGraph(RotationMap):
         """The two curves crossing at v (slot parity 0, slot parity 1)."""
         c = self.curve_of
         return c[4 * v], c[4 * v + 1]
-
-    def curve_of_edge(self, d: int) -> int:
-        return self.curve_of[d]

@@ -66,31 +66,9 @@ class ValidationReport:
     general_position: GeneralPositionReport
 
 
-def _tolerant_curve_ids(g: PlaneGraph) -> tuple[int, tuple[int, ...]]:
-    """Curve count and per-dart curve id without simplicity validation.
-
-    Orientation orbits are paired through ``opposite``; a self-crossing
-    curve simply ends up with both its dart pairs at a vertex carrying the
-    same id, which the callers report rather than raise.
-    """
-    orbits, orbit_of = g.curve_orbit_data
-    curve_of = [-1] * g.dart_count
-    count = 0
-    for orbit in orbits:
-        if curve_of[orbit[0]] >= 0:
-            continue
-        cid = count
-        count += 1
-        for d in orbit:
-            curve_of[d] = cid
-        for d in orbits[orbit_of[orbit[0] ^ 2]]:
-            curve_of[d] = cid
-    return count, tuple(curve_of)
-
-
 def check_general_position(g: PlaneGraph) -> GeneralPositionReport:
     """Report general-position violations; never raises."""
-    orbits, _ = g.curve_orbit_data
+    orbits, curve_of = g.unchecked_curves
     self_crossings: set[int] = set()
     for orbit in orbits:
         seen: set[int] = set()
@@ -99,7 +77,6 @@ def check_general_position(g: PlaneGraph) -> GeneralPositionReport:
             if v in seen:
                 self_crossings.add(v)
             seen.add(v)
-    _, curve_of = _tolerant_curve_ids(g)
     same_curve = {
         v
         for v in range(g.vertex_count)
@@ -117,7 +94,7 @@ def check_general_position(g: PlaneGraph) -> GeneralPositionReport:
 
 def check_ufi(g: PlaneGraph) -> tuple[UfiViolation, ...]:
     """Per-face, per-curve boundary-edge counts of two or more."""
-    _, curve_of = _tolerant_curve_ids(g)
+    _, curve_of = g.unchecked_curves
     out = []
     for face in g.faces:
         counts = Counter(curve_of[d] for d in face.boundary)
@@ -129,7 +106,7 @@ def check_ufi(g: PlaneGraph) -> tuple[UfiViolation, ...]:
 
 def two_faces(g: PlaneGraph) -> tuple[int, ...]:
     """Faces incident to exactly two curves (not merely the digons)."""
-    _, curve_of = _tolerant_curve_ids(g)
+    _, curve_of = g.unchecked_curves
     return tuple(
         face.id
         for face in g.faces
@@ -201,7 +178,7 @@ def validate(g: PlaneGraph, with_venn: bool = True) -> ValidationReport:
     """Full structural report; total on any built graph."""
     gp = check_general_position(g)
     connected = g.is_connected
-    n, _ = _tolerant_curve_ids(g)
+    n = len(g.unchecked_curves[0])
     ufi = check_ufi(g)
     tf = two_faces(g)
     vg = gp.ok and connected and n >= 3 and not ufi

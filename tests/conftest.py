@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import time
+from itertools import combinations
 
 import pytest
 
@@ -66,15 +67,38 @@ def figure_eight() -> PlaneGraph:
     return PlaneGraph(1, [1, 0, 3, 2])
 
 
-def complete_rotation_map(n: int) -> RotationMap:
-    """K_n as a rotation system (any cyclic neighbour order)."""
-    others = [[w for w in range(n) if w != v] for v in range(n)]
-    offsets = [(n - 1) * v for v in range(n)]
-    twin = [0] * (n * (n - 1))
+def rotation_map_from_edges(n: int, edges) -> RotationMap:
+    """A simple graph as a rotation system, neighbours in listing order."""
+    others: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        others[a].append(b)
+        others[b].append(a)
+    offsets = [0]
+    for v in range(n):
+        offsets.append(offsets[-1] + len(others[v]))
+    twin = [0] * offsets[-1]
     for v in range(n):
         for s, w in enumerate(others[v]):
             twin[offsets[v] + s] = offsets[w] + others[w].index(v)
-    return RotationMap([n - 1] * n, twin)
+    return RotationMap([len(o) for o in others], twin)
+
+
+def complete_rotation_map(n: int) -> RotationMap:
+    """K_n as a rotation system (any cyclic neighbour order)."""
+    return rotation_map_from_edges(n, combinations(range(n), 2))
+
+
+def three_cliques() -> RotationMap:
+    """K4 x K2 on 0..7 (4-connected), with a K4 on 8..11 hung from 6 and 7.
+
+    Connectivity 2, minimum degree 3, and every distance-2 pair of vertex
+    0 or 1 has four disjoint paths, so the minimum sits late in the
+    sorted pairs.
+    """
+    edges = [*combinations(range(4), 2), *combinations(range(4, 8), 2),
+             *((i, i + 4) for i in range(4)), *combinations(range(8, 12), 2),
+             (6, 8), (7, 9)]
+    return rotation_map_from_edges(12, edges)
 
 
 def theta_rotation_map() -> RotationMap:

@@ -87,6 +87,13 @@ class TestErrors:
             parse_arr("\n".join(lines) + "\n")
         assert err.value.line == len(lines)
 
+    def test_huge_header_without_rotation_lines(self):
+        # nothing of the header's size may be allocated before the
+        # rotation lines exist; a 4 * V table here would need 3.2e16 bytes
+        with pytest.raises(ArrSyntaxError) as err:
+            parse_arr("arrangement 1000000000000000\n")
+        assert err.value.line == 1
+
     def test_twin_mismatch(self):
         text = (
             "arrangement 2\n"

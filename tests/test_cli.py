@@ -159,3 +159,9 @@ class TestInputHandling:
         path.write_text("arrangement 2\nv 0 9.9 0.0 0.3 0.2\n")
         assert main(["validate", str(path)]) == 2
         assert "input error" in capsys.readouterr().err
+
+    def test_huge_header_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.arr"
+        path.write_text("arrangement 1000000000000000\n")
+        assert main(["validate", str(path)]) == 2
+        assert "line 1" in capsys.readouterr().err

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import random
 from collections import deque
 from itertools import combinations
 
 import pytest
 
+from venngraph import connectivity
 from venngraph.connectivity import (
     NotDistanceTwoError,
     NotVGraphError,
@@ -18,9 +20,11 @@ from venngraph.connectivity import (
     verify_cut,
     vertex_connectivity,
 )
+from venngraph.dual import dual
 from venngraph.maps import PlaneGraph
 
-from conftest import complete_rotation_map
+from conftest import complete_rotation_map, three_cliques
+from test_arrio import random_plane_graph
 
 
 def connected_without(g, blocked):
@@ -137,6 +141,46 @@ class TestVertexConnectivity:
         assert kappa == 4
         assert cut is None
 
+    def test_matches_exhaustive_oracle(self, venn3, weaves, flower, lens):
+        rng = random.Random(2024)
+        maps = []
+        while len(maps) < 30:
+            g = random_plane_graph(rng)
+            if g.vertex_count <= 12 and g.is_connected:
+                maps.append(g)
+        corpus = [venn3, *weaves.values(), flower, lens, dual(venn3),
+                  complete_rotation_map(5), three_cliques(), *maps]
+        for g in corpus:
+            adj = g.adjacency_sets
+            n = g.vertex_count
+            sizes = [
+                min_separator_size(g, u, v)
+                for u in range(n)
+                for v in range(u + 1, n)
+                if v not in adj[u]
+            ]
+            kappa, cut = vertex_connectivity(g)
+            assert kappa == min(sizes, default=n - 1)
+            if sizes:
+                assert len(cut.cut) == kappa
+                assert verify_cut(g, cut)
+            else:
+                assert cut is None
+
+    def test_one_flow_network_per_call(self, monkeypatch, venn5, flower):
+        built = []
+
+        class CountingNet(connectivity._FlowNet):
+            def __init__(self, g):
+                built.append(g)
+                super().__init__(g)
+
+        monkeypatch.setattr(connectivity, "_FlowNet", CountingNet)
+        vertex_connectivity(venn5)
+        assert len(built) == 1
+        certify_distance_two(flower, 3)
+        assert len(built) == 2
+
 
 class TestProofPaths:
     def test_case1_shape_on_venn3(self, venn3):
@@ -232,3 +276,15 @@ class TestDistanceTwoCertification:
     def test_vacuous_on_complete_graph(self):
         with pytest.raises(VacuousCertificationError):
             certify_distance_two(complete_rotation_map(5), 4)
+
+    def test_flow_route_certifies_below_connectivity(self, weaves, flower):
+        # neither graph is a V-graph: flower has connectivity 3, weave(3) 2
+        for g, k in ((flower, 3), (weaves[3], 2)):
+            result = certify_distance_two(g, k)
+            assert result.certified
+            assert result.pair_count == len({(u, v) for u, _, v in g.distance2_pairs()})
+            assert len(result.certificates) == result.pair_count
+            for u, z, v, cert in result.certificates:
+                assert (cert.u, cert.v) == (u, v)
+                assert cert.k == k
+                assert verify_certificate(g, cert)
