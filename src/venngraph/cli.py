@@ -8,12 +8,14 @@ Exit codes: 0 the checked property holds or the artifact was produced;
 budget); 3 a guaranteed result was contradicted (no Hamilton cycle in a
 certified 4-connected planar graph, or an unextendable diagram with five
 or fewer curves), which would be reportable news rather than a bug in the
-input.
+input; 141 (128 + SIGPIPE) the reader of stdout went away, as in
+``venngraph certify --verbose big.arr | head -1``, and nothing is printed.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import arrio, generators
@@ -34,6 +36,7 @@ EXIT_OK = 0
 EXIT_PROPERTY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CONTRADICTION = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _read_graph(path: str) -> PlaneGraph:
@@ -264,7 +267,11 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        return EXIT_BROKEN_PIPE
     except (arrio.ArrSyntaxError, arrio.ArrSemanticError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -283,7 +290,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    code = main()
+    if code == EXIT_BROKEN_PIPE:
+        # stdout's reader is gone; send the interpreter's exit-time flush
+        # of whatever is still buffered to nowhere instead of the pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -525,8 +525,11 @@ def certify_distance_two(g: RotationMap, k: int) -> Distance2Certification:
     supplies the certificates (falling back to flow when verification
     demands it); otherwise one flow network serves every pair, each flow
     stopping at k.  The first failing pair, if any, is returned as a
-    counterexample with its flow value and minimum cut.
+    counterexample with its flow value and minimum cut.  ``k`` must be
+    positive: asking for zero paths per pair would certify anything.
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     if not g.is_connected:
         raise DisconnectedError("certification requires a connected graph")
     pairs = _unique_pairs(g)

@@ -7,12 +7,29 @@ region once, and threading a new closed curve along it - entering and
 leaving each region through one crossing apiece - turns an n-curve diagram
 realising all 2^n regions into an (n+1)-curve diagram realising all
 2^(n+1).
+
+The cycle is read off the diagram rather than searched for.  A curve C
+with 2^(n-1) edges is *removable*: it splits every region of the other
+curves exactly once (Winkler 1984; Chilakamarri, Hamburger and Pippert
+1996).  A simple Venn diagram has unique face incidence, so each face
+meets C in at most one edge, and the 2 * 2^(n-1) faces flanking C's
+edges are all 2^n faces.  Walking the faces on C's right in curve order,
+then those on its left in reverse, is a Hamilton cycle of the dual (the
+prism C_m x K_2 lies in it): faces consecutive on one side share the
+half-edge of the curve crossing C between them, and the two sides join
+across C's first and last edges.  The curve added by
+:func:`winkler_extend` crosses 2^n edges, so it is removable in the
+result, and it has the highest curve id because its darts are the ones
+on the appended vertices - which survive an ARR round trip - so the
+next extension finds it first.
 """
 
 from __future__ import annotations
 
-from .hamilton import find_hamilton
-from .maps import MapError, PlaneGraph, RotationMap
+import warnings
+
+from .hamilton import find_hamilton, verify_cycle
+from .maps import Curve, MapError, PlaneGraph, RotationMap
 from .validate import venn_check
 
 
@@ -86,8 +103,30 @@ def dual(g: PlaneGraph) -> DualGraph:
     return DualGraph(degrees, twin, g, tuple(to_primal))
 
 
+def prism_order(g: PlaneGraph, curve: Curve) -> list[int]:
+    """The faces flanking ``curve``: those on its right in curve order, then
+    those on its left in reverse.
+
+    This is a Hamilton cycle of the dual exactly when the curve is
+    removable in a simple Venn diagram (2^(n-1) edges); otherwise faces
+    repeat or are missed, which :func:`verify_cycle` reports.
+    """
+    face_of = g.face_of
+    right = [face_of[x] for x in curve.darts]
+    left = [face_of[g.twin(x)] for x in curve.darts]
+    return right + left[::-1]
+
+
 def winkler_extend(g: PlaneGraph, budget: int | None = None) -> PlaneGraph:
     """Add one curve along a Hamilton cycle of the dual.
+
+    The cycle runs around the highest-id removable curve (one with
+    2^(n-1) edges; see the module docstring for why it is a Hamilton
+    cycle) and is always checked with :func:`verify_cycle`.  When no curve
+    is removable or the check fails, a :class:`RuntimeWarning` is issued
+    and :func:`find_hamilton` searches the dual within ``budget``
+    instead; :class:`DualNotHamiltonianError` is raised if it proves no
+    cycle exists.
 
     For each consecutive pair of regions on the cycle, the lowest shared
     primal edge is subdivided by a new crossing; consecutive crossings are
@@ -103,11 +142,21 @@ def winkler_extend(g: PlaneGraph, budget: int | None = None) -> PlaneGraph:
             f"labels over {report.face_count} regions"
         )
     d = dual(g)
-    kwargs = {} if budget is None else {"budget": budget}
-    cycle = find_hamilton(d, **kwargs)
-    if cycle is None:
-        raise DualNotHamiltonianError(report.curve_count)
-    order = cycle.order  # starts at face 0, lower second face first
+    half = 1 << (report.curve_count - 1)
+    curve = next((c for c in reversed(g.curves) if c.edge_count == half), None)
+    order = None if curve is None else prism_order(g, curve)
+    if order is None or not verify_cycle(d, order):
+        warnings.warn(
+            f"no removable curve yields a dual Hamilton cycle of this "
+            f"{report.curve_count}-curve diagram; searching the dual instead",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        kwargs = {} if budget is None else {"budget": budget}
+        cycle = find_hamilton(d, **kwargs)
+        if cycle is None:
+            raise DualNotHamiltonianError(report.curve_count)
+        order = cycle.order
     nf = len(order)
     v0 = g.vertex_count
 

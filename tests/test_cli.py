@@ -79,6 +79,13 @@ class TestChecks:
         out = capsys.readouterr().out
         assert "counterexample:" in out
 
+    def test_certify_non_positive_k_is_a_usage_error(self, capsys, venn3_file):
+        for k in ("0", "-1"):
+            assert main(["certify", "--k", k, venn3_file]) == 2
+            captured = capsys.readouterr()
+            assert "certified" not in captured.out
+            assert "k must be at least 1" in captured.err
+
     def test_certify_verbose_prints_paths(self, capsys, venn3_file):
         assert main(["certify", "--verbose", venn3_file]) == 0
         out = capsys.readouterr().out
@@ -159,6 +166,18 @@ class TestInputHandling:
         path.write_text("arrangement 2\nv 0 9.9 0.0 0.3 0.2\n")
         assert main(["validate", str(path)]) == 2
         assert "input error" in capsys.readouterr().err
+
+    def test_closed_stdout_is_a_quiet_broken_pipe(self, capsys, monkeypatch, venn3_file):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        assert main(["certify", "--verbose", venn3_file]) == 141
+        assert capsys.readouterr().err == ""
 
     def test_huge_header_is_an_input_error(self, capsys, tmp_path):
         path = tmp_path / "huge.arr"

@@ -273,6 +273,12 @@ class TestDistanceTwoCertification:
         for g in (weaves[2], flower):
             assert certify_distance_two(g, 1).certified
 
+    def test_non_positive_k_is_rejected(self, venn3, weaves):
+        for g in (venn3, weaves[3]):
+            for k in (0, -1):
+                with pytest.raises(ValueError):
+                    certify_distance_two(g, k)
+
     def test_vacuous_on_complete_graph(self):
         with pytest.raises(VacuousCertificationError):
             certify_distance_two(complete_rotation_map(5), 4)

@@ -1,9 +1,17 @@
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
-from venngraph.dual import NotVennError, dual, winkler_extend
+from venngraph.dual import NotVennError, dual, prism_order, winkler_extend
+from venngraph.generators import gen_venn
+from venngraph.hamilton import verify_cycle
+from venngraph.maps import Curve
 from venngraph.validate import validate, venn_check
+
+# the package re-exports the function ``dual``, which shadows the module
+dual_module = importlib.import_module("venngraph.dual")
 
 
 class TestDual:
@@ -91,3 +99,41 @@ class TestWinklerExtend:
 
     def test_deterministic(self, venn3):
         assert winkler_extend(venn3)._twin == winkler_extend(venn3)._twin
+
+
+class TestRemovableCurve:
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_prism_order_is_a_cycle_iff_curve_is_removable(self, n):
+        g = gen_venn(n)
+        d = dual(g)
+        verdicts = {
+            c.id: (verify_cycle(d, prism_order(g, c)), c.edge_count == 2 ** (n - 1))
+            for c in g.curves
+        }
+        assert all(ok == removable for ok, removable in verdicts.values())
+        # the newest curve is removable, so the constructive route applies
+        assert verdicts[len(g.curves) - 1] == (True, True)
+        if n >= 5:
+            assert any(not removable for _, removable in verdicts.values())
+
+    @pytest.mark.parametrize("breakage", ["no removable curve", "order fails"])
+    def test_fallback_searches_once_and_warns(self, monkeypatch, venn4, breakage):
+        if breakage == "no removable curve":
+            monkeypatch.setattr(Curve, "edge_count", property(lambda c: 0))
+        else:
+            monkeypatch.setattr(
+                dual_module, "prism_order", lambda g, c: list(range(len(g.faces) - 1))
+            )
+        calls = []
+        real = dual_module.find_hamilton
+
+        def counting(d, **kwargs):
+            calls.append(d.vertex_count)
+            return real(d, **kwargs)
+
+        monkeypatch.setattr(dual_module, "find_hamilton", counting)
+        with pytest.warns(RuntimeWarning, match="4-curve diagram"):
+            g5 = winkler_extend(venn4)
+        assert calls == [16]
+        report = venn_check(g5)
+        assert report.is_simple_venn and report.curve_count == 5

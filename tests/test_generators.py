@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import importlib
 import math
 
 import pytest
 
+from venngraph.arrio import parse_arr, write_arr
+from venngraph.cli import main
+from venngraph.dual import winkler_extend
 from venngraph.generators import from_circles, gen_venn, gen_venn3, gen_weave
-from venngraph.validate import check_ufi, digon_faces, validate
+from venngraph.validate import check_ufi, digon_faces, validate, venn_check
 
 
 class TestVenn3:
@@ -36,6 +40,28 @@ class TestVennChain:
     def test_needs_three_curves(self):
         with pytest.raises(ValueError):
             gen_venn(2)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_chain_needs_no_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the dual Hamilton search was called")
+
+        # the package re-exports the function ``dual``, which shadows the module
+        dual_module = importlib.import_module("venngraph.dual")
+        monkeypatch.setattr(dual_module, "find_hamilton", no_search)
+        for n in range(7, 11):
+            g = gen_venn(n)
+            after = winkler_extend(parse_arr(write_arr(g)))
+            for m, h in ((n, g), (n + 1, after)):
+                report = venn_check(h)
+                assert report.is_simple_venn and report.curve_count == m
+                assert h.vertex_count == 2**m - 2
+
+    def test_cli_generates_ten_curves(self, capsys):
+        assert main(["gen", "venn", "10"]) == 0
+        report = venn_check(parse_arr(capsys.readouterr().out))
+        assert report.is_simple_venn
+        assert (report.curve_count, report.face_count) == (10, 1024)
 
 
 class TestWeave:
