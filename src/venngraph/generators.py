@@ -18,6 +18,10 @@ _EPS = 1e-9
 
 Circle = tuple[float, float, float]
 
+# gen_venn(12) has 4094 crossings and takes about 0.15 s; the extension is
+# linear, so each further curve doubles time and memory.
+MAX_VENN_CURVES = 12
+
 
 def _circle_pair_points(a: Circle, b: Circle) -> list[tuple[float, float]]:
     """Transverse intersection points of two circles (0 or 2 of them)."""
@@ -124,10 +128,16 @@ def gen_venn(n: int) -> PlaneGraph:
     """The 3-circle diagram extended n-3 times by a new curve.
 
     Every intermediate step is re-validated by the extension itself, so a
-    failure anywhere in the chain surfaces immediately.
+    failure anywhere in the chain surfaces immediately.  The result has
+    2^n - 2 crossings, so n is capped at :data:`MAX_VENN_CURVES`.
     """
     if n < 3:
         raise ValueError("need at least three curves")
+    if n > MAX_VENN_CURVES:
+        raise ValueError(
+            f"{n} curves would need {2**n - 2} crossings; "
+            f"at most {MAX_VENN_CURVES} curves are generated"
+        )
     from .dual import winkler_extend
 
     g = gen_venn3()

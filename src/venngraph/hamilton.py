@@ -1,13 +1,21 @@
 """Hamilton cycles by deterministic backtracking over edge choices.
 
 Each edge of the (parallel-collapsed) graph is included or excluded.
-Three pruning tiers run to a fixpoint after every decision: forced edges
-(a vertex with exactly two admissible incident edges must use both, a
-vertex with two included edges excludes the rest), premature-subcycle
-rejection (an included edge may close a cycle only when it completes the
-full tour), and connectivity of the residual admissible graph.  Branching
-always picks the undecided edge with the smallest canonical dart and tries
-inclusion first, so identical inputs yield identical cycles.
+Three pruning tiers run after every decision.  Forced edges and
+premature-subcycle rejection propagate to a fixpoint: a vertex with
+exactly two admissible incident edges must use both, a vertex with two
+included edges excludes the rest, and an included edge may close a cycle
+only when it completes the full tour.  Then one Tarjan low-link pass
+rejects the node when the admissible graph is disconnected or has a cut
+vertex; a Hamilton cycle on three or more vertices is 2-connected, and so
+is every spanning graph containing it.
+
+Branching extends the included path: it picks the path end with the
+fewest admissible edges (lowest id on ties) and decides its
+lowest-numbered undecided edge, inclusion first; before any edge is
+included it decides the lowest undecided edge.  Identical inputs
+therefore yield identical cycles.  The decisions live on an explicit
+stack, so the search depth is not bounded by Python's recursion limit.
 
 Finding Hamilton cycles in arbitrary crossing-structure graphs is
 NP-complete, hence the node-expansion budget; on 4-connected planar inputs
@@ -81,10 +89,11 @@ def find_hamilton(
             seen.add(key)
             edges.append(key)
     m = len(edges)
-    incident: list[list[int]] = [[] for _ in range(n)]
+    # (neighbour, edge) pairs at each vertex, in edge order
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for ei, (a, b) in enumerate(edges):
-        incident[a].append(ei)
-        incident[b].append(ei)
+        incident[a].append((b, ei))
+        incident[b].append((a, ei))
     if any(len(incident[v]) < 2 for v in range(n)):
         return None
 
@@ -124,7 +133,7 @@ def find_hamilton(
             mate[eb] = ea
         for x in (a, b):
             if deg_inc[x] == 2:
-                for other in incident[x]:
+                for _, other in incident[x]:
                     if state[other] == _UNDECIDED:
                         pending.append((False, other))
         return True
@@ -142,7 +151,7 @@ def find_hamilton(
             if deg_adm[x] < 2:
                 return False
             if deg_adm[x] == 2:
-                for other in incident[x]:
+                for _, other in incident[x]:
                     if state[other] == _UNDECIDED:
                         pending.append((True, other))
         return True
@@ -172,53 +181,94 @@ def find_hamilton(
             else:
                 included -= 1
 
-    def admissible_connected() -> bool:
-        seen_v = [False] * n
-        seen_v[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            x = queue.popleft()
-            for ei in incident[x]:
+    def no_cut_vertex() -> bool:
+        """One iterative Tarjan low-link pass over the admissible graph:
+        True iff it is connected and has no cut vertex."""
+        disc = [0] * n  # DFS discovery time, 0 while unvisited
+        low = [0] * n
+        nxt = [0] * n  # next position in incident[x] to scan
+        parent = [-1] * n
+        disc[0] = low[0] = clock = 1
+        root_children = 0
+        path = [0]
+        while path:
+            x = path[-1]
+            row = incident[x]
+            i = nxt[x]
+            while i < len(row):
+                y, ei = row[i]
+                i += 1
                 if state[ei] == _EXCLUDED:
                     continue
-                a, b = edges[ei]
-                y = b if a == x else a
-                if not seen_v[y]:
-                    seen_v[y] = True
-                    count += 1
-                    queue.append(y)
-        return count == n
+                if disc[y] == 0:
+                    clock += 1
+                    disc[y] = low[y] = clock
+                    parent[y] = x
+                    if x == 0:
+                        root_children += 1
+                        if root_children > 1:
+                            return False
+                    path.append(y)
+                    break
+                if y != parent[x] and disc[y] < low[x]:
+                    low[x] = disc[y]
+            else:
+                path.pop()
+                p = parent[x]
+                if p > 0 and low[x] >= disc[p]:
+                    return False  # removing p separates x's subtree
+                if p >= 0 and low[x] < low[p]:
+                    low[p] = low[x]
+            nxt[x] = i
+        return clock == n
 
-    expansions = 0
+    def choose_branch() -> int | None:
+        """The lowest undecided edge at the path end with the fewest
+        admissible edges (lowest id on ties), or the lowest undecided edge
+        overall while nothing is included."""
+        end = -1
+        for v in range(n):
+            if deg_inc[v] == 1 and (end < 0 or deg_adm[v] < deg_adm[end]):
+                end = v
+        pool = (e for _, e in incident[end]) if end >= 0 else range(m)
+        return next((e for e in pool if state[e] == _UNDECIDED), None)
 
-    def search() -> bool:
-        nonlocal expansions
-        expansions += 1
-        if expansions > budget:
-            raise BudgetExceededError(expansions - 1)
-        if included == n:
+    # decisions on the current search path: (edge, trail mark, included?)
+    stack: list[tuple[int, int, bool]] = []
+
+    def decide(want_in: bool, e: int) -> bool:
+        mark = len(trail)
+        pending.clear()
+        pending.append((want_in, e))
+        if propagate() and no_cut_vertex():
+            stack.append((e, mark, want_in))
             return True
-        branch = next((e for e in range(m) if state[e] == _UNDECIDED), None)
-        if branch is None:
-            return False
-        for want_in in (True, False):
-            mark = len(trail)
-            pending.clear()
-            pending.append((want_in, branch))
-            if propagate() and admissible_connected() and search():
-                return True
-            undo(mark)
+        undo(mark)
         return False
 
     for v in range(n):
         if deg_adm[v] == 2:
-            for e in incident[v]:
+            for _, e in incident[v]:
                 pending.append((True, e))
-    if not propagate() or not admissible_connected():
+    if not propagate() or not no_cut_vertex():
         return None
-    if not search():
-        return None
+    expansions = 0
+    while True:  # one search node per iteration
+        expansions += 1
+        if expansions > budget:
+            raise BudgetExceededError(expansions - 1)
+        if included == n:
+            break
+        branch = choose_branch()
+        if branch is None or not (decide(True, branch) or decide(False, branch)):
+            # backtrack to the latest inclusion and exclude its edge instead
+            while True:
+                if not stack:
+                    return None
+                e, mark, was_in = stack.pop()
+                undo(mark)
+                if was_in and decide(False, e):
+                    break
 
     cycle_adj: list[list[int]] = [[] for _ in range(n)]
     for ei, (a, b) in enumerate(edges):

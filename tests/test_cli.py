@@ -47,6 +47,12 @@ class TestGen:
     def test_gen_bad_parameter(self, capsys):
         assert main(["gen", "weave", "1"]) == 2
 
+    def test_gen_venn_too_many_curves(self, capsys):
+        assert main(["gen", "venn", "13"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at most 12 curves" in captured.err
+
 
 class TestChecks:
     def test_validate_weave_fails(self, capsys, weave3_file):

@@ -8,7 +8,13 @@ import pytest
 from venngraph.arrio import parse_arr, write_arr
 from venngraph.cli import main
 from venngraph.dual import winkler_extend
-from venngraph.generators import from_circles, gen_venn, gen_venn3, gen_weave
+from venngraph.generators import (
+    MAX_VENN_CURVES,
+    from_circles,
+    gen_venn,
+    gen_venn3,
+    gen_weave,
+)
 from venngraph.validate import check_ufi, digon_faces, validate, venn_check
 
 
@@ -40,6 +46,10 @@ class TestVennChain:
     def test_needs_three_curves(self):
         with pytest.raises(ValueError):
             gen_venn(2)
+
+    def test_curve_count_is_capped(self):
+        with pytest.raises(ValueError, match="at most 12 curves"):
+            gen_venn(MAX_VENN_CURVES + 1)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_chain_needs_no_search(self, monkeypatch):

@@ -1,15 +1,26 @@
 from __future__ import annotations
 
+import inspect
+import random
+import sys
+from pathlib import Path
+
 import pytest
 
+from venngraph.arrio import parse_arr
 from venngraph.dual import dual
+from venngraph.generators import from_circles, gen_venn
 from venngraph.hamilton import (
     BudgetExceededError,
     find_hamilton,
     verify_cycle,
 )
+from venngraph.validate import validate
 
 from conftest import theta_rotation_map
+from test_arrio import random_plane_graph
+
+FIXED_DIAGRAMS = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
 
 def hamilton_exists_brute(g):
@@ -83,6 +94,47 @@ class TestFindHamilton:
             find_hamilton(g)
 
 
+class TestSearchEffort:
+    """The budget counts search nodes, so it bounds the work deterministically."""
+
+    @pytest.mark.parametrize("name", ["venn7.arr", "venn8.arr"])
+    def test_fixed_diagrams_within_vertex_count(self, name):
+        g = parse_arr((FIXED_DIAGRAMS / name).read_text(encoding="utf-8"))
+        cycle = find_hamilton(g, budget=g.vertex_count)
+        assert cycle is not None
+        assert verify_cycle(g, cycle.order)
+
+    def test_search_depth_needs_no_recursion(self):
+        g = gen_venn(9)
+        limit = sys.getrecursionlimit()
+        # far below the hundreds of decisions on the path to a 510-cycle
+        sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+        try:
+            cycle = find_hamilton(g, budget=2 * g.vertex_count)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert cycle is not None
+        assert verify_cycle(g, cycle.order)
+
+    def test_circle_family_vgraphs_within_twice_vertex_count(self):
+        rng = random.Random(7)
+        for k in range(3, 9):
+            found = 0
+            while found < 4:
+                circles = [(rng.uniform(0.0, 4.0), rng.uniform(0.0, 4.0),
+                            rng.uniform(0.8, 2.5)) for _ in range(k)]
+                try:
+                    g = from_circles(circles)
+                except ValueError:
+                    continue  # tangent, concentric or isolated circles
+                if not validate(g, with_venn=False).is_vgraph:
+                    continue
+                found += 1
+                cycle = find_hamilton(g, budget=2 * g.vertex_count)
+                assert cycle is not None
+                assert verify_cycle(g, cycle.order)
+
+
 class TestVerifyCycle:
     def test_solver_output_verifies(self, venn3):
         assert verify_cycle(venn3, find_hamilton(venn3).order)
@@ -117,6 +169,22 @@ class TestBruteForceAgreement:
             assert (cycle is not None) == hamilton_exists_brute(g)
             if cycle is not None:
                 assert verify_cycle(g, cycle.order)
+
+    def test_random_rotation_maps(self):
+        rng = random.Random(11)
+        outcomes = set()
+        checked = 0
+        while checked < 150:
+            g = random_plane_graph(rng)
+            if not 3 <= g.vertex_count <= 11:
+                continue
+            checked += 1
+            cycle = find_hamilton(g)
+            assert (cycle is not None) == hamilton_exists_brute(g)
+            if cycle is not None:
+                assert verify_cycle(g, cycle.order)
+            outcomes.add(cycle is not None)
+        assert outcomes == {True, False}
 
     def test_lens_too_small_for_cycle_api(self, lens):
         with pytest.raises(ValueError):
