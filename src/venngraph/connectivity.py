@@ -17,13 +17,22 @@ four disjoint paths can be read off the two curves crossing at z and the
 perimeter of the four faces around z.  The construction is verified after
 the fact and falls back to flow-derived paths if verification ever fails,
 so its output is always a sound certificate.
+
+On V-graphs the construction alone settles connectivity, with no flow:
+its bundles give every distance-2 pair four paths, so connectivity is at
+least 4, and the four neighbours of any vertex separate it from the rest,
+so it is at most 4.  A V-graph is simple, as a digon would put one of its
+curves twice on an adjacent face, which unique face incidence forbids;
+every vertex therefore has four distinct neighbours.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 from .maps import DisconnectedError, MapError, PlaneGraph, RotationMap
 from .validate import validate
@@ -305,12 +314,21 @@ def vertex_connectivity(g: RotationMap) -> tuple[int, CutCertificate | None]:
     Connectivity is the minimum path count over the distance-2 pairs
     alone: each vertex of a minimum separator S has neighbours on two
     sides of S, and two of them form a distance-2 pair that S separates.
-    It is also at most the minimum degree.  So one flow network serves
-    every pair, each pair's flow stops at the best count so far, starting
-    from the minimum degree, and only the pair that sets the answer is
-    traced into verified paths and a verified cut.  Returns
-    ``(vertex_count - 1, None)`` for complete graphs, which no vertex set
-    separates.
+    It is also at most the minimum degree.
+
+    On a V-graph (a :class:`PlaneGraph` that ``validate`` accepts) the
+    answer is 4 with no flow at all: :func:`proof_paths` bundles for
+    every distance-2 pair, each verified, give the lower bound, and the
+    four neighbours of a minimum-degree vertex s, a cut verified with
+    sides ``{s}`` and the rest, give the upper bound.  V-graphs are
+    simple and 4-regular (see the module docstring), so that cut has size
+    4.  Should it fail, a :class:`RuntimeWarning` precedes the flow route.
+
+    Otherwise one flow network serves every pair, each pair's flow stops
+    at the best count so far, starting from the minimum degree, and only
+    the pair that sets the answer is traced into verified paths and a
+    verified cut.  Returns ``(vertex_count - 1, None)`` for complete
+    graphs, which no vertex set separates.
     """
     n = g.vertex_count
     if n < 2:
@@ -325,7 +343,20 @@ def vertex_connectivity(g: RotationMap) -> tuple[int, CutCertificate | None]:
         return n - 1, None
     adj = g.adjacency_sets
     s = min(range(n), key=lambda v: (len(adj[v] - {v}), v))
-    best = len(adj[s] - {s})
+    around = adj[s] - {s}
+    best = len(around)
+    if _proof_bundles(g, pairs) is not None:
+        cut = CutCertificate(
+            around, (frozenset((s,)), frozenset(range(n)) - around - {s})
+        )
+        if best == 4 and verify_cut(g, cut):
+            return 4, cut
+        warnings.warn(
+            f"the neighbours of vertex {s} do not give a verified 4-cut of "
+            f"this V-graph (minimum degree {best}); using flow instead",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     # s has a distance-2 partner, as the graph is connected and not
     # complete; s's neighbours separate the two, so they have <= best paths
     witness = next(p for p in pairs if s in p)
@@ -362,22 +393,20 @@ def _corner_arc(g: PlaneGraph, z: int, s: int) -> list[int]:
     raise _ConstructionSurprise("corner face orbit did not close")
 
 
-def _cycle_path(cycle: list[int], start: int, end: int, avoid: int) -> list[int]:
-    """The arc of a vertex cycle from start to end not passing avoid."""
-    i = cycle.index(start)
-    n = len(cycle)
-    for step in (1, -1):
-        path = [start]
-        j = i
-        while True:
-            j = (j + step) % n
-            x = cycle[j]
-            if x == avoid:
-                break
-            path.append(x)
-            if x == end:
-                return path
-    raise _ConstructionSurprise("no avoiding arc exists")
+def _ride(g: PlaneGraph, d: int, stop: Callable[[int], bool]) -> list[int]:
+    """The vertices met riding the curve of dart d away from d's vertex z,
+    up to the first one for which ``stop`` holds; the ride may not come
+    back to z."""
+    z = g.dart_vertex(d)
+    ride = []
+    while True:
+        d = g.curve_next(d)
+        x = g.dart_vertex(d)
+        if x == z:
+            raise _ConstructionSurprise("curve closed before the stop vertex")
+        ride.append(x)
+        if stop(x):
+            return ride
 
 
 def _fallback(g: PlaneGraph, u: int, v: int) -> tuple[tuple[int, ...], ...]:
@@ -390,45 +419,31 @@ def _fallback(g: PlaneGraph, u: int, v: int) -> tuple[tuple[int, ...], ...]:
     return cert.paths[:4]
 
 
-def _build_path_c(
-    g: PlaneGraph, u: int, z: int, v: int, along: int, across: int
-) -> tuple[int, ...]:
+def _curve_arc(g: PlaneGraph, z: int, s: int) -> tuple[int, ...]:
+    """The rest of the curve through z's slot s, from z's slot-s neighbour
+    all the way round to its slot-(s+2) neighbour."""
+    cycle = g.curves[g.curve_of[g.dart(z, s)]].vertices
+    i = cycle.index(z)
+    arc = cycle[i + 1:] + cycle[:i]
+    return arc if arc[0] == g.dart_vertex(g.twin(g.dart(z, s))) else arc[::-1]
+
+
+def _build_path_c(g: PlaneGraph, z: int, su: int, sv: int) -> tuple[int, ...]:
     """Ride u's curve from u away from z to the switch vertex w, then ride
-    v's curve from w to v.
+    v's curve from w to v, where u and v are z's slot-su and slot-sv
+    neighbours.
 
     w is the first crossing of the two curves reached when walking v's
     curve from v away from z (v itself when v lies on both curves), which
     makes the tail crossing-free.  The head then cannot meet the tail
     anywhere except w, and neither piece can touch z, the far neighbours
-    of z, or the faces around z.
+    of z, or the faces around z.  Both rides stop at w, so the cost is
+    the path's length, not the curves'.
     """
-    across_cycle = list(g.curves[across].vertices)
-    on_along = set(g.curves[along].vertices)
-    i = across_cycle.index(v)
-    n = len(across_cycle)
-    step = 1 if across_cycle[(i - 1) % n] == z else -1
-    tail = [v]
-    j = i
-    while tail[-1] not in on_along:
-        j = (j + step) % n
-        x = across_cycle[j]
-        if x == z:
-            raise _ConstructionSurprise("curves meet only at z")
-        tail.append(x)
+    along = g.curve_of[g.dart(z, su)]
+    tail = _ride(g, g.dart(z, sv), lambda x: along in g.vertex_curves(x))
     w = tail[-1]
-
-    along_cycle = list(g.curves[along].vertices)
-    i = along_cycle.index(z)
-    n = len(along_cycle)
-    step = -1 if along_cycle[(i - 1) % n] == u else 1
-    head: list[int] = []
-    j = i
-    while not head or head[-1] != w:
-        j = (j + step) % n
-        x = along_cycle[j]
-        if x == z:
-            raise _ConstructionSurprise("switch vertex not on the u-curve walk")
-        head.append(x)
+    head = _ride(g, g.dart(z, su), lambda x: x == w)
     return tuple(head) + tuple(reversed(tail))[1:]
 
 
@@ -461,7 +476,6 @@ def proof_paths(
 
     nbr = [g.dart_vertex(g.twin(g.dart(z, s))) for s in range(4)]
     su = min(s for s in range(4) if nbr[s] == u)
-    along = g.curve_of[g.dart(z, su)]
 
     def joined(pieces: list[list[int]]) -> tuple[int, ...]:
         out = list(pieces[0])
@@ -483,10 +497,9 @@ def proof_paths(
             raise _ConstructionSurprise("corner neighbours of z are not distinct")
         arcs = [_corner_arc(g, z, s) for s in range(4)]
         if case == 1:
-            along_cycle = list(g.curves[along].vertices)
             paths = [
                 (u, z, v),
-                tuple(_cycle_path(along_cycle, u, v, avoid=z)),
+                _curve_arc(g, z, su),
                 joined([arcs[su][::-1], arcs[(su + 1) % 4][::-1]]),  # u ~ a ~ v
                 joined([arcs[(su + 3) % 4], arcs[(su + 2) % 4]]),    # u ~ b ~ v
             ]
@@ -496,25 +509,38 @@ def proof_paths(
             path_b = joined(
                 [arcs[(su + 3) % 4], arcs[(su + 2) % 4], arcs[(su + 1) % 4]]
             )
-            across = g.curve_of[g.dart(z, sv)]
-            paths = [path_a, path_b, _build_path_c(g, u, z, v, along, across),
-                     (u, z, v)]
+            paths = [path_a, path_b, _build_path_c(g, z, su, sv), (u, z, v)]
         else:
             sv = (su + 3) % 4
             path_a = tuple(arcs[(su + 3) % 4])
             path_b = joined(
                 [arcs[su][::-1], arcs[(su + 1) % 4][::-1], arcs[(su + 2) % 4][::-1]]
             )
-            across = g.curve_of[g.dart(z, sv)]
-            paths = [path_a, path_b, _build_path_c(g, u, z, v, along, across),
-                     (u, z, v)]
-    except (_ConstructionSurprise, ValueError):
+            paths = [path_a, path_b, _build_path_c(g, z, su, sv), (u, z, v)]
+    except _ConstructionSurprise:
         return ProofPathsResult(case, roles, _fallback(g, u, v), used_fallback=True)
 
     result = ProofPathsResult(case, roles, tuple(paths), used_fallback=False)
     if verify_certificate(g, PathCertificate(u, v, result.paths)):
         return result
     return ProofPathsResult(case, roles, _fallback(g, u, v), used_fallback=True)
+
+
+def _proof_bundles(
+    g: RotationMap, pairs: dict[tuple[int, int], int]
+) -> tuple[tuple[tuple[int, int, int, PathCertificate], ...], int] | None:
+    """Verified :func:`proof_paths` bundles for every pair of ``pairs``
+    (from :func:`_unique_pairs`) with the fallback count, or None when g
+    is not a V-graph.  The one route from "V-graph" to "4-connected"."""
+    if not (isinstance(g, PlaneGraph) and validate(g, with_venn=False).is_vgraph):
+        return None
+    certificates = []
+    fallbacks = 0
+    for (u, v), z in pairs.items():
+        res = proof_paths(g, u, z, v, validated=True)
+        fallbacks += res.used_fallback
+        certificates.append((u, z, v, PathCertificate(u, v, res.paths)))
+    return tuple(certificates), fallbacks
 
 
 def certify_distance_two(g: RotationMap, k: int) -> Distance2Certification:
@@ -535,19 +561,9 @@ def certify_distance_two(g: RotationMap, k: int) -> Distance2Certification:
     pairs = _unique_pairs(g)
     if not pairs:
         raise VacuousCertificationError("no distance-2 pairs; pairwise criterion is vacuous")
-    constructive = (
-        k == 4
-        and isinstance(g, PlaneGraph)
-        and validate(g, with_venn=False).is_vgraph
-    )
+    if k == 4 and (bundles := _proof_bundles(g, pairs)) is not None:
+        return Distance2Certification(k, len(pairs), *bundles, None)
     certificates = []
-    if constructive:
-        fallbacks = 0
-        for (u, v), z in pairs.items():
-            res = proof_paths(g, u, z, v, validated=True)
-            fallbacks += res.used_fallback
-            certificates.append((u, z, v, PathCertificate(u, v, res.paths)))
-        return Distance2Certification(k, len(pairs), tuple(certificates), fallbacks, None)
     net = _FlowNet(g)
     for (u, v), z in pairs.items():
         flow = net.max_flow(u, v, k)

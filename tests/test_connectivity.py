@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import warnings
 from collections import deque
 from itertools import combinations
 
@@ -21,7 +22,9 @@ from venngraph.connectivity import (
     vertex_connectivity,
 )
 from venngraph.dual import dual
-from venngraph.maps import PlaneGraph
+from venngraph.generators import from_circles, gen_venn
+from venngraph.maps import PlaneGraph, RotationMap
+from venngraph.validate import validate
 
 from conftest import complete_rotation_map, three_cliques
 from test_arrio import random_plane_graph
@@ -59,6 +62,20 @@ def min_separator_size(g, u, v):
             if v not in seen:
                 return size
     raise AssertionError("adjacent vertices cannot be separated")
+
+
+@pytest.fixture
+def built_nets(monkeypatch):
+    """The graph of every flow network built while the test runs."""
+    built = []
+
+    class CountingNet(connectivity._FlowNet):
+        def __init__(self, g):
+            built.append(g)
+            super().__init__(g)
+
+    monkeypatch.setattr(connectivity, "_FlowNet", CountingNet)
+    return built
 
 
 class TestMaxDisjointPaths:
@@ -167,19 +184,83 @@ class TestVertexConnectivity:
             else:
                 assert cut is None
 
-    def test_one_flow_network_per_call(self, monkeypatch, venn5, flower):
-        built = []
-
-        class CountingNet(connectivity._FlowNet):
-            def __init__(self, g):
-                built.append(g)
-                super().__init__(g)
-
-        monkeypatch.setattr(connectivity, "_FlowNet", CountingNet)
+    def test_one_flow_network_per_call(self, built_nets, venn5, weaves, flower):
+        # the flow route builds one network per call; a V-graph needs none
+        for g in (flower, weaves[4]):
+            built_nets.clear()
+            vertex_connectivity(g)
+            assert built_nets == [g]
+        built_nets.clear()
         vertex_connectivity(venn5)
-        assert len(built) == 1
+        assert built_nets == []
         certify_distance_two(flower, 3)
-        assert len(built) == 2
+        assert built_nets == [flower]
+
+    def test_vgraph_route_agrees_with_flow(self, built_nets, venn_family):
+        rng = random.Random(41)
+        circle_vgraphs = []
+        while len(circle_vgraphs) < 20:
+            k = 3 + len(circle_vgraphs) % 5
+            circles = [(rng.uniform(0.0, 4.0), rng.uniform(0.0, 4.0),
+                        rng.uniform(0.8, 2.5)) for _ in range(k)]
+            try:
+                g = from_circles(circles)
+            except ValueError:
+                continue  # tangent, concentric or isolated circles
+            if validate(g, with_venn=False).is_vgraph:
+                circle_vgraphs.append(g)
+        corpus = [*(gen_venn(n) for n in range(3, 8)),
+                  *venn_family["graphs"].values(), *circle_vgraphs]
+        for g in corpus:
+            built_nets.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                kappa, cut = vertex_connectivity(g)
+                bundles = certify_distance_two(g, 4)
+            assert built_nets == []
+            assert kappa == 4
+            (s,) = cut.sides[0]
+            assert cut.cut == g.adjacency_sets[s] and len(cut.cut) == 4
+            assert verify_cut(g, cut)
+            assert bundles.certified and bundles.fallback_count == 0
+            for u, z, v, cert in bundles.certificates:
+                assert cert.k == 4 and verify_certificate(g, cert)
+            # a plain rotation map is not a PlaneGraph, so it takes the flow route
+            plain = RotationMap((4,) * g.vertex_count, g._twin)
+            flow_kappa, flow_cut = vertex_connectivity(plain)
+            assert built_nets == [plain]
+            assert flow_kappa == kappa
+            assert len(flow_cut.cut) == 4 and verify_cut(plain, flow_cut)
+
+    def test_vgraph_lower_bound_is_certified(self, monkeypatch, venn5):
+        real = connectivity.proof_paths
+        calls = []
+
+        def counting(g, u, z, v, validated=False):
+            calls.append((u, v))
+            return real(g, u, z, v, validated)
+
+        monkeypatch.setattr(connectivity, "proof_paths", counting)
+        assert vertex_connectivity(venn5)[0] == 4
+        assert sorted(calls) == sorted({(u, v) for u, _, v in venn5.distance2_pairs()})
+
+    def test_rejected_cut_falls_back_to_flow(self, monkeypatch, built_nets, venn5):
+        real = connectivity.verify_cut
+        rejected = []
+
+        def reject_first(g, cert):
+            if not rejected:
+                rejected.append(cert)
+                return False
+            return real(g, cert)
+
+        monkeypatch.setattr(connectivity, "verify_cut", reject_first)
+        with pytest.warns(RuntimeWarning, match="using flow instead"):
+            kappa, cut = vertex_connectivity(venn5)
+        assert kappa == 4
+        assert len(rejected) == 1 and len(rejected[0].sides[0]) == 1
+        assert built_nets == [venn5]
+        assert len(cut.cut) == 4 and real(venn5, cut)
 
 
 class TestProofPaths:
