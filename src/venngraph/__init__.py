@@ -31,7 +31,9 @@ from .connectivity import (
     verify_cut,
     vertex_connectivity,
 )
-from .dual import DualGraph, DualNotHamiltonianError, NotVennError, dual, winkler_extend
+# ``dual`` the function stays in ``venngraph.dual``: re-exported here it
+# would shadow the submodule of the same name.
+from .dual import DualGraph, DualNotHamiltonianError, NotVennError, winkler_extend
 from .generators import from_circles, gen_venn, gen_venn3, gen_weave
 from .hamilton import (
     BudgetExceededError,

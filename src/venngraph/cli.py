@@ -20,7 +20,6 @@ import sys
 
 from . import arrio, generators
 from .connectivity import (
-    PathCertificate,
     VacuousCertificationError,
     certify_distance_two,
     proof_paths,
@@ -126,8 +125,7 @@ def _cmd_paths(args) -> int:
     print(f"case: {result.case}")
     print(f"z: {result.roles['z']} a: {result.roles['a']} b: {result.roles['b']}")
     print(f"fallback: {'yes' if result.used_fallback else 'no'}")
-    cert = PathCertificate(args.u, args.v, result.paths)
-    sys.stdout.write(arrio.format_path_certificate(cert))
+    sys.stdout.write(arrio.format_path_certificate(result.certificate))
     return EXIT_OK
 
 

@@ -18,6 +18,35 @@ perimeter of the four faces around z.  The construction is verified after
 the fact and falls back to flow-derived paths if verification ever fails,
 so its output is always a sound certificate.
 
+A constructed bundle is held compactly and verified without being
+expanded.  Each path is a tuple of pieces, every piece starting at the
+vertex where the one before it (or u) ended: an explicit vertex run, or
+a curve segment (curve, start position, end position, step +-1) over
+the positions of :attr:`~venngraph.maps.PlaneGraph.curve_index`.  The
+long path of a bundle is one segment or two, and the perimeter paths
+are runs sliced out of face boundaries, so a bundle has O(face degree)
+numbers however long its paths are.  The verifier checks explicit steps
+against the adjacency sets.  Consecutive vertices of a segment are
+adjacent because a curve is an orbit of the twin table, and a segment
+within bounds is simple because the curves of a validated V-graph are.
+Disjointness then needs only the following, since two pieces can share
+a vertex only at an end of one or at a vertex inside both:
+
+- the vertices after u on every path, junctions counted once and v
+  left out, are distinct and avoid u and v (this covers every explicit
+  vertex and every segment end);
+- no explicit vertex, u or v lies strictly inside a segment: a position
+  look-up;
+- two segments on one curve: neither has an end strictly inside the
+  other, and the first step of one does not land strictly inside the
+  other.  Two arcs of a cycle that share an inner vertex and pass the
+  first test have the same two ends and lie on the same side of them;
+  the second test catches exactly that;
+- two segments on different curves can share only crossings of their
+  two curves: bisecting the crossing list gives those on each segment,
+  and those on the segment with fewer are tested against the other's
+  interval.
+
 On V-graphs the construction alone settles connectivity, with no flow:
 its bundles give every distance-2 pair four paths, so connectivity is at
 least 4, and the four neighbours of any vertex separate it from the rest,
@@ -30,11 +59,14 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
+from typing import NamedTuple, Union
 
-from .maps import DisconnectedError, MapError, PlaneGraph, RotationMap
+from .maps import CurveIndex, DisconnectedError, MapError, PlaneGraph, RotationMap
 from .validate import validate
 
 
@@ -54,17 +86,69 @@ class VacuousCertificationError(MapError):
     """No distance-2 pairs exist, so pairwise certification says nothing."""
 
 
-@dataclass(frozen=True)
+class Segment(NamedTuple):
+    """The vertices of curve ``curve`` from position ``start`` to position
+    ``end``, both included, stepping by ``step`` (+1 or -1) and wrapping
+    round; positions index the curve's tuple in
+    :attr:`~venngraph.maps.PlaneGraph.curve_index`."""
+
+    curve: int
+    start: int
+    end: int
+    step: int
+
+
+Piece = Union[tuple[int, ...], Segment]
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class PathCertificate:
-    """k internally disjoint u,v-paths, each a vertex sequence."""
+    """k internally disjoint u,v-paths.
+
+    Each path is held as a tuple of pieces, every piece starting at the
+    vertex where the one before it (or u) ended: vertex runs and
+    :class:`Segment` s over ``index``.  ``PathCertificate(u, v, paths)``
+    takes plain vertex tuples, each a path of one piece; a compact bundle
+    passes ``pieces`` and the ``index`` of its segments instead (given
+    both, the vertex tuples come first).  ``paths`` expands every path to
+    its vertex tuple on first access and keeps it; equality and hashing
+    compare ``u``, ``v`` and ``paths``.
+    """
 
     u: int
     v: int
-    paths: tuple[tuple[int, ...], ...]
+    pieces: tuple[tuple[Piece, ...], ...]
+    index: CurveIndex | None = field(repr=False)
+
+    def __init__(
+        self,
+        u: int,
+        v: int,
+        paths: tuple[tuple[int, ...], ...] = (),
+        *,
+        pieces: tuple[tuple[Piece, ...], ...] = (),
+        index: CurveIndex | None = None,
+    ):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "pieces", tuple((p,) for p in paths) + tuple(pieces))
+        object.__setattr__(self, "index", index)
+
+    @cached_property
+    def paths(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(_expand(self.index, path) for path in self.pieces)
 
     @property
     def k(self) -> int:
-        return len(self.paths)
+        return len(self.pieces)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PathCertificate):
+            return NotImplemented
+        return (self.u, self.v, self.paths) == (other.u, other.v, other.paths)
+
+    def __hash__(self) -> int:
+        return hash((self.u, self.v, self.paths))
 
 
 @dataclass(frozen=True)
@@ -79,8 +163,12 @@ class CutCertificate:
 class ProofPathsResult:
     case: int
     roles: dict[str, int]
-    paths: tuple[tuple[int, ...], ...]
+    certificate: PathCertificate
     used_fallback: bool
+
+    @property
+    def paths(self) -> tuple[tuple[int, ...], ...]:
+        return self.certificate.paths
 
 
 @dataclass(frozen=True)
@@ -120,6 +208,144 @@ def verify_certificate(g: RotationMap, cert: PathCertificate) -> bool:
         if inner & interior_seen:
             return False
         interior_seen |= inner
+    return True
+
+
+def _segment_vertices(index: CurveIndex, seg: Segment) -> tuple[int, ...]:
+    cycle = index.curve_vertices[seg.curve]
+    lo, hi = (seg.start, seg.end) if seg.step == 1 else (seg.end, seg.start)
+    run = cycle[lo:hi + 1] if lo <= hi else cycle[lo:] + cycle[:hi + 1]
+    return run if seg.step == 1 else run[::-1]
+
+
+def _expand(index: CurveIndex | None, path: tuple[Piece, ...]) -> tuple[int, ...]:
+    """One compact path as a vertex tuple.  A piece that starts where the
+    one before it ended shares that vertex; any other piece is appended
+    whole, so a broken junction stays visible to :func:`verify_certificate`."""
+    out: list[int] = []
+    for piece in path:
+        if type(piece) is Segment:
+            piece = _segment_vertices(index, piece)
+        out.extend(piece[1:] if out and piece and piece[0] == out[-1] else piece)
+    return tuple(out)
+
+
+def _offset(seg: Segment, p: int, length: int) -> int:
+    """Steps along ``seg`` from its start to position p, modulo the
+    curve's ``length``; p is on the segment iff this is at most the
+    offset of ``seg.end``."""
+    return (p - seg.start) * seg.step % length
+
+
+def _within(seg: Segment, p: int, length: int) -> bool:
+    """Whether position p lies strictly between the ends of ``seg``."""
+    return 0 < _offset(seg, p, length) < _offset(seg, seg.end, length)
+
+
+def _arc_crossings(index: CurveIndex, seg: Segment, other: int) -> list[range]:
+    """Index ranges into ``crossings[seg.curve, other]`` of the crossings
+    with curve ``other`` that ``seg`` covers, ends included."""
+    xs = index.crossings.get((seg.curve, other), ())
+    lo, hi = (seg.start, seg.end) if seg.step == 1 else (seg.end, seg.start)
+    i, j = bisect_left(xs, lo), bisect_right(xs, hi)
+    return [range(i, j)] if lo <= hi else [range(i, len(xs)), range(j)]
+
+
+def _segments_meet(g: PlaneGraph, index: CurveIndex, s: Segment, t: Segment) -> bool:
+    """Whether segments on two different curves share a vertex other than
+    an end of both.  Only the crossings of the two curves can be shared;
+    bisection finds those on each segment, and the fewer are tested."""
+    spans = _arc_crossings(index, s, t.curve)
+    other = _arc_crossings(index, t, s.curve)
+    if sum(map(len, spans)) > sum(map(len, other)):
+        s, t, spans = t, s, other
+    xs = index.crossings.get((s.curve, t.curve), ())
+    ls, lt = len(index.curve_vertices[s.curve]), len(index.curve_vertices[t.curve])
+    end_s, end_t = _offset(s, s.end, ls), _offset(t, t.end, lt)
+    for i in chain.from_iterable(spans):
+        x = index.curve_vertices[s.curve][xs[i]]
+        d = 4 * x if g.curve_of[4 * x] == t.curve else 4 * x + 1
+        on_t = _offset(t, index.position[d], lt)
+        if on_t <= end_t and not (
+            _offset(s, xs[i], ls) in (0, end_s) and on_t in (0, end_t)
+        ):
+            return True
+    return False
+
+
+def verify_compact_certificate(g: PlaneGraph, cert: PathCertificate) -> bool:
+    """The checks of :func:`verify_certificate` on a compact certificate,
+    without expanding it; see the module docstring for the argument.
+
+    Reads only ``g``'s adjacency sets, curve ids and
+    :attr:`PlaneGraph.curve_index` besides the certificate's own numbers.
+    A certificate with segments must carry that same index, from which
+    its ``paths`` expand.
+    """
+    index = g.curve_index
+    adj = g.adjacency_sets
+    u, v = cert.u, cert.v
+    if u == v or not (0 <= u < g.vertex_count and 0 <= v < g.vertex_count):
+        return False
+    points: list[int] = []     # every path's vertices after u, one per junction
+    explicit: list[int] = [u, v]
+    segments: list[Segment] = []
+    for path in cert.pieces:
+        at = u
+        for piece in path:
+            if type(piece) is Segment:
+                c, start, end, step = piece
+                if cert.index is not index or not 0 <= c < len(index.curve_vertices):
+                    return False
+                cycle = index.curve_vertices[c]
+                if (not (0 <= start < len(cycle) and 0 <= end < len(cycle))
+                        or step not in (1, -1) or cycle[start] != at):
+                    return False
+                at = cycle[end]
+                segments.append(piece)
+                points.append(at)
+            else:
+                if not piece or piece[0] != at:
+                    return False
+                rest = piece[1:]
+                for a, b in zip(piece, rest):
+                    if b not in adj[a]:
+                        return False
+                explicit.extend(rest)
+                points.extend(rest)
+                at = piece[-1]
+        if at != v:
+            return False
+        points.pop()
+    seen = set(points)
+    if len(seen) != len(points) or u in seen or v in seen:
+        return False
+    curve_of, position = g.curve_of, index.position
+    for seg in segments:
+        c = seg.curve
+        length = len(index.curve_vertices[c])
+        span = _offset(seg, seg.end, length)
+        for x in explicit:
+            d = 4 * x
+            if curve_of[d] != c:
+                d += 1
+                if curve_of[d] != c:
+                    continue
+            if 0 < _offset(seg, position[d], length) < span:
+                return False
+    for i, s in enumerate(segments):
+        for t in segments[i + 1:]:
+            if s.curve != t.curve:
+                if _segments_meet(g, index, s, t):
+                    return False
+                continue
+            # no end of one strictly inside the other leaves two arcs with
+            # the same ends on the same side, whose first steps coincide
+            length = len(index.curve_vertices[s.curve])
+            if (_within(s, t.start, length) or _within(s, t.end, length)
+                    or _within(t, s.start, length) or _within(t, s.end, length)
+                    or _within(s, (t.start + t.step) % length, length)):
+                return False
     return True
 
 
@@ -379,72 +605,60 @@ class _ConstructionSurprise(Exception):
     """The curve structure around z is not the one the construction needs."""
 
 
-def _corner_arc(g: PlaneGraph, z: int, s: int) -> list[int]:
-    """Vertices along the boundary of z's corner face between slots s and
-    s+1, skipping z itself: from neighbour(s+1) around to neighbour(s)."""
-    stop = g.twin(g.dart(z, s % 4))
-    d = g.face_next(g.dart(z, (s + 1) % 4))
-    arc = []
-    for _ in range(g.dart_count + 1):
-        arc.append(g.dart_vertex(d))
-        if d == stop:
-            return arc
-        d = g.face_next(d)
-    raise _ConstructionSurprise("corner face orbit did not close")
+def _corner_arc(g: PlaneGraph, index: CurveIndex, d: int) -> tuple[int, ...]:
+    """The face of dart d, which leaves z by slot s + 1, from d's far
+    vertex round to the vertex before z: z's corner face between slots s
+    and s + 1, from neighbour(s + 1) to neighbour(s), without z."""
+    i = index.face_position[d]
+    ring = index.face_vertices[g.face_of[d]]
+    return ring[i + 1:] + ring[:i]
 
 
-def _ride(g: PlaneGraph, d: int, stop: Callable[[int], bool]) -> list[int]:
-    """The vertices met riding the curve of dart d away from d's vertex z,
-    up to the first one for which ``stop`` holds; the ride may not come
-    back to z."""
-    z = g.dart_vertex(d)
-    ride = []
-    while True:
-        d = g.curve_next(d)
-        x = g.dart_vertex(d)
-        if x == z:
-            raise _ConstructionSurprise("curve closed before the stop vertex")
-        ride.append(x)
-        if stop(x):
-            return ride
-
-
-def _fallback(g: PlaneGraph, u: int, v: int) -> tuple[tuple[int, ...], ...]:
+def _fallback(g: PlaneGraph, u: int, v: int) -> PathCertificate:
     k, cert, _ = max_disjoint_paths(g, u, v)
     if k < 4:
         raise AssertionError(
             f"only {k} disjoint paths between {u} and {v}; "
             "input cannot be 4-connected"
         )
-    return cert.paths[:4]
+    return PathCertificate(u, v, cert.paths[:4])
 
 
-def _curve_arc(g: PlaneGraph, z: int, s: int) -> tuple[int, ...]:
-    """The rest of the curve through z's slot s, from z's slot-s neighbour
-    all the way round to its slot-(s+2) neighbour."""
-    cycle = g.curves[g.curve_of[g.dart(z, s)]].vertices
-    i = cycle.index(z)
-    arc = cycle[i + 1:] + cycle[:i]
-    return arc if arc[0] == g.dart_vertex(g.twin(g.dart(z, s))) else arc[::-1]
+def _curve_rest(g: PlaneGraph, index: CurveIndex, d: int) -> Segment:
+    """The rest of the curve through dart d, which leaves z: from d's far
+    vertex all the way round to the far vertex of the opposite dart."""
+    return Segment(g.curve_of[d], index.position[g.twin(d)],
+                   index.position[g.twin(d ^ 2)], index.step[d])
 
 
-def _build_path_c(g: PlaneGraph, z: int, su: int, sv: int) -> tuple[int, ...]:
+def _switch_path(g: PlaneGraph, index: CurveIndex, du: int, dv: int) -> tuple[Segment, ...]:
     """Ride u's curve from u away from z to the switch vertex w, then ride
-    v's curve from w to v, where u and v are z's slot-su and slot-sv
-    neighbours.
+    v's curve from w to v, where du and dv are z's darts towards u and v
+    on two different curves.
 
     w is the first crossing of the two curves reached when walking v's
-    curve from v away from z (v itself when v lies on both curves), which
-    makes the tail crossing-free.  The head then cannot meet the tail
-    anywhere except w, and neither piece can touch z, the far neighbours
-    of z, or the faces around z.  Both rides stop at w, so the cost is
-    the path's length, not the curves'.
+    curve from v away from z (v itself when v lies on both curves),
+    which makes the second segment crossing-free; it is found by
+    bisection in the crossing list.  The first segment then cannot meet
+    the second anywhere except w, and neither can touch z, the far
+    neighbours of z, or the faces around z.
     """
-    along = g.curve_of[g.dart(z, su)]
-    tail = _ride(g, g.dart(z, sv), lambda x: along in g.vertex_curves(x))
-    w = tail[-1]
-    head = _ride(g, g.dart(z, su), lambda x: x == w)
-    return tuple(head) + tuple(reversed(tail))[1:]
+    along, across = g.curve_of[du], g.curve_of[dv]
+    xs = index.crossings[across, along]
+    pv = index.position[g.twin(dv)]
+    away = index.step[dv]
+    if away == 1:
+        i = bisect_left(xs, pv)
+        pw = xs[i] if i < len(xs) else xs[0]
+    else:
+        pw = xs[bisect_right(xs, pv) - 1]
+    w = index.curve_vertices[across][pw]
+    if w == du >> 2:
+        raise _ConstructionSurprise("curve closed before the switch vertex")
+    dw = 4 * w if g.curve_of[4 * w] == along else 4 * w + 1
+    head = Segment(along, index.position[g.twin(du)], index.position[dw],
+                   index.step[du])
+    return (head,) if pw == pv else (head, Segment(across, pw, pv, -away))
 
 
 def proof_paths(
@@ -460,9 +674,14 @@ def proof_paths(
     four paths are the two complementary perimeter arcs, a path switching
     between the two curves at their crossing nearest v, and u-z-v.
 
-    Every emitted bundle is verified; a verification failure swaps in
-    flow-derived paths and flags ``used_fallback``.  Pass ``validated=True``
-    to skip the V-graph check when the caller already did it.
+    The bundle is a compact :class:`PathCertificate`: the long path is
+    one curve :class:`Segment` in case 1 and one or two in case 2, and the
+    perimeter paths are slices of the face vertex tuples.  It costs
+    O(face degree + log V) to build and to verify with
+    :func:`verify_compact_certificate`; ``paths`` expands it.  A
+    verification failure swaps in flow-derived paths and flags
+    ``used_fallback``.  Pass ``validated=True`` to skip the V-graph check
+    when the caller already did it.
     """
     if not validated:
         report = validate(g, with_venn=False)
@@ -474,15 +693,9 @@ def proof_paths(
     if u not in adj[z] or v not in adj[z]:
         raise NotDistanceTwoError(f"{z} must neighbour both {u} and {v}")
 
-    nbr = [g.dart_vertex(g.twin(g.dart(z, s))) for s in range(4)]
-    su = min(s for s in range(4) if nbr[s] == u)
-
-    def joined(pieces: list[list[int]]) -> tuple[int, ...]:
-        out = list(pieces[0])
-        for piece in pieces[1:]:
-            out.extend(piece[1:])
-        return tuple(out)
-
+    index = g.curve_index
+    nbr = [g.twin(d) >> 2 for d in range(4 * z, 4 * z + 4)]
+    su = nbr.index(u)
     if nbr[(su + 2) % 4] == v:
         case = 1
         a, b = nbr[(su + 1) % 4], nbr[(su + 3) % 4]
@@ -495,34 +708,29 @@ def proof_paths(
     try:
         if len({u, v, a, b}) != 4:
             raise _ConstructionSurprise("corner neighbours of z are not distinct")
-        arcs = [_corner_arc(g, z, s) for s in range(4)]
+        # z's corner arcs counterclockwise from u: arc[i] runs from the
+        # neighbour in slot su + i + 1 back to the one in slot su + i
+        arc = [_corner_arc(g, index, 4 * z + (su + i) % 4) for i in (1, 2, 3, 4)]
+        du = 4 * z + su
         if case == 1:
-            paths = [
-                (u, z, v),
-                _curve_arc(g, z, su),
-                joined([arcs[su][::-1], arcs[(su + 1) % 4][::-1]]),  # u ~ a ~ v
-                joined([arcs[(su + 3) % 4], arcs[(su + 2) % 4]]),    # u ~ b ~ v
-            ]
+            pieces = (
+                ((u, z, v),),
+                (_curve_rest(g, index, du),),
+                (arc[0][::-1] + arc[1][-2::-1],),   # u ~ a ~ v
+                (arc[3] + arc[2][1:],),             # u ~ b ~ v
+            )
         elif nbr[(su + 1) % 4] == v:
-            sv = (su + 1) % 4
-            path_a = tuple(arcs[su][::-1])
-            path_b = joined(
-                [arcs[(su + 3) % 4], arcs[(su + 2) % 4], arcs[(su + 1) % 4]]
-            )
-            paths = [path_a, path_b, _build_path_c(g, z, su, sv), (u, z, v)]
+            pieces = ((arc[0][::-1],), (arc[3] + arc[2][1:] + arc[1][1:],),
+                      _switch_path(g, index, du, 4 * z + (su + 1) % 4), ((u, z, v),))
         else:
-            sv = (su + 3) % 4
-            path_a = tuple(arcs[(su + 3) % 4])
-            path_b = joined(
-                [arcs[su][::-1], arcs[(su + 1) % 4][::-1], arcs[(su + 2) % 4][::-1]]
-            )
-            paths = [path_a, path_b, _build_path_c(g, z, su, sv), (u, z, v)]
+            pieces = ((arc[3],), (arc[0][::-1] + arc[1][-2::-1] + arc[2][-2::-1],),
+                      _switch_path(g, index, du, 4 * z + (su + 3) % 4), ((u, z, v),))
     except _ConstructionSurprise:
         return ProofPathsResult(case, roles, _fallback(g, u, v), used_fallback=True)
 
-    result = ProofPathsResult(case, roles, tuple(paths), used_fallback=False)
-    if verify_certificate(g, PathCertificate(u, v, result.paths)):
-        return result
+    cert = PathCertificate(u, v, pieces=pieces, index=index)
+    if verify_compact_certificate(g, cert):
+        return ProofPathsResult(case, roles, cert, used_fallback=False)
     return ProofPathsResult(case, roles, _fallback(g, u, v), used_fallback=True)
 
 
@@ -539,7 +747,7 @@ def _proof_bundles(
     for (u, v), z in pairs.items():
         res = proof_paths(g, u, z, v, validated=True)
         fallbacks += res.used_fallback
-        certificates.append((u, z, v, PathCertificate(u, v, res.paths)))
+        certificates.append((u, z, v, res.certificate))
     return tuple(certificates), fallbacks
 
 

@@ -89,6 +89,35 @@ class Curve:
         return len(self.darts)
 
 
+@dataclass(frozen=True)
+class CurveIndex:
+    """Where every vertex sits on its curves and faces, built in O(V).
+
+    Paths that follow a curve or a face boundary can then be named by
+    positions instead of walked.  Positions refer to the canonical
+    orientation of each curve (:class:`Curve`) and to each face's
+    boundary order (:class:`Face`).
+
+    - ``curve_vertices[c]``: curve c's vertices in curve order;
+    - ``position[d]``: the position of dart d's vertex on d's curve;
+    - ``step[d]``: +1 if d leaves its vertex in curve order, else -1;
+    - ``crossings[a, b]``: the sorted positions on curve a of the
+      vertices where it crosses curve b (absent when they never cross);
+    - ``face_vertices[f]``: face f's vertices in boundary order;
+    - ``face_position[d]``: d's index in its face's boundary.
+
+    The curve and face of a dart are :attr:`PlaneGraph.curve_of` and
+    :attr:`RotationMap.face_of`.
+    """
+
+    curve_vertices: tuple[tuple[int, ...], ...]
+    position: tuple[int, ...]
+    step: tuple[int, ...]
+    crossings: Mapping[tuple[int, int], tuple[int, ...]]
+    face_vertices: tuple[tuple[int, ...], ...]
+    face_position: tuple[int, ...]
+
+
 class RotationMap:
     """Immutable rotation system with arbitrary vertex degrees.
 
@@ -442,6 +471,36 @@ class PlaneGraph(RotationMap):
     def curve_of(self) -> tuple[int, ...]:
         """Curve id per dart (both orientations of a curve share an id)."""
         return self._curve_data[1]
+
+    @cached_property
+    def curve_index(self) -> CurveIndex:
+        """Positions on curves and faces (see :class:`CurveIndex`).
+
+        Raises like :attr:`curves` when the arrangement is not a family
+        of simple closed curves in general position.
+        """
+        n = self.dart_count
+        curve_of = self.curve_of
+        position = [0] * n
+        step = [0] * n
+        crossings: dict[tuple[int, int], list[int]] = {}
+        for curve in self.curves:
+            for i, d in enumerate(curve.darts):
+                position[d] = position[d ^ 2] = i
+                step[d], step[d ^ 2] = 1, -1
+                crossings.setdefault((curve.id, curve_of[d ^ 1]), []).append(i)
+        face_position = [0] * n
+        for face in self.faces:
+            for i, d in enumerate(face.boundary):
+                face_position[d] = i
+        return CurveIndex(
+            curve_vertices=tuple(c.vertices for c in self.curves),
+            position=tuple(position),
+            step=tuple(step),
+            crossings={k: tuple(x) for k, x in crossings.items()},
+            face_vertices=tuple(self.face_vertices(f) for f in self.faces),
+            face_position=tuple(face_position),
+        )
 
     def vertex_curves(self, v: int) -> tuple[int, int]:
         """The two curves crossing at v (slot parity 0, slot parity 1)."""

@@ -88,14 +88,12 @@ def _viewport(
 ):
     xs = [p[0] for p in pos.values()]
     ys = [p[1] for p in pos.values()]
-    span = max(max(xs) - min(xs), max(ys) - min(ys)) or 1.0
+    x0, y0 = min(xs), min(ys)
+    span = max(max(xs) - x0, max(ys) - y0) or 1.0
     scale = (size - 2 * margin) / span
 
     def to_screen(p: tuple[float, float]) -> tuple[float, float]:
-        return (
-            margin + (p[0] - min(xs)) * scale,
-            size - margin - (p[1] - min(ys)) * scale,
-        )
+        return margin + (p[0] - x0) * scale, size - margin - (p[1] - y0) * scale
 
     return to_screen
 

@@ -13,11 +13,13 @@ from venngraph.connectivity import (
     NotVGraphError,
     PathCertificate,
     SameVertexError,
+    Segment,
     VacuousCertificationError,
     certify_distance_two,
     max_disjoint_paths,
     proof_paths,
     verify_certificate,
+    verify_compact_certificate,
     verify_cut,
     vertex_connectivity,
 )
@@ -62,6 +64,23 @@ def min_separator_size(g, u, v):
             if v not in seen:
                 return size
     raise AssertionError("adjacent vertices cannot be separated")
+
+
+def circle_vgraphs(count: int = 20, seed: int = 41) -> list[PlaneGraph]:
+    """Seeded families of 3..7 random circles that form V-graphs."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        k = 3 + len(out) % 5
+        circles = [(rng.uniform(0.0, 4.0), rng.uniform(0.0, 4.0),
+                    rng.uniform(0.8, 2.5)) for _ in range(k)]
+        try:
+            g = from_circles(circles)
+        except ValueError:
+            continue  # tangent, concentric or isolated circles
+        if validate(g, with_venn=False).is_vgraph:
+            out.append(g)
+    return out
 
 
 @pytest.fixture
@@ -197,20 +216,8 @@ class TestVertexConnectivity:
         assert built_nets == [flower]
 
     def test_vgraph_route_agrees_with_flow(self, built_nets, venn_family):
-        rng = random.Random(41)
-        circle_vgraphs = []
-        while len(circle_vgraphs) < 20:
-            k = 3 + len(circle_vgraphs) % 5
-            circles = [(rng.uniform(0.0, 4.0), rng.uniform(0.0, 4.0),
-                        rng.uniform(0.8, 2.5)) for _ in range(k)]
-            try:
-                g = from_circles(circles)
-            except ValueError:
-                continue  # tangent, concentric or isolated circles
-            if validate(g, with_venn=False).is_vgraph:
-                circle_vgraphs.append(g)
         corpus = [*(gen_venn(n) for n in range(3, 8)),
-                  *venn_family["graphs"].values(), *circle_vgraphs]
+                  *venn_family["graphs"].values(), *circle_vgraphs()]
         for g in corpus:
             built_nets.clear()
             with warnings.catch_warnings():
@@ -375,3 +382,218 @@ class TestDistanceTwoCertification:
                 assert (cert.u, cert.v) == (u, v)
                 assert cert.k == k
                 assert verify_certificate(g, cert)
+
+
+@pytest.fixture(scope="module")
+def compact_corpus(venn_family):
+    """V-graphs with their κ = 4 certifications: gen_venn(3..9), the
+    extension fixtures and 20 circle families."""
+    graphs = [*(gen_venn(n) for n in range(3, 10)),
+              *venn_family["graphs"].values(), *circle_vgraphs()]
+    return [(g, certify_distance_two(g, 4)) for g in graphs]
+
+
+def with_path(cert, i, pieces):
+    """``cert`` with path i replaced by ``pieces``."""
+    paths = list(cert.pieces)
+    paths[i] = tuple(pieces)
+    return PathCertificate(cert.u, cert.v, pieces=tuple(paths), index=cert.index)
+
+
+def segments_of(cert):
+    """(path index, piece index, segment) for every segment of ``cert``."""
+    return [(i, j, piece) for i, path in enumerate(cert.pieces)
+            for j, piece in enumerate(path) if isinstance(piece, Segment)]
+
+
+def sample(corpus, per_graph=60):
+    """The first certificates of every graph, with their graph."""
+    return [(g, cert) for g, result in corpus
+            for *_, cert in result.certificates[:per_graph]]
+
+
+class TestCompactCertificates:
+    def test_index_agrees_with_curves_and_faces(self, compact_corpus):
+        for g, _ in compact_corpus:
+            index = g.curve_index
+            assert index.curve_vertices == tuple(c.vertices for c in g.curves)
+            assert index.face_vertices == tuple(g.face_vertices(f) for f in g.faces)
+            for d in range(g.dart_count):
+                curve = g.curves[g.curve_of[d]]
+                assert index.curve_vertices[curve.id][index.position[d]] == d >> 2
+                assert index.step[d] == (1 if d in curve.darts else -1)
+                face = g.faces[g.face_of[d]]
+                assert face.boundary[index.face_position[d]] == d
+            for c in g.curves:
+                for other in g.curves:
+                    want = tuple(i for i, d in enumerate(c.darts)
+                                 if g.curve_of[d ^ 1] == other.id)
+                    assert index.crossings.get((c.id, other.id), ()) == want
+
+    def test_bundles_verify_compact_and_expanded(self, compact_corpus):
+        for g, result in compact_corpus:
+            assert result.certified and result.fallback_count == 0
+            for *_, cert in result.certificates:
+                assert cert.k == 4
+                assert verify_compact_certificate(g, cert)
+                # the long path is one segment or two
+                assert 1 <= len(segments_of(cert)) <= 2
+                assert verify_certificate(g, cert)
+
+    def test_segment_expansion_is_a_curve_walk(self, compact_corpus):
+        for g, cert in sample(compact_corpus):
+            for _, _, seg in segments_of(cert):
+                darts = g.curves[seg.curve].darts
+                d = darts[seg.start] if seg.step == 1 else darts[seg.start] ^ 2
+                walk = [d >> 2]
+                while walk[-1] != darts[seg.end] >> 2:
+                    d = g.curve_next(d)
+                    walk.append(d >> 2)
+                alone = PathCertificate(walk[0], walk[-1], pieces=((seg,),),
+                                        index=g.curve_index)
+                assert alone.paths == (tuple(walk),)
+
+    def test_not_expanded_on_the_kappa_route(self, monkeypatch, venn6):
+        def no_expansion(*args):
+            raise AssertionError("a compact path was expanded")
+
+        monkeypatch.setattr(connectivity, "_expand", no_expansion)
+        assert vertex_connectivity(venn6)[0] == 4
+        result = certify_distance_two(venn6, 4)
+        assert all(segments_of(cert) and "paths" not in vars(cert)
+                   for *_, cert in result.certificates)
+
+    def test_shifted_segment_end_is_rejected(self, compact_corpus):
+        for g, cert in sample(compact_corpus):
+            for i, j, seg in segments_of(cert):
+                for delta in (-1, 1):
+                    pieces = list(cert.pieces[i])
+                    pieces[j] = seg._replace(end=seg.end + delta)
+                    assert not verify_compact_certificate(g, with_path(cert, i, pieces))
+
+    def test_flipped_direction_is_rejected(self, compact_corpus):
+        for g, cert in sample(compact_corpus):
+            for i, j, seg in segments_of(cert):
+                pieces = list(cert.pieces[i])
+                pieces[j] = seg._replace(step=-seg.step)
+                assert not verify_compact_certificate(g, with_path(cert, i, pieces))
+
+    def test_step_other_than_one_is_rejected(self, compact_corpus):
+        for g, cert in sample(compact_corpus):
+            for i, j, seg in segments_of(cert):
+                for step in (0, 2 * seg.step):
+                    pieces = list(cert.pieces[i])
+                    pieces[j] = seg._replace(step=step)
+                    assert not verify_compact_certificate(g, with_path(cert, i, pieces))
+
+    def test_wrong_start_vertex_is_rejected(self, compact_corpus):
+        for g, cert in sample(compact_corpus):
+            for i, j, seg in segments_of(cert):
+                pieces = list(cert.pieces[i])
+                length = len(g.curve_index.curve_vertices[seg.curve])
+                pieces[j] = seg._replace(start=(seg.start + 1) % length)
+                assert not verify_compact_certificate(g, with_path(cert, i, pieces))
+
+    def test_overlapping_segments_on_one_curve_are_rejected(self, compact_corpus):
+        checked = 0
+        for g, cert in sample(compact_corpus):
+            (i, _, seg), *more = segments_of(cert)
+            length = len(g.curve_index.curve_vertices[seg.curve])
+            if more or (seg.end - seg.start) * seg.step % length < 3:
+                continue  # case 2, or a curve too short to fold
+            far = (seg.start + 2 * seg.step) % length
+            back = (far - seg.step) % length
+            split = (Segment(seg.curve, seg.start, far, seg.step),
+                     Segment(seg.curve, far, seg.end, seg.step))
+            assert verify_compact_certificate(g, with_path(cert, i, split))
+            folded = (Segment(seg.curve, seg.start, far, seg.step),
+                      Segment(seg.curve, far, back, -seg.step),
+                      Segment(seg.curve, back, seg.end, seg.step))
+            assert not verify_compact_certificate(g, with_path(cert, i, folded))
+            checked += 1
+        assert checked > 100
+
+    def test_segments_crossing_inside_both_are_rejected(self, compact_corpus):
+        # c1 -> x -> c2 on one curve, round a face of x to a2, then
+        # a2 -> x -> a1 on the other: the two segments meet only at x
+        for g, _ in compact_corpus[:6]:
+            index = g.curve_index
+            for x in range(g.vertex_count):
+                a1, c1, a2, c2 = (g.twin(d) >> 2 for d in range(4 * x, 4 * x + 4))
+                across = Segment(g.curve_of[4 * x + 1], index.position[g.twin(4 * x + 1)],
+                                 index.position[g.twin(4 * x + 3)], index.step[4 * x + 3])
+                around = connectivity._corner_arc(g, index, 4 * x + 3)
+                along = Segment(g.curve_of[4 * x], index.position[g.twin(4 * x + 2)],
+                                index.position[g.twin(4 * x)], index.step[4 * x])
+                cert = PathCertificate(c1, a1, pieces=((across, around, along),), index=index)
+                assert cert.paths[0].count(x) == 2
+                assert not verify_compact_certificate(g, cert)
+
+    def test_explicit_steps_and_repeats_are_rejected(self, compact_corpus):
+        for g, cert in sample(compact_corpus, per_graph=10):
+            direct, other = sorted(
+                (i for i, path in enumerate(cert.pieces)
+                 if not any(isinstance(p, Segment) for p in path)),
+                key=lambda i: len(cert.pieces[i][0]) != 3,
+            )[:2]
+            # u and v are not adjacent
+            jump = with_path(cert, direct, [(cert.u, cert.v)])
+            assert not verify_compact_certificate(g, jump)
+            # one short path, twice
+            twice = with_path(cert, other, cert.pieces[direct])
+            assert not verify_compact_certificate(g, twice)
+
+    def test_same_segment_twice_is_rejected(self, compact_corpus):
+        # case 1 puts u-z-v first; a second copy of the long segment in
+        # its place shares every inner vertex, while the other way round
+        # the curve, through z, is disjoint from it
+        checked = 0
+        for g, cert in sample(compact_corpus):
+            (i, _, seg), *more = segments_of(cert)
+            if more:
+                continue
+            assert len(cert.pieces[0][0]) == 3
+            twice = with_path(cert, 0, (seg,))
+            assert not verify_certificate(g, twice)
+            assert not verify_compact_certificate(g, twice)
+            other_way = with_path(cert, 0, (seg._replace(step=-seg.step),))
+            assert other_way.paths[0] == cert.paths[0]
+            assert verify_compact_certificate(g, other_way)
+            checked += 1
+        assert checked > 100
+
+    def test_explicit_certificate_verifies_as_compact(self, venn4):
+        u, _, v = venn4.distance2_pairs()[0]
+        _, flow_cert, _ = max_disjoint_paths(venn4, u, v)
+        cert = PathCertificate(u, v, flow_cert.paths)
+        assert cert.index is None and cert.paths == flow_cert.paths
+        assert verify_compact_certificate(venn4, cert)
+        twice = PathCertificate(u, v, flow_cert.paths[:1] * 2)
+        assert not verify_compact_certificate(venn4, twice)
+        # pieces that do not meet expand whole, and are rejected
+        path = flow_cert.paths[0]
+        gap = PathCertificate(u, v, pieces=((path[:2], path[2:]),))
+        assert gap.paths == (path,)
+        assert not verify_compact_certificate(venn4, gap)
+
+    def test_index_of_another_graph_is_rejected(self, compact_corpus):
+        g, result = compact_corpus[2]
+        cert = result.certificates[0][3]
+        other = gen_venn(5)
+        assert other.curve_index == g.curve_index and other.curve_index is not g.curve_index
+        foreign = PathCertificate(cert.u, cert.v, pieces=cert.pieces, index=other.curve_index)
+        assert verify_compact_certificate(g, cert)
+        assert not verify_compact_certificate(g, foreign)
+
+    def test_segments_on_curves_that_never_cross(self):
+        # the outer circles are disjoint and both cross the middle one
+        g = from_circles([(0.0, 0.0, 1.0), (3.0, 0.0, 1.0), (1.5, 0.0, 1.2)])
+        index = g.curve_index
+        assert index.curve_vertices == ((0, 1), (0, 2, 3, 1), (2, 3))
+        assert (0, 2) not in index.crossings
+        pieces = ((Segment(0, 0, 1, 1), Segment(1, 3, 2, -1), Segment(2, 1, 0, -1)),
+                  (Segment(1, 0, 1, 1),))
+        cert = PathCertificate(0, 2, pieces=pieces, index=index)
+        assert cert.paths == ((0, 1, 3, 2), (0, 2))
+        assert verify_certificate(g, cert)
+        assert verify_compact_certificate(g, cert)

@@ -1,20 +1,22 @@
 from __future__ import annotations
 
-import importlib
-
 import pytest
 
+from venngraph import dual as dual_module
 from venngraph.dual import NotVennError, dual, prism_order, winkler_extend
 from venngraph.generators import gen_venn
 from venngraph.hamilton import verify_cycle
 from venngraph.maps import Curve
 from venngraph.validate import validate, venn_check
 
-# the package re-exports the function ``dual``, which shadows the module
-dual_module = importlib.import_module("venngraph.dual")
-
 
 class TestDual:
+    def test_package_attribute_is_the_module(self):
+        import venngraph
+
+        assert venngraph.dual is dual_module
+        assert venngraph.dual.dual is dual
+
     def test_venn3_counts(self, venn3):
         d = dual(venn3)
         assert d.vertex_count == 8   # one per region

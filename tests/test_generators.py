@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import importlib
 import math
 
 import pytest
@@ -56,9 +55,7 @@ class TestVennChain:
         def no_search(*args, **kwargs):
             raise AssertionError("the dual Hamilton search was called")
 
-        # the package re-exports the function ``dual``, which shadows the module
-        dual_module = importlib.import_module("venngraph.dual")
-        monkeypatch.setattr(dual_module, "find_hamilton", no_search)
+        monkeypatch.setattr("venngraph.dual.find_hamilton", no_search)
         for n in range(7, 11):
             g = gen_venn(n)
             after = winkler_extend(parse_arr(write_arr(g)))
