@@ -4,7 +4,7 @@ Grammar::
 
     arrangement <V>
     v <id> <n0>.<s0> <n1>.<s1> <n2>.<s2> <n3>.<s3>
-    coord <id> <x> <y>          # optional, one per vertex at most
+    coord <id> <x> <y>          # optional: one per vertex, for all or none
     outer <vertex>.<slot>       # optional, rendering hint only
 
 One ``v`` line per vertex, ids 0..V-1, listing the twin of each of the
@@ -116,6 +116,11 @@ def parse_arr(text: str) -> PlaneGraph:
         raise ArrSyntaxError(
             last_line, f"truncated: no rotation line for vertex {missing}"
         )
+    if coords and len(coords) < vertex_count:
+        missing = next(x for x in range(vertex_count) if x not in coords)
+        raise ArrSemanticError(
+            last_line, f"no coordinates for vertex {missing}; give all or none"
+        )
     twin = [refs[d] for d in range(4 * vertex_count)]
     for d, t in enumerate(twin):
         if twin[t] != d:
@@ -145,9 +150,10 @@ def write_arr(g: PlaneGraph) -> str:
 
 
 def format_path_certificate(cert: PathCertificate) -> str:
-    """One 'path:' line per disjoint path."""
+    """One 'path:' line per disjoint path.  A compact certificate is
+    expanded a path at a time and keeps no expansion."""
     return "".join(
-        "path: " + " ".join(str(v) for v in path) + "\n" for path in cert.paths
+        "path: " + " ".join(str(v) for v in path) + "\n" for path in cert.iter_paths()
     )
 
 

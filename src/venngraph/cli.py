@@ -15,6 +15,7 @@ input; 141 (128 + SIGPIPE) the reader of stdout went away, as in
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -210,7 +211,10 @@ def _cmd_render(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """Built once per process: ``parse_args`` leaves the parser as it was
+    and starts each call from the defaults."""
     parser = argparse.ArgumentParser(
         prog="venngraph",
         description="Inspect, certify and extend curve-arrangement graphs.",

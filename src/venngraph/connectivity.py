@@ -47,12 +47,39 @@ a vertex only at an end of one or at a vertex inside both:
   and those on the segment with fewer are tested against the other's
   interval.
 
-On V-graphs the construction alone settles connectivity, with no flow:
-its bundles give every distance-2 pair four paths, so connectivity is at
-least 4, and the four neighbours of any vertex separate it from the rest,
-so it is at most 4.  A V-graph is simple, as a digon would put one of its
-curves twice on an adjacent face, which unique face incidence forbids;
-every vertex therefore has four distinct neighbours.
+On V-graphs the construction alone settles connectivity, with no flow,
+and it needs only the straight-through pairs: the two far ends
+``twin(4z + s) >> 2`` and ``twin(4z + s + 2) >> 2`` of one curve through
+a vertex z, when they are not adjacent.  Their bundles give each such
+pair four paths, so connectivity is at least 4 by the lemma below, and
+the four neighbours of any vertex separate it from the rest, so it is at
+most 4.  A V-graph is simple, as a digon would put one of its curves
+twice on an adjacent face, which unique face incidence forbids; every
+vertex therefore has four distinct neighbours.
+
+Lemma.  In a simple, connected, 4-regular plane graph with connectivity
+at most 3, some vertex has two neighbours in opposite slots that a
+minimum separator S separates.  Proof:
+
+- Every component C of G - S is full: every vertex of S has a neighbour
+  in C, as otherwise N(C) would be a smaller separator.  So every s in S
+  has neighbours in two components.
+- Suppose no vertex of S has its opposite neighbours split between two
+  components, and take s in S with neighbours in C1 and C2, placed in
+  slots 0 and 1.  Slot 2 is then in C1 or S and slot 3 in C2 or S,
+  which leaves four patterns for slots 0 to 3.
+- C1 C2 C1 C2 is impossible: a path in C1 from slot 0 to slot 2 closes
+  a cycle through s that separates slots 1 and 3, which C2 connects.
+- C1 C2 C1 S is impossible: the same cycle separates C2 from the S-vertex
+  in slot 3, which has a neighbour in C2.  Its mirror C1 C2 S C2 fails
+  the same way, with a cycle through s and C2.
+- C1 C2 S S: s has two neighbours in S.  This is the only pattern left
+  for every vertex of S, so S induces a 2-regular graph on at most three
+  vertices: a triangle.  The two S-edges at s sit in adjacent slots, so
+  C1 and C2 lie on one side of the triangle.  Three disjoint paths from
+  a vertex of C1 to the three corners (a tripod) split that side into
+  three regions, each touching only two corners, and the connected C2
+  lies in one of them; it misses the third corner, against fullness.
 """
 
 from __future__ import annotations
@@ -64,7 +91,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import NamedTuple, Union
+from typing import Iterator, NamedTuple, Union
 
 from .maps import CurveIndex, DisconnectedError, MapError, PlaneGraph, RotationMap
 from .validate import validate
@@ -111,8 +138,9 @@ class PathCertificate:
     takes plain vertex tuples, each a path of one piece; a compact bundle
     passes ``pieces`` and the ``index`` of its segments instead (given
     both, the vertex tuples come first).  ``paths`` expands every path to
-    its vertex tuple on first access and keeps it; equality and hashing
-    compare ``u``, ``v`` and ``paths``.
+    its vertex tuple on first access and keeps it, while
+    :meth:`iter_paths` expands them one at a time and keeps nothing;
+    equality and hashing compare ``u``, ``v`` and ``paths``.
     """
 
     u: int
@@ -134,9 +162,12 @@ class PathCertificate:
         object.__setattr__(self, "pieces", tuple((p,) for p in paths) + tuple(pieces))
         object.__setattr__(self, "index", index)
 
+    def iter_paths(self) -> Iterator[tuple[int, ...]]:
+        return (_expand(self.index, path) for path in self.pieces)
+
     @cached_property
     def paths(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(_expand(self.index, path) for path in self.pieces)
+        return tuple(self.iter_paths())
 
     @property
     def k(self) -> int:
@@ -534,6 +565,20 @@ def _unique_pairs(g: RotationMap) -> dict[tuple[int, int], int]:
     return by_pair
 
 
+def _straight_pairs(g: PlaneGraph) -> dict[tuple[int, int], int]:
+    """The far ends u < v of each curve through each vertex z, when not
+    adjacent, each with its smallest z: the pairs of the module
+    docstring's lemma, all case 1 of :func:`proof_paths`."""
+    adj = g.adjacency_sets
+    pairs: dict[tuple[int, int], int] = {}
+    for z in range(g.vertex_count):
+        for s in (0, 1):
+            a, b = g.twin(4 * z + s) >> 2, g.twin(4 * z + s + 2) >> 2
+            if b not in adj[a]:
+                pairs.setdefault((min(a, b), max(a, b)), z)
+    return pairs
+
+
 def vertex_connectivity(g: RotationMap) -> tuple[int, CutCertificate | None]:
     """Exact vertex connectivity with a witness cut when one exists.
 
@@ -543,12 +588,15 @@ def vertex_connectivity(g: RotationMap) -> tuple[int, CutCertificate | None]:
     It is also at most the minimum degree.
 
     On a V-graph (a :class:`PlaneGraph` that ``validate`` accepts) the
-    answer is 4 with no flow at all: :func:`proof_paths` bundles for
-    every distance-2 pair, each verified, give the lower bound, and the
-    four neighbours of a minimum-degree vertex s, a cut verified with
-    sides ``{s}`` and the rest, give the upper bound.  V-graphs are
-    simple and 4-regular (see the module docstring), so that cut has size
-    4.  Should it fail, a :class:`RuntimeWarning` precedes the flow route.
+    answer is 4 with no flow at all.  Verified :func:`proof_paths`
+    bundles for the straight-through pairs alone give the lower bound,
+    by the lemma in the module docstring: about 2V pairs, each one curve
+    segment and three short paths.  The four neighbours of a
+    minimum-degree vertex s, a cut verified with sides ``{s}`` and the
+    rest, give the upper bound.  V-graphs are simple and 4-regular (see
+    the module docstring), so that cut has size 4.  Should it fail, a
+    :class:`RuntimeWarning` precedes the flow route over every
+    distance-2 pair.
 
     Otherwise one flow network serves every pair, each pair's flow stops
     at the best count so far, starting from the minimum degree, and only
@@ -564,14 +612,12 @@ def vertex_connectivity(g: RotationMap) -> tuple[int, CutCertificate | None]:
         side_a = frozenset(comps[0])
         side_b = frozenset(x for c in comps[1:] for x in c)
         return 0, CutCertificate(frozenset(), (side_a, side_b))
-    pairs = _unique_pairs(g)
-    if not pairs:
-        return n - 1, None
     adj = g.adjacency_sets
     s = min(range(n), key=lambda v: (len(adj[v] - {v}), v))
     around = adj[s] - {s}
     best = len(around)
-    if _proof_bundles(g, pairs) is not None:
+    if _is_vgraph(g):
+        _proof_bundles(g, _straight_pairs(g))
         cut = CutCertificate(
             around, (frozenset((s,)), frozenset(range(n)) - around - {s})
         )
@@ -583,6 +629,9 @@ def vertex_connectivity(g: RotationMap) -> tuple[int, CutCertificate | None]:
             RuntimeWarning,
             stacklevel=2,
         )
+    pairs = _unique_pairs(g)
+    if not pairs:
+        return n - 1, None
     # s has a distance-2 partner, as the graph is connected and not
     # complete; s's neighbours separate the two, so they have <= best paths
     witness = next(p for p in pairs if s in p)
@@ -734,14 +783,16 @@ def proof_paths(
     return ProofPathsResult(case, roles, _fallback(g, u, v), used_fallback=True)
 
 
+def _is_vgraph(g: RotationMap) -> bool:
+    return isinstance(g, PlaneGraph) and validate(g, with_venn=False).is_vgraph
+
+
 def _proof_bundles(
-    g: RotationMap, pairs: dict[tuple[int, int], int]
-) -> tuple[tuple[tuple[int, int, int, PathCertificate], ...], int] | None:
-    """Verified :func:`proof_paths` bundles for every pair of ``pairs``
-    (from :func:`_unique_pairs`) with the fallback count, or None when g
-    is not a V-graph.  The one route from "V-graph" to "4-connected"."""
-    if not (isinstance(g, PlaneGraph) and validate(g, with_venn=False).is_vgraph):
-        return None
+    g: PlaneGraph, pairs: dict[tuple[int, int], int]
+) -> tuple[tuple[tuple[int, int, int, PathCertificate], ...], int]:
+    """Verified :func:`proof_paths` bundles for every pair of ``pairs``,
+    each with a common neighbour, on a V-graph g, and the fallback count.
+    The one route from "V-graph" to "4-connected"."""
     certificates = []
     fallbacks = 0
     for (u, v), z in pairs.items():
@@ -769,8 +820,8 @@ def certify_distance_two(g: RotationMap, k: int) -> Distance2Certification:
     pairs = _unique_pairs(g)
     if not pairs:
         raise VacuousCertificationError("no distance-2 pairs; pairwise criterion is vacuous")
-    if k == 4 and (bundles := _proof_bundles(g, pairs)) is not None:
-        return Distance2Certification(k, len(pairs), *bundles, None)
+    if k == 4 and _is_vgraph(g):
+        return Distance2Certification(k, len(pairs), *_proof_bundles(g, pairs), None)
     certificates = []
     net = _FlowNet(g)
     for (u, v), z in pairs.items():

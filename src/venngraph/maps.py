@@ -345,8 +345,9 @@ class PlaneGraph(RotationMap):
     ``4 * v + s`` is vertex v's slot-s edge end, slots counterclockwise.
     Slots s and s+2 continue the same curve straight through the crossing.
 
-    Optional ``coords`` (vertex -> (x, y)) and ``outer_dart`` are rendering
-    metadata only; no combinatorial operation reads them.
+    Optional ``coords`` (vertex -> (x, y), for every vertex or none) and
+    ``outer_dart`` are rendering metadata only; no combinatorial operation
+    reads them.
     """
 
     def __init__(
@@ -363,6 +364,9 @@ class PlaneGraph(RotationMap):
             bad = [v for v in coords if not 0 <= v < vertex_count]
             if bad:
                 raise BadSlotError(f"coordinates for unknown vertex {bad[0]}")
+            if coords and len(coords) < vertex_count:
+                missing = next(v for v in range(vertex_count) if v not in coords)
+                raise MapError(f"no coordinates for vertex {missing}; give all or none")
         if outer_dart is not None and not 0 <= outer_dart < 4 * vertex_count:
             raise BadSlotError(f"outer dart {outer_dart} out of range")
         self.coords = dict(coords) if coords else None

@@ -2,9 +2,11 @@
 
 Geometry comes from stored coordinates when present; otherwise interior
 vertices are placed at the average of their neighbours with one face fixed
-as a convex polygon.  That averaging layout is a straight-line embedding
-whenever the graph is 3-connected, which the connectivity module checks
-before solving.
+as a convex polygon, solved by sparse conjugate gradients.  Tutte's
+theorem makes that averaging layout a straight-line embedding whenever
+the graph is 3-connected, but nothing is assumed: the drawing is checked
+face by face after the solve (:func:`barycentric_layout`), and vertex
+connectivity is computed only to explain a drawing that fails.
 
 Every edge becomes one ``<path>`` element coloured by its curve, so the
 number of path elements in the output equals the edge count.  Optional
@@ -30,22 +32,108 @@ _PALETTE = [
 
 _SOLVE_TOLERANCE = 1e-9
 
+# A fan triangle whose signed area is not beyond this counts as flat.  A
+# cross product of points in the unit disk is off by about 1e-15 at most;
+# the smallest face of gen_venn(12) has area 1.8e-10.
+_AREA_TOLERANCE = 1e-14
+
 
 class LayoutUnavailableError(MapError):
-    """No coordinates and the graph is too weakly connected to place."""
+    """No coordinates, and the averaging layout is not a plane drawing."""
+
+
+def _solve(nbr: np.ndarray, diag: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Jacobi-preconditioned conjugate gradients for ``A x = b``, where
+    ``(A x)[i] = 4 x[i] - sum(x[nbr[:, i]])``; the four rows of ``nbr``
+    name each vertex's neighbours, fixed ones as the sentinel ``len(b)``,
+    which reads as 0.  A is the interior block of a graph Laplacian,
+    symmetric and positive definite when every interior vertex reaches a
+    fixed one, and ``diag`` is its diagonal.  Both coordinates ride in
+    one complex vector: conjugate gradients on the block-diagonal real
+    system of twice the size."""
+    m = len(b)
+    ext = np.zeros(m + 1, dtype=complex)
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        ext[:m] = x
+        return 4.0 * x - ext[nbr].sum(axis=0)
+
+    # stop once |r| <= 1e-4 _SOLVE_TOLERANCE, read off the preconditioned
+    # norm: |r|^2 <= max(diag) (r, r / diag)
+    x = np.zeros(m, dtype=complex)
+    r = b.copy()
+    with np.errstate(all="ignore"):
+        stop = (1e-4 * _SOLVE_TOLERANCE) ** 2 / diag.max()
+        z = r / diag
+        p = z
+        rz = np.vdot(r, z).real
+        for _ in range(4 * m + 100):
+            if not rz > stop:
+                break
+            q = apply(p)
+            alpha = rz / np.vdot(p, q).real
+            x += alpha * p
+            r -= alpha * q
+            z = r / diag
+            rz, previous = np.vdot(r, z).real, rz
+            p = z + (rz / previous) * p
+        residual = np.abs(apply(x) - b).max()
+    if not residual <= _SOLVE_TOLERANCE:
+        raise LayoutUnavailableError(f"layout solve residual {residual:g}")
+    return x
+
+
+def _folded_face(g: PlaneGraph, outer_id: int, z: np.ndarray) -> int | None:
+    """The first inner face whose drawing is not a proper polygon turned
+    against the outer ring, or None when every one is.
+
+    Each inner face is cut into the fan of triangles from its first
+    vertex, and every triangle must have signed area below
+    ``-_AREA_TOLERANCE`` (NaN fails).  A face with fewer than three
+    corners has no area and fails.
+    """
+    tri = []
+    for face in g.faces:
+        if face.id == outer_id:
+            continue
+        if face.degree < 3:
+            return face.id
+        first = face.boundary[0] >> 2
+        tri.extend((face.id, first, d >> 2, e >> 2)
+                   for d, e in zip(face.boundary[1:-1], face.boundary[2:]))
+    if not tri:
+        return None
+    fid, a, b, c = np.array(tri).T
+    area = 0.5 * (np.conj(z[b] - z[a]) * (z[c] - z[a])).imag
+    bad = ~(-area > _AREA_TOLERANCE)
+    return int(fid[bad.argmax()]) if bad.any() else None
 
 
 def barycentric_layout(g: PlaneGraph) -> dict[int, tuple[float, float]]:
-    """Fix one face on a circle, average everything else into place.
+    """Fix one face on a circle, average everything else into place, and
+    certify that the result is a plane drawing.
 
     The outer face is the stored hint when present, otherwise the face
-    with the longest boundary (lowest id on ties).
+    with the longest boundary (lowest id on ties).  Its boundary goes
+    counterclockwise round the unit circle, and every other vertex sits
+    at the average of its neighbours, solved by :func:`_solve` to within
+    ``_SOLVE_TOLERANCE``.  Tutte (1963) proves that this is a convex
+    embedding when the graph is 3-connected, but no premise is checked
+    before solving: the output is checked instead.  Every inner face is
+    cut into the fan of triangles from its first vertex, and every
+    triangle must be turned clockwise, against the outer orbit, with
+    area beyond ``_AREA_TOLERANCE``.  That proves the drawing plane by a
+    degree argument: the inner faces glue into a surface whose boundary,
+    the outer orbit reversed, is drawn as a convex polygon winding once
+    clockwise, so a point off the edges is covered by the clockwise
+    triangles as often as that polygon winds round it, once inside and
+    never outside.  Hence no two faces overlap and no edges cross.
+
+    Raises :class:`LayoutUnavailableError` when the outer boundary is
+    not simple, the solve misses its tolerance, or a face fails the
+    check; that last message names the face and the graph's vertex
+    connectivity, computed only then.
     """
-    kappa, _ = vertex_connectivity(g)
-    if kappa < 3:
-        raise LayoutUnavailableError(
-            f"averaging layout needs a 3-connected graph, connectivity is {kappa}"
-        )
     if g.outer_dart is not None:
         outer = g.faces[g.face_of[g.outer_dart]]
     else:
@@ -55,32 +143,26 @@ def barycentric_layout(g: PlaneGraph) -> dict[int, tuple[float, float]]:
         raise LayoutUnavailableError("chosen outer face boundary is not simple")
 
     n = g.vertex_count
-    pos = {}
+    z = np.zeros(n, dtype=complex)
     for i, v in enumerate(ring):
         angle = 2 * math.pi * i / len(ring)
-        pos[v] = (math.cos(angle), math.sin(angle))
-    interior = [v for v in range(n) if v not in pos]
-    if interior:
-        index = {v: i for i, v in enumerate(interior)}
-        a = np.zeros((len(interior), len(interior)))
-        b = np.zeros((len(interior), 2))
-        for v in interior:
-            i = index[v]
-            a[i, i] = g.degree(v)
-            for d in g.darts_of(v):
-                w = g.dart_vertex(g.twin(d))
-                if w in index:
-                    a[i, index[w]] -= 1.0
-                else:
-                    b[i, 0] += pos[w][0]
-                    b[i, 1] += pos[w][1]
-        sol = np.linalg.solve(a, b)
-        residual = np.abs(a @ sol - b).max()
-        if residual > _SOLVE_TOLERANCE:
-            raise LayoutUnavailableError(f"layout solve residual {residual:g}")
-        for v in interior:
-            pos[v] = (float(sol[index[v], 0]), float(sol[index[v], 1]))
-    return pos
+        z[v] = complex(math.cos(angle), math.sin(angle))
+    interior = np.setdiff1d(np.arange(n), ring)
+    if len(interior):
+        twin = np.array([g.twin(d) for d in range(g.dart_count)])
+        around = np.ascontiguousarray((twin.reshape(n, 4)[interior] >> 2).T)
+        index = np.full(n, len(interior))
+        index[interior] = np.arange(len(interior))
+        diag = 4.0 - (around == interior).sum(axis=0)
+        z[interior] = _solve(index[around], diag, z[around].sum(axis=0))
+    face = _folded_face(g, outer.id, z)
+    if face is not None:
+        kappa, _ = vertex_connectivity(g)
+        raise LayoutUnavailableError(
+            f"averaging layout draws face {face} flat or folded; "
+            f"connectivity is {kappa}"
+        )
+    return {v: (float(p.real), float(p.imag)) for v, p in enumerate(z)}
 
 
 def _viewport(

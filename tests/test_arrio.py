@@ -12,7 +12,8 @@ from venngraph.arrio import (
     parse_arr,
     write_arr,
 )
-from venngraph.connectivity import CutCertificate, PathCertificate
+from venngraph.connectivity import CutCertificate, PathCertificate, certify_distance_two
+from venngraph.generators import gen_venn
 from venngraph.maps import PlaneGraph
 
 
@@ -133,6 +134,12 @@ class TestErrors:
         with pytest.raises(ArrSemanticError):
             parse_arr(base + "coord 0 1 2\ncoord 0 3 4\n")
 
+    def test_partial_coordinates_report_last_line(self, venn3):
+        lines = [l for l in write_arr(venn3).splitlines() if not l.startswith("coord 0 ")]
+        with pytest.raises(ArrSemanticError, match="vertex 0") as err:
+            parse_arr("\n".join(lines) + "\n")
+        assert err.value.line == len(lines)
+
 
 class TestRandomizedRoundTrips:
     def test_fifty_random_maps(self):
@@ -149,6 +156,15 @@ class TestCertificateBlocks:
     def test_path_lines(self):
         cert = PathCertificate(0, 5, ((0, 2, 5), (0, 3, 1, 5)))
         assert format_path_certificate(cert) == "path: 0 2 5\npath: 0 3 1 5\n"
+
+    def test_compact_certificates_print_without_keeping_expansions(self):
+        for n in range(3, 9):
+            for _, _, _, cert in certify_distance_two(gen_venn(n), 4).certificates:
+                text = format_path_certificate(cert)
+                assert "paths" not in vars(cert)
+                assert text == "".join(
+                    "path: " + " ".join(map(str, path)) + "\n" for path in cert.paths
+                )
 
     def test_cut_line_sorted(self):
         cert = CutCertificate(frozenset({4, 1, 2}), (frozenset({0}), frozenset({5})))

@@ -156,6 +156,23 @@ class TestTransforms:
     def test_render_weave_layout_fails(self, capsys, weave3_file):
         assert main(["render", weave3_file]) == 1
 
+    def test_render_partial_coordinates_is_an_input_error(self, capsys, tmp_path, venn3):
+        lines = [l for l in write_arr(venn3).splitlines() if not l.startswith("coord 0 ")]
+        path = tmp_path / "partial.arr"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["render", str(path)]) == 2
+        assert f"line {len(lines)}: no coordinates for vertex 0" in capsys.readouterr().err
+
+    def test_options_do_not_leak_between_calls(self, capsys, venn3_file):
+        assert main(["certify", "--k", "3", venn3_file]) == 0
+        assert capsys.readouterr().out.startswith("k: 3\n")
+        assert main(["certify", venn3_file]) == 0
+        assert capsys.readouterr().out.startswith("k: 4\n")
+        assert main(["render", "--labels", venn3_file]) == 0
+        assert 'class="region-label"' in capsys.readouterr().out
+        assert main(["render", venn3_file]) == 0
+        assert "region-label" not in capsys.readouterr().out
+
 
 class TestInputHandling:
     def test_stdin(self, capsys, monkeypatch, venn3):

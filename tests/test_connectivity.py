@@ -83,6 +83,19 @@ def circle_vgraphs(count: int = 20, seed: int = 41) -> list[PlaneGraph]:
     return out
 
 
+def straight_through_pairs(g: PlaneGraph) -> set[tuple[int, int]]:
+    """The two neighbours of each vertex along each of its curves, when
+    they are not adjacent, read off the curve orbits."""
+    out = set()
+    for curve in g.curves:
+        ring = curve.vertices
+        for i in range(len(ring)):
+            a, b = ring[i - 1], ring[(i + 1) % len(ring)]
+            if a != b and b not in g.adjacency_sets[a]:
+                out.add((min(a, b), max(a, b)))
+    return out
+
+
 @pytest.fixture
 def built_nets(monkeypatch):
     """The graph of every flow network built while the test runs."""
@@ -249,7 +262,29 @@ class TestVertexConnectivity:
 
         monkeypatch.setattr(connectivity, "proof_paths", counting)
         assert vertex_connectivity(venn5)[0] == 4
-        assert sorted(calls) == sorted({(u, v) for u, _, v in venn5.distance2_pairs()})
+        assert sorted(calls) == sorted(straight_through_pairs(venn5))
+
+    def test_straight_through_pairs_decide_low_connectivity(self):
+        # the lemma in the connectivity docstring: on simple, connected,
+        # 4-regular plane graphs the pairs opposite each other round a
+        # common neighbour already reach the minimum, here on circle
+        # families that are not V-graphs as well as on those that are
+        rng = random.Random(7)
+        low = 0
+        while low < 15:
+            circles = [(rng.uniform(0.0, 4.0), rng.uniform(0.0, 4.0),
+                        rng.uniform(0.5, 2.0)) for _ in range(rng.randint(3, 5))]
+            try:
+                g = from_circles(circles)
+            except ValueError:
+                continue  # tangent, concentric or isolated circles
+            adj = g.adjacency_sets
+            if not g.is_connected or any(len(adj[v] - {v}) != 4 for v in range(g.vertex_count)):
+                continue
+            kappa, _ = vertex_connectivity(RotationMap((4,) * g.vertex_count, g._twin))
+            net = connectivity._FlowNet(g)
+            assert min(net.max_flow(u, v) for u, v in straight_through_pairs(g)) == kappa
+            low += kappa < 4
 
     def test_rejected_cut_falls_back_to_flow(self, monkeypatch, built_nets, venn5):
         real = connectivity.verify_cut

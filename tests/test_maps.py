@@ -6,6 +6,7 @@ import pytest
 
 from venngraph.maps import (
     BadSlotError,
+    MapError,
     NonInvolutiveTwinError,
     PlaneGraph,
     SelfTwinError,
@@ -70,6 +71,8 @@ class TestBuild:
             PlaneGraph(4, w._twin, coords={9: (0.0, 0.0)})
         with pytest.raises(BadSlotError):
             PlaneGraph(4, w._twin, outer_dart=16)
+        with pytest.raises(MapError, match="vertex 1"):
+            PlaneGraph(4, w._twin, coords={0: (0.0, 0.0), 2: (1.0, 0.0)})
 
 
 class TestPermutationAlgebra:
