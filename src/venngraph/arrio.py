@@ -18,12 +18,10 @@ the rotation lines), so ``write(parse(write(g))) == write(g)``.
 
 from __future__ import annotations
 
-import re
+from typing import Sequence
 
 from .connectivity import CutCertificate, PathCertificate
 from .maps import PlaneGraph
-
-_DART_RE = re.compile(r"^(\d+)\.(\d+)$")
 
 
 class ArrSyntaxError(ValueError):
@@ -43,10 +41,11 @@ class ArrSemanticError(ValueError):
 
 
 def _parse_dart(token: str, vertex_count: int, line: int) -> int:
-    m = _DART_RE.match(token)
-    if not m:
+    # str.isdecimal accepts exactly the characters of the regex class \d
+    v, dot, s = token.partition(".")
+    if not (dot and v.isdecimal() and s.isdecimal()):
         raise ArrSyntaxError(line, f"expected vertex.slot, got {token!r}")
-    v, s = int(m.group(1)), int(m.group(2))
+    v, s = int(v), int(s)
     if v >= vertex_count:
         raise ArrSemanticError(line, f"vertex {v} out of range 0..{vertex_count - 1}")
     if s >= 4:
@@ -135,11 +134,9 @@ def parse_arr(text: str) -> PlaneGraph:
 def write_arr(g: PlaneGraph) -> str:
     """Canonical ARR text for a graph."""
     lines = [f"arrangement {g.vertex_count}"]
+    refs = [f"{t >> 2}.{t & 3}" for t in map(g.twin, range(g.dart_count))]
     for v in range(g.vertex_count):
-        refs = " ".join(
-            f"{g.twin(4 * v + s) >> 2}.{g.twin(4 * v + s) & 3}" for s in range(4)
-        )
-        lines.append(f"v {v} {refs}")
+        lines.append(f"v {v} " + " ".join(refs[4 * v:4 * v + 4]))
     if g.coords:
         for v in sorted(g.coords):
             x, y = g.coords[v]
@@ -149,11 +146,15 @@ def write_arr(g: PlaneGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_path_certificate(cert: PathCertificate) -> str:
+def format_path_certificate(
+    cert: PathCertificate, names: Sequence[str] | None = None
+) -> str:
     """One 'path:' line per disjoint path.  A compact certificate is
-    expanded a path at a time and keeps no expansion."""
+    expanded a path at a time and keeps no expansion.  ``names[v]`` is
+    ``str(v)``, built once by a caller that prints many certificates."""
+    name = str if names is None else names.__getitem__
     return "".join(
-        "path: " + " ".join(str(v) for v in path) + "\n" for path in cert.iter_paths()
+        "path: " + " ".join(map(name, path)) + "\n" for path in cert.iter_paths()
     )
 
 

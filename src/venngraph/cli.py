@@ -108,9 +108,10 @@ def _cmd_certify(args) -> int:
     if result.certified:
         print("certified: yes")
         if args.verbose:
+            names = [str(v) for v in range(g.vertex_count)]
             for u, z, v, cert in result.certificates:
-                print(f"pair {u} {v} via {z}")
-                sys.stdout.write(arrio.format_path_certificate(cert))
+                sys.stdout.write(f"pair {u} {v} via {z}\n"
+                                 + arrio.format_path_certificate(cert, names))
         return EXIT_OK
     cx = result.counterexample
     print("certified: no")

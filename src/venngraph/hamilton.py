@@ -5,17 +5,55 @@ Three pruning tiers run after every decision.  Forced edges and
 premature-subcycle rejection propagate to a fixpoint: a vertex with
 exactly two admissible incident edges must use both, a vertex with two
 included edges excludes the rest, and an included edge may close a cycle
-only when it completes the full tour.  Then one Tarjan low-link pass
-rejects the node when the admissible graph is disconnected or has a cut
-vertex; a Hamilton cycle on three or more vertices is 2-connected, and so
-is every spanning graph containing it.
+only when it completes the full tour.  Then the node is rejected when the
+admissible graph is disconnected or has a cut vertex; a Hamilton cycle on
+three or more vertices is 2-connected, and so is every spanning graph
+containing it.
+
+That last tier costs O(1) per excluded edge on a plane map.  Edges only
+ever leave the admissible graph, so 2-connectivity, once lost, is never
+regained, and it suffices to test each exclusion as it happens.  The root
+checks the whole graph with one Tarjan low-link pass; after that, each
+exclusion is judged by the faces beside the edge:
+
+    **Lemma.** Let G be a 2-connected simple plane graph and xy an edge
+    of G, with faces F1 and F2 on its two sides.  Then G - xy is
+    2-connected iff F1 != F2 and F1, F2 share no vertex besides x and y.
+
+    *Proof.* The faces of a 2-connected plane graph are bounded by
+    cycles (Diestel, *Graph Theory*, Prop. 4.2.6), so F1 != F2 always
+    holds, and removing xy from the two boundary cycles leaves two x-y
+    paths P1 and P2 in G - xy; the face of G - xy that replaces F1 and
+    F2 has boundary walk P1 followed by P2 reversed.  Let c be a cut
+    vertex of G - xy.  It is not x or y, since G - xy - x = G - x is
+    connected, and likewise for y.  G - c is connected, so xy joins two
+    components of G - xy - c: c separates x from y in G - xy.  If P1 and
+    P2 share no vertex besides x and y, one of them avoids c, which is a
+    contradiction; so G - xy is 2-connected.  Conversely, if w != x, y
+    lies on both P1 and P2, the boundary walk of the merged face visits
+    w twice, once between x and y on each side.  A closed curve through
+    the face that touches the drawing only at w separates the part of
+    the walk through x from the part through y, so every x-y path of
+    G - xy passes through w, which is a cut vertex.  QED.
+
+So the faces are built once, kept in a union-find by vertex-set size
+without path compression, with one vertex set per root.  Excluding xy
+merges its two faces and rejects the node when they are one face already
+or share a third vertex; each merge goes on the same trail as every other
+change and is undone with it.  A node is therefore rejected exactly when a
+Tarjan pass over the admissible graph would reject it, and the search
+tree, the cycle and the expansion count do not depend on which test runs.
+The lemma needs a plane embedding, so a map whose collapsed graph is not
+plane (V - E + F != 2) keeps one Tarjan pass per node.
 
 Branching extends the included path: it picks the path end with the
 fewest admissible edges (lowest id on ties) and decides its
 lowest-numbered undecided edge, inclusion first; before any edge is
-included it decides the lowest undecided edge.  Identical inputs
-therefore yield identical cycles.  The decisions live on an explicit
-stack, so the search depth is not bounded by Python's recursion limit.
+included it decides the lowest undecided edge.  The path ends are kept in
+a set that inclusions and undos update, so choosing costs nothing like a
+scan of all vertices.  Identical inputs therefore yield identical cycles.
+The decisions live on an explicit stack, so the search depth is not
+bounded by Python's recursion limit.
 
 Finding Hamilton cycles in arbitrary crossing-structure graphs is
 NP-complete, hence the node-expansion budget; on 4-connected planar inputs
@@ -65,6 +103,37 @@ def verify_cycle(g: RotationMap, order: Sequence[int]) -> bool:
     return all(order[(i + 1) % n] in adj[order[i]] for i in range(n))
 
 
+def _plane_faces(
+    g: RotationMap, darts: Sequence[int]
+) -> tuple[list[tuple[int, int]], list[set[int]]] | None:
+    """The faces beside each search edge and every face's vertex set, or
+    None when the search graph's rotation system is not a plane map.
+
+    ``darts[i]`` is a dart of g on search edge i, one per edge of the
+    connected simple graph that collapsing g's parallel edges and
+    dropping its loops leaves, in which every vertex keeps an edge.  Its
+    embedding is g's rotation restricted to those darts; on a simple map
+    that is g itself.
+    """
+    if len(darts) == g.edge_count:
+        sub, sub_darts = g, darts
+    else:
+        # darts are numbered vertex by vertex in rotation order, so the
+        # kept ones in ascending order are the restricted rotation
+        keep = sorted(x for d in darts for x in (d, g.twin(d)))
+        index = {d: i for i, d in enumerate(keep)}
+        degrees = [0] * g.vertex_count
+        for d in keep:
+            degrees[g.dart_vertex(d)] += 1
+        sub = RotationMap(degrees, [index[g.twin(d)] for d in keep])
+        sub_darts = [index[d] for d in darts]
+    if sub.euler_characteristic != 2:
+        return None
+    face_of = sub.face_of
+    sides = [(face_of[d], face_of[sub.twin(d)]) for d in sub_darts]
+    return sides, [set(sub.face_vertices(f)) for f in sub.faces]
+
+
 def find_hamilton(
     g: RotationMap, budget: int = DEFAULT_BUDGET
 ) -> HamiltonCycle | None:
@@ -79,6 +148,7 @@ def find_hamilton(
 
     # collapse parallel edges and drop loops, ordered by canonical dart
     edges: list[tuple[int, int]] = []
+    darts: list[int] = []
     seen: set[tuple[int, int]] = set()
     for d in g.edges():
         a, b = g.edge_endpoints(d)
@@ -88,6 +158,7 @@ def find_hamilton(
         if key not in seen:
             seen.add(key)
             edges.append(key)
+            darts.append(d)
     m = len(edges)
     # (neighbour, edge) pairs at each vertex, in edge order
     incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -101,9 +172,16 @@ def find_hamilton(
     deg_inc = [0] * n
     deg_adm = [len(incident[v]) for v in range(n)]
     mate = list(range(n))  # opposite end of the included path at each endpoint
+    ends: set[int] = set()  # the vertices with exactly one included edge
     included = 0
+    # plane maps: faces beside each edge, and per face a union-find parent
+    # and, at roots, the merged face's vertex set
+    sides: list[tuple[int, int]] | None = None
+    face_up: list[int] = []
+    face_verts: list[set[int]] = []
 
-    # trail entries: (0, e, old_state) (1, v, old_mate) (2, v) inc-- (3, v) adm++ (4,) included--
+    # trail entries: (0, e, old_state) (1, v, old_mate) (2, v) inc--
+    # (3, v) adm++ (4,) included-- (5, root, child, e) split merged faces
     trail: list[tuple] = []
     pending: deque[tuple[bool, int]] = deque()
 
@@ -126,6 +204,10 @@ def find_hamilton(
         for x in (a, b):
             trail.append((2, x))
             deg_inc[x] += 1
+            if deg_inc[x] == 1:
+                ends.add(x)
+            else:
+                ends.discard(x)
         if ea != b:
             trail.append((1, ea, mate[ea]))
             mate[ea] = eb
@@ -136,6 +218,26 @@ def find_hamilton(
                 for _, other in incident[x]:
                     if state[other] == _UNDECIDED:
                         pending.append((False, other))
+        return True
+
+    def merge_faces(e: int) -> bool:
+        """Merge the two faces beside e, which was just excluded; False
+        when that leaves a cut vertex (the lemma above)."""
+        f, h = sides[e]
+        while face_up[f] != f:
+            f = face_up[f]
+        while face_up[h] != h:
+            h = face_up[h]
+        if f == h:
+            return False
+        if len(face_verts[f]) < len(face_verts[h]):
+            f, h = h, f
+        # both faces hold e's ends, so any third common vertex is a cut
+        if len(face_verts[f] & face_verts[h]) > 2:
+            return False
+        trail.append((5, f, h, e))
+        face_up[h] = f
+        face_verts[f] |= face_verts[h]
         return True
 
     def exclude(e: int) -> bool:
@@ -154,7 +256,7 @@ def find_hamilton(
                 for _, other in incident[x]:
                     if state[other] == _UNDECIDED:
                         pending.append((True, other))
-        return True
+        return sides is None or merge_faces(e)
 
     def propagate() -> bool:
         while pending:
@@ -175,11 +277,21 @@ def find_hamilton(
             elif kind == 1:
                 mate[entry[1]] = entry[2]
             elif kind == 2:
-                deg_inc[entry[1]] -= 1
+                x = entry[1]
+                deg_inc[x] -= 1
+                if deg_inc[x] == 1:
+                    ends.add(x)
+                else:
+                    ends.discard(x)
             elif kind == 3:
                 deg_adm[entry[1]] += 1
-            else:
+            elif kind == 4:
                 included -= 1
+            else:
+                _, f, h, e = entry
+                face_up[h] = h
+                face_verts[f] -= face_verts[h]
+                face_verts[f].update(edges[e])
 
     def no_cut_vertex() -> bool:
         """One iterative Tarjan low-link pass over the admissible graph:
@@ -222,15 +334,20 @@ def find_hamilton(
             nxt[x] = i
         return clock == n
 
+    def two_connected() -> bool:
+        """True iff the admissible graph is still 2-connected; on a plane
+        map every exclusion has already answered that."""
+        return sides is not None or no_cut_vertex()
+
     def choose_branch() -> int | None:
         """The lowest undecided edge at the path end with the fewest
         admissible edges (lowest id on ties), or the lowest undecided edge
         overall while nothing is included."""
-        end = -1
-        for v in range(n):
-            if deg_inc[v] == 1 and (end < 0 or deg_adm[v] < deg_adm[end]):
-                end = v
-        pool = (e for _, e in incident[end]) if end >= 0 else range(m)
+        if ends:
+            _, end = min((deg_adm[v], v) for v in ends)
+            pool = (e for _, e in incident[end])
+        else:
+            pool = range(m)
         return next((e for e in pool if state[e] == _UNDECIDED), None)
 
     # decisions on the current search path: (edge, trail mark, included?)
@@ -240,17 +357,25 @@ def find_hamilton(
         mark = len(trail)
         pending.clear()
         pending.append((want_in, e))
-        if propagate() and no_cut_vertex():
+        if propagate() and two_connected():
             stack.append((e, mark, want_in))
             return True
         undo(mark)
         return False
 
+    # the root: the whole graph must be 2-connected, which also makes it
+    # connected, as the Euler check on its faces needs
+    if not no_cut_vertex():
+        return None
+    faces = _plane_faces(g, darts)
+    if faces is not None:
+        sides, face_verts = faces
+        face_up = list(range(len(face_verts)))
     for v in range(n):
         if deg_adm[v] == 2:
             for _, e in incident[v]:
                 pending.append((True, e))
-    if not propagate() or not no_cut_vertex():
+    if not propagate() or not two_connected():
         return None
     expansions = 0
     while True:  # one search node per iteration

@@ -198,10 +198,6 @@ class RotationMap:
         base = self._offsets[v]
         return base + (d - base + 1) % self._degrees[v]
 
-    def face_next(self, d: int) -> int:
-        """Successor of d along its face boundary."""
-        return self.rot(self._twin[d])
-
     # -- edges ----------------------------------------------------------
 
     def edges(self) -> tuple[int, ...]:
@@ -229,6 +225,11 @@ class RotationMap:
     def _face_data(self) -> tuple[tuple[Face, ...], tuple[int, ...]]:
         twin = self._twin
         n = len(twin)
+        # after[d] = rot(d): d + 1, wrapping to the vertex's first dart
+        after = list(range(1, n + 1))
+        offsets = self._offsets
+        for base, end in zip(offsets, offsets[1:]):
+            after[end - 1] = base
         face_of = [-1] * n
         faces: list[Face] = []
         for d0 in range(n):
@@ -240,7 +241,7 @@ class RotationMap:
             while face_of[d] < 0:
                 face_of[d] = fid
                 orbit.append(d)
-                d = self.face_next(d)
+                d = after[twin[d]]
             faces.append(Face(fid, tuple(orbit)))
         return tuple(faces), tuple(face_of)
 
@@ -405,7 +406,8 @@ class PlaneGraph(RotationMap):
         validators can inspect degenerate inputs without tripping the
         exceptions that :attr:`curves` raises.
         """
-        n = self.dart_count
+        twin = self._twin
+        n = len(twin)
         orbit_of = [-1] * n
         orbits: list[tuple[int, ...]] = []
         for d0 in range(n):
@@ -417,7 +419,7 @@ class PlaneGraph(RotationMap):
             while orbit_of[d] < 0:
                 orbit_of[d] = oid
                 orbit.append(d)
-                d = self.curve_next(d)
+                d = twin[d] ^ 2
             orbits.append(tuple(orbit))
         return tuple(orbits), tuple(orbit_of)
 

@@ -131,8 +131,8 @@ def barycentric_layout(g: PlaneGraph) -> dict[int, tuple[float, float]]:
 
     Raises :class:`LayoutUnavailableError` when the outer boundary is
     not simple, the solve misses its tolerance, or a face fails the
-    check; that last message names the face and the graph's vertex
-    connectivity, computed only then.
+    check; that last message names the face and, on two or more
+    vertices, the graph's vertex connectivity, computed only then.
     """
     if g.outer_dart is not None:
         outer = g.faces[g.face_of[g.outer_dart]]
@@ -157,11 +157,10 @@ def barycentric_layout(g: PlaneGraph) -> dict[int, tuple[float, float]]:
         z[interior] = _solve(index[around], diag, z[around].sum(axis=0))
     face = _folded_face(g, outer.id, z)
     if face is not None:
-        kappa, _ = vertex_connectivity(g)
-        raise LayoutUnavailableError(
-            f"averaging layout draws face {face} flat or folded; "
-            f"connectivity is {kappa}"
-        )
+        message = f"averaging layout draws face {face} flat or folded"
+        if n >= 2:  # connectivity is defined from two vertices on
+            message += f"; connectivity is {vertex_connectivity(g)[0]}"
+        raise LayoutUnavailableError(message)
     return {v: (float(p.real), float(p.imag)) for v, p in enumerate(z)}
 
 

@@ -97,7 +97,10 @@ def check_ufi(g: PlaneGraph) -> tuple[UfiViolation, ...]:
     _, curve_of = g.unchecked_curves
     out = []
     for face in g.faces:
-        counts = Counter(curve_of[d] for d in face.boundary)
+        cids = [curve_of[d] for d in face.boundary]
+        if len(set(cids)) == len(cids):
+            continue
+        counts = Counter(cids)
         for cid in sorted(counts):
             if counts[cid] >= 2:
                 out.append(UfiViolation(face.id, cid, counts[cid]))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from venngraph.arrio import parse_arr, write_arr
@@ -155,6 +157,15 @@ class TestTransforms:
 
     def test_render_weave_layout_fails(self, capsys, weave3_file):
         assert main(["render", weave3_file]) == 1
+
+    def test_render_one_vertex_layout_fails(self, capsys, tmp_path):
+        # a figure eight whose outer hint is one of its loop faces
+        path = tmp_path / "one.arr"
+        path.write_text("arrangement 1\nv 0 0.1 0.0 0.3 0.2\nouter 0.1\n")
+        assert main(["render", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"layout: .*face \d+ flat or folded\n", captured.err)
 
     def test_render_partial_coordinates_is_an_input_error(self, capsys, tmp_path, venn3):
         lines = [l for l in write_arr(venn3).splitlines() if not l.startswith("coord 0 ")]

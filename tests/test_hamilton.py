@@ -7,14 +7,16 @@ from pathlib import Path
 
 import pytest
 
+from venngraph import hamilton
 from venngraph.arrio import parse_arr
 from venngraph.dual import dual
-from venngraph.generators import from_circles, gen_venn
+from venngraph.generators import from_circles, gen_venn, gen_weave
 from venngraph.hamilton import (
     BudgetExceededError,
     find_hamilton,
     verify_cycle,
 )
+from venngraph.maps import RotationMap
 from venngraph.validate import validate
 
 from conftest import theta_rotation_map
@@ -94,8 +96,82 @@ class TestFindHamilton:
             find_hamilton(g)
 
 
+def without_edges(g, doomed) -> RotationMap | None:
+    """g minus the edges whose canonical darts are in ``doomed``, with the
+    rotation restricted to the darts left, so a plane map stays plane;
+    None when a vertex would keep fewer than two darts."""
+    keep = [d for d in range(g.dart_count) if g.edge_of(d) not in doomed]
+    index = {d: i for i, d in enumerate(keep)}
+    degrees = [0] * g.vertex_count
+    for d in keep:
+        degrees[g.dart_vertex(d)] += 1
+    if min(degrees) < 2:
+        return None
+    return RotationMap(degrees, [index[g.twin(d)] for d in keep])
+
+
+def thinned_circle_families(count: int, seed: int) -> list[RotationMap]:
+    """Seeded circle families of 3..6 circles with 1..5 random edges
+    deleted: plane maps, some of them disconnected or non-Hamiltonian."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        circles = [(rng.uniform(0.0, 4.0), rng.uniform(0.0, 4.0),
+                    rng.uniform(0.8, 2.5)) for _ in range(rng.randint(3, 6))]
+        try:
+            g = from_circles(circles)
+        except ValueError:
+            continue  # tangent, concentric or isolated circles
+        edges = list(g.edges())
+        h = without_edges(g, set(rng.sample(edges, rng.randint(1, 5))))
+        if h is not None:
+            out.append(h)
+    return out
+
+
+def outcome_and_expansions(g) -> tuple[tuple[int, ...] | None, int]:
+    """find_hamilton's outcome on g (the cycle, or None) and the
+    expansions it spends: the least budget within which it returns."""
+    lo, hi = -1, 0  # the budget lo raises, hi is the next one to try
+    while True:
+        try:
+            cycle = find_hamilton(g, budget=hi)
+            break
+        except BudgetExceededError:
+            lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            find_hamilton(g, budget=mid)
+            hi = mid
+        except BudgetExceededError:
+            lo = mid
+    return (None if cycle is None else cycle.order), hi
+
+
 class TestSearchEffort:
     """The budget counts search nodes, so it bounds the work deterministically."""
+
+    @pytest.mark.parametrize("name, spent", [
+        ("venn7.arr", 75), ("venn8.arr", 147), (9, 356), (10, 710),
+    ])
+    def test_expansions_are_pinned(self, name, spent):
+        if isinstance(name, int):
+            g = gen_venn(name)
+        else:
+            g = parse_arr((FIXED_DIAGRAMS / name).read_text(encoding="utf-8"))
+        cycle = find_hamilton(g, budget=spent)
+        assert cycle is not None
+        assert verify_cycle(g, cycle.order)
+        with pytest.raises(BudgetExceededError) as exc:
+            find_hamilton(g, budget=spent - 1)
+        assert exc.value.expanded == spent - 1
+
+    def test_twelve_curves_within_vertex_count(self):
+        g = gen_venn(12)
+        cycle = find_hamilton(g, budget=g.vertex_count)
+        assert cycle is not None
+        assert verify_cycle(g, cycle.order)
 
     @pytest.mark.parametrize("name", ["venn7.arr", "venn8.arr"])
     def test_fixed_diagrams_within_vertex_count(self, name):
@@ -189,3 +265,37 @@ class TestBruteForceAgreement:
     def test_lens_too_small_for_cycle_api(self, lens):
         with pytest.raises(ValueError):
             find_hamilton(lens)
+
+
+class TestRouteAgreement:
+    """Face merging and a Tarjan pass per node prune the same nodes."""
+
+    def test_face_route_matches_tarjan_route(self, monkeypatch):
+        thinned = thinned_circle_families(120, seed=6)
+        corpus = [*(gen_venn(k) for k in range(3, 9)),
+                  *(gen_weave(k) for k in range(2, 7)),
+                  *(dual(gen_venn(k)) for k in range(3, 6)), *thinned]
+        plane_faces = hamilton._plane_faces
+        face_routes = []
+
+        def recording(g, darts):
+            faces = plane_faces(g, darts)
+            face_routes.append(faces is not None)
+            return faces
+
+        searched = []
+        for g in corpus:
+            monkeypatch.setattr(hamilton, "_plane_faces", recording)
+            order, spent = outcome_and_expansions(g)
+            monkeypatch.setattr(hamilton, "_plane_faces", lambda g, darts: None)
+            cycle = find_hamilton(g, budget=spent)
+            assert (None if cycle is None else cycle.order) == order
+            if spent:
+                with pytest.raises(BudgetExceededError) as exc:
+                    find_hamilton(g, budget=spent - 1)
+                assert exc.value.expanded == spent - 1
+                searched.append(order is not None)
+        # every map here is plane; disconnected ones stop at the root
+        assert face_routes and all(face_routes)
+        assert set(searched) == {True, False}
+        assert any(not g.is_connected for g in thinned)
