@@ -18,10 +18,10 @@ the rotation lines), so ``write(parse(write(g))) == write(g)``.
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import accumulate
 
-from .connectivity import CutCertificate, PathCertificate
-from .maps import PlaneGraph
+from .connectivity import CutCertificate, PathCertificate, Piece, Segment
+from .maps import CurveIndex, PlaneGraph
 
 
 class ArrSyntaxError(ValueError):
@@ -71,14 +71,14 @@ def parse_arr(text: str) -> PlaneGraph:
             continue
         tokens = line.split()
         if vertex_count is None:
-            if tokens[0] != "arrangement" or len(tokens) != 2 or not tokens[1].isdigit():
+            if tokens[0] != "arrangement" or len(tokens) != 2 or not tokens[1].isdecimal():
                 raise ArrSyntaxError(lineno, "expected header 'arrangement <V>'")
             vertex_count = int(tokens[1])
             if vertex_count < 1:
                 raise ArrSemanticError(lineno, "vertex count must be positive")
             continue
         if tokens[0] == "v":
-            if len(tokens) != 6 or not tokens[1].isdigit():
+            if len(tokens) != 6 or not tokens[1].isdecimal():
                 raise ArrSyntaxError(lineno, "expected 'v <id> <t0> <t1> <t2> <t3>'")
             vid = int(tokens[1])
             if vid >= vertex_count:
@@ -91,7 +91,7 @@ def parse_arr(text: str) -> PlaneGraph:
                 refs[d] = _parse_dart(token, vertex_count, lineno)
                 ref_line[d] = lineno
         elif tokens[0] == "coord":
-            if len(tokens) != 4 or not tokens[1].isdigit():
+            if len(tokens) != 4 or not tokens[1].isdecimal():
                 raise ArrSyntaxError(lineno, "expected 'coord <id> <x> <y>'")
             vid = int(tokens[1])
             if vid >= vertex_count:
@@ -146,16 +146,76 @@ def write_arr(g: PlaneGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_path_certificate(
-    cert: PathCertificate, names: Sequence[str] | None = None
-) -> str:
+class PathNames:
+    """Vertex names for printing the paths of one graph's certificates.
+
+    ``vertex[v]`` is ``str(v)``.  A curve :class:`Segment` prints as one
+    slice of its curve's names joined in its direction, or two slices
+    when it wraps round the curve; each curve is joined once per
+    direction, the first time a segment on it is printed.
+    """
+
+    def __init__(self, g: PlaneGraph):
+        self.vertex = [str(v) for v in range(g.vertex_count)]
+        self._index: CurveIndex | None = None
+        self._joined: dict[tuple[int, bool], tuple[str, list[int]]] = {}
+
+    def _curve(self, index: CurveIndex, c: int, forward: bool) -> tuple[str, list[int]]:
+        """Curve c's names joined in curve order or against it, and where
+        the name of each place in that order starts; the list ends one
+        past the joined text."""
+        if index is not self._index:
+            self._index, self._joined = index, {}
+        key = (c, forward)
+        if key not in self._joined:
+            cycle = index.curve_vertices[c]
+            names = [self.vertex[x] for x in (cycle if forward else reversed(cycle))]
+            starts = list(accumulate((len(name) + 1 for name in names), initial=0))
+            self._joined[key] = (" ".join(names), starts)
+        return self._joined[key]
+
+    def path(self, index: CurveIndex | None, pieces: tuple[Piece, ...]) -> str:
+        """The names of one compact path, space-separated, the same as
+        those of its vertex tuple: a piece that starts where the one
+        before it ended leaves that vertex out."""
+        parts: list[str] = []
+        last = None
+        for piece in pieces:
+            if type(piece) is Segment:
+                c, start, end, step = piece
+                cycle = index.curve_vertices[c]
+                length = len(cycle)
+                if 0 <= start < length and 0 <= end < length:
+                    first, last_before = cycle[start], last
+                    last = cycle[end]
+                    joined, starts = self._curve(index, c, step == 1)
+                    a, b = (start, end) if step == 1 else (length - 1 - start, length - 1 - end)
+                    if first == last_before:
+                        if a == b:
+                            continue
+                        a = (a + 1) % length
+                    stop = starts[b + 1] - 1
+                    parts.append(joined[starts[a]:stop] if a <= b
+                                 else joined[starts[a]:] + " " + joined[:stop])
+                    continue
+                piece = piece.vertices(index)
+            run = piece[1:] if piece and piece[0] == last else piece
+            if run:
+                parts.append(" ".join(map(self.vertex.__getitem__, run)))
+                last = run[-1]
+        return " ".join(parts)
+
+
+def format_path_certificate(cert: PathCertificate, names: PathNames | None = None) -> str:
     """One 'path:' line per disjoint path.  A compact certificate is
-    expanded a path at a time and keeps no expansion.  ``names[v]`` is
-    ``str(v)``, built once by a caller that prints many certificates."""
-    name = str if names is None else names.__getitem__
-    return "".join(
-        "path: " + " ".join(map(name, path)) + "\n" for path in cert.iter_paths()
-    )
+    printed without keeping any expansion.  ``names`` is the graph's
+    :class:`PathNames`, built once by a caller that prints many
+    certificates; without it every path is expanded and named in turn."""
+    if names is None:
+        return "".join(
+            "path: " + " ".join(map(str, path)) + "\n" for path in cert.iter_paths()
+        )
+    return "".join("path: " + names.path(cert.index, path) + "\n" for path in cert.pieces)
 
 
 def format_cut_certificate(cert: CutCertificate) -> str:

@@ -108,7 +108,7 @@ def _cmd_certify(args) -> int:
     if result.certified:
         print("certified: yes")
         if args.verbose:
-            names = [str(v) for v in range(g.vertex_count)]
+            names = arrio.PathNames(g)
             for u, z, v, cert in result.certificates:
                 sys.stdout.write(f"pair {u} {v} via {z}\n"
                                  + arrio.format_path_certificate(cert, names))

@@ -47,6 +47,12 @@ a vertex only at an end of one or at a vertex inside both:
   and those on the segment with fewer are tested against the other's
   interval.
 
+Many bundles are built a vertex at a time: the pairs are grouped by
+their common neighbour z, z's four neighbours and four corner arcs are
+read once for the group, and each pair's pieces then come from the same
+builder as :func:`proof_paths`.  Every bundle is still verified on its
+own, and one that fails is replaced by counted flow paths.
+
 On V-graphs the construction alone settles connectivity, with no flow,
 and it needs only the straight-through pairs: the two far ends
 ``twin(4z + s) >> 2`` and ``twin(4z + s + 2) >> 2`` of one curve through
@@ -90,7 +96,6 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import Iterator, NamedTuple, Union
 
 from .maps import CurveIndex, DisconnectedError, MapError, PlaneGraph, RotationMap
@@ -123,6 +128,13 @@ class Segment(NamedTuple):
     start: int
     end: int
     step: int
+
+    def vertices(self, index: CurveIndex) -> tuple[int, ...]:
+        """The segment's vertices in its order, read off ``index``."""
+        cycle = index.curve_vertices[self.curve]
+        lo, hi = (self.start, self.end) if self.step == 1 else (self.end, self.start)
+        run = cycle[lo:hi + 1] if lo <= hi else cycle[lo:] + cycle[:hi + 1]
+        return run if self.step == 1 else run[::-1]
 
 
 Piece = Union[tuple[int, ...], Segment]
@@ -159,7 +171,10 @@ class PathCertificate:
     ):
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "pieces", tuple((p,) for p in paths) + tuple(pieces))
+        pieces = tuple(pieces)
+        if paths:
+            pieces = tuple((p,) for p in paths) + pieces
+        object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "index", index)
 
     def iter_paths(self) -> Iterator[tuple[int, ...]]:
@@ -242,13 +257,6 @@ def verify_certificate(g: RotationMap, cert: PathCertificate) -> bool:
     return True
 
 
-def _segment_vertices(index: CurveIndex, seg: Segment) -> tuple[int, ...]:
-    cycle = index.curve_vertices[seg.curve]
-    lo, hi = (seg.start, seg.end) if seg.step == 1 else (seg.end, seg.start)
-    run = cycle[lo:hi + 1] if lo <= hi else cycle[lo:] + cycle[:hi + 1]
-    return run if seg.step == 1 else run[::-1]
-
-
 def _expand(index: CurveIndex | None, path: tuple[Piece, ...]) -> tuple[int, ...]:
     """One compact path as a vertex tuple.  A piece that starts where the
     one before it ended shares that vertex; any other piece is appended
@@ -256,49 +264,46 @@ def _expand(index: CurveIndex | None, path: tuple[Piece, ...]) -> tuple[int, ...
     out: list[int] = []
     for piece in path:
         if type(piece) is Segment:
-            piece = _segment_vertices(index, piece)
+            piece = piece.vertices(index)
         out.extend(piece[1:] if out and piece and piece[0] == out[-1] else piece)
     return tuple(out)
 
 
-def _offset(seg: Segment, p: int, length: int) -> int:
-    """Steps along ``seg`` from its start to position p, modulo the
-    curve's ``length``; p is on the segment iff this is at most the
-    offset of ``seg.end``."""
-    return (p - seg.start) * seg.step % length
-
-
-def _within(seg: Segment, p: int, length: int) -> bool:
-    """Whether position p lies strictly between the ends of ``seg``."""
-    return 0 < _offset(seg, p, length) < _offset(seg, seg.end, length)
-
-
-def _arc_crossings(index: CurveIndex, seg: Segment, other: int) -> list[range]:
-    """Index ranges into ``crossings[seg.curve, other]`` of the crossings
-    with curve ``other`` that ``seg`` covers, ends included."""
-    xs = index.crossings.get((seg.curve, other), ())
+def _arc_crossings(xs: tuple[int, ...], seg: Segment) -> tuple[int, int]:
+    """The positions in the sorted crossing list ``xs`` that ``seg``
+    covers, ends included, as (i, k): they are ``xs[(i + j) % len(xs)]``
+    for j < k."""
     lo, hi = (seg.start, seg.end) if seg.step == 1 else (seg.end, seg.start)
     i, j = bisect_left(xs, lo), bisect_right(xs, hi)
-    return [range(i, j)] if lo <= hi else [range(i, len(xs)), range(j)]
+    return i, (j - i if lo <= hi else len(xs) - i + j)
 
 
 def _segments_meet(g: PlaneGraph, index: CurveIndex, s: Segment, t: Segment) -> bool:
     """Whether segments on two different curves share a vertex other than
     an end of both.  Only the crossings of the two curves can be shared;
     bisection finds those on each segment, and the fewer are tested."""
-    spans = _arc_crossings(index, s, t.curve)
-    other = _arc_crossings(index, t, s.curve)
-    if sum(map(len, spans)) > sum(map(len, other)):
-        s, t, spans = t, s, other
     xs = index.crossings.get((s.curve, t.curve), ())
-    ls, lt = len(index.curve_vertices[s.curve]), len(index.curve_vertices[t.curve])
-    end_s, end_t = _offset(s, s.end, ls), _offset(t, t.end, lt)
-    for i in chain.from_iterable(spans):
-        x = index.curve_vertices[s.curve][xs[i]]
-        d = 4 * x if g.curve_of[4 * x] == t.curve else 4 * x + 1
-        on_t = _offset(t, index.position[d], lt)
+    ys = index.crossings.get((t.curve, s.curve), ())
+    i, k = _arc_crossings(xs, s)
+    i_t, k_t = _arc_crossings(ys, t)
+    if k > k_t:
+        s, t, xs, i, k = t, s, ys, i_t, k_t
+    cycle = index.curve_vertices[s.curve]
+    ls, lt = len(cycle), len(index.curve_vertices[t.curve])
+    curve_of, position = g.curve_of, index.position
+    # offsets along a segment from its start, modulo its curve's length;
+    # a position is on the segment iff its offset is at most the end's
+    s_start, s_step, t_curve, t_start, t_step = s.start, s.step, t.curve, t.start, t.step
+    end_s = (s.end - s_start) * s_step % ls
+    end_t = (t.end - t_start) * t_step % lt
+    for j in range(i, i + k):
+        p = xs[j % len(xs)]
+        d = 4 * cycle[p]
+        if curve_of[d] != t_curve:
+            d += 1
+        on_t = (position[d] - t_start) * t_step % lt
         if on_t <= end_t and not (
-            _offset(s, xs[i], ls) in (0, end_s) and on_t in (0, end_t)
+            (p - s_start) * s_step % ls in (0, end_s) and on_t in (0, end_t)
         ):
             return True
     return False
@@ -315,9 +320,12 @@ def verify_compact_certificate(g: PlaneGraph, cert: PathCertificate) -> bool:
     """
     index = g.curve_index
     adj = g.adjacency_sets
+    curves = index.curve_vertices
+    n = g.vertex_count
     u, v = cert.u, cert.v
-    if u == v or not (0 <= u < g.vertex_count and 0 <= v < g.vertex_count):
+    if u == v or not (0 <= u < n and 0 <= v < n):
         return False
+    own_index = cert.index is index
     points: list[int] = []     # every path's vertices after u, one per junction
     explicit: list[int] = [u, v]
     segments: list[Segment] = []
@@ -326,9 +334,9 @@ def verify_compact_certificate(g: PlaneGraph, cert: PathCertificate) -> bool:
         for piece in path:
             if type(piece) is Segment:
                 c, start, end, step = piece
-                if cert.index is not index or not 0 <= c < len(index.curve_vertices):
+                if not own_index or not 0 <= c < len(curves):
                     return False
-                cycle = index.curve_vertices[c]
+                cycle = curves[c]
                 if (not (0 <= start < len(cycle) and 0 <= end < len(cycle))
                         or step not in (1, -1) or cycle[start] != at):
                     return False
@@ -339,11 +347,13 @@ def verify_compact_certificate(g: PlaneGraph, cert: PathCertificate) -> bool:
                 if not piece or piece[0] != at:
                     return False
                 rest = piece[1:]
-                for a, b in zip(piece, rest):
+                a = at
+                for b in rest:
                     if b not in adj[a]:
                         return False
-                explicit.extend(rest)
-                points.extend(rest)
+                    a = b
+                explicit += rest
+                points += rest
                 at = piece[-1]
         if at != v:
             return False
@@ -352,17 +362,18 @@ def verify_compact_certificate(g: PlaneGraph, cert: PathCertificate) -> bool:
     if len(seen) != len(points) or u in seen or v in seen:
         return False
     curve_of, position = g.curve_of, index.position
-    for seg in segments:
-        c = seg.curve
-        length = len(index.curve_vertices[c])
-        span = _offset(seg, seg.end, length)
+    # offsets along a segment from its start, modulo its curve's length:
+    # position p lies strictly inside iff 0 < offset(p) < offset(end)
+    for c, start, end, step in segments:
+        length = len(curves[c])
+        span = (end - start) * step % length
         for x in explicit:
             d = 4 * x
             if curve_of[d] != c:
                 d += 1
                 if curve_of[d] != c:
                     continue
-            if 0 < _offset(seg, position[d], length) < span:
+            if 0 < (position[d] - start) * step % length < span:
                 return False
     for i, s in enumerate(segments):
         for t in segments[i + 1:]:
@@ -372,10 +383,14 @@ def verify_compact_certificate(g: PlaneGraph, cert: PathCertificate) -> bool:
                 continue
             # no end of one strictly inside the other leaves two arcs with
             # the same ends on the same side, whose first steps coincide
-            length = len(index.curve_vertices[s.curve])
-            if (_within(s, t.start, length) or _within(s, t.end, length)
-                    or _within(t, s.start, length) or _within(t, s.end, length)
-                    or _within(s, (t.start + t.step) % length, length)):
+            length = len(curves[s.curve])
+            span_s = (s.end - s.start) * s.step % length
+            span_t = (t.end - t.start) * t.step % length
+            if (0 < (t.start - s.start) * s.step % length < span_s
+                    or 0 < (t.end - s.start) * s.step % length < span_s
+                    or 0 < (s.start - t.start) * t.step % length < span_t
+                    or 0 < (s.end - t.start) * t.step % length < span_t
+                    or 0 < (t.start + t.step - s.start) * s.step % length < span_s):
                 return False
     return True
 
@@ -654,13 +669,21 @@ class _ConstructionSurprise(Exception):
     """The curve structure around z is not the one the construction needs."""
 
 
-def _corner_arc(g: PlaneGraph, index: CurveIndex, d: int) -> tuple[int, ...]:
-    """The face of dart d, which leaves z by slot s + 1, from d's far
-    vertex round to the vertex before z: z's corner face between slots s
-    and s + 1, from neighbour(s + 1) to neighbour(s), without z."""
-    i = index.face_position[d]
-    ring = index.face_vertices[g.face_of[d]]
-    return ring[i + 1:] + ring[:i]
+def _around(
+    g: PlaneGraph, index: CurveIndex, z: int
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """z's neighbours by slot, and its corner arcs: the arc of slot s is
+    the face of dart 4z + s, z's corner face between slots s - 1 and s,
+    from neighbour(s) round to neighbour(s - 1), without z.  Everything
+    the bundles around z read off the faces."""
+    face_of = g.face_of
+    nbr, corners = [], []
+    for d in range(4 * z, 4 * z + 4):
+        nbr.append(g.twin(d) >> 2)
+        i = index.face_position[d]
+        ring = index.face_vertices[face_of[d]]
+        corners.append(ring[i + 1:] + ring[:i])
+    return tuple(nbr), tuple(corners)
 
 
 def _fallback(g: PlaneGraph, u: int, v: int) -> PathCertificate:
@@ -692,9 +715,10 @@ def _switch_path(g: PlaneGraph, index: CurveIndex, du: int, dv: int) -> tuple[Se
     the second anywhere except w, and neither can touch z, the far
     neighbours of z, or the faces around z.
     """
-    along, across = g.curve_of[du], g.curve_of[dv]
+    curve_of, position = g.curve_of, index.position
+    along, across = curve_of[du], curve_of[dv]
     xs = index.crossings[across, along]
-    pv = index.position[g.twin(dv)]
+    pv = position[g.twin(dv)]
     away = index.step[dv]
     if away == 1:
         i = bisect_left(xs, pv)
@@ -704,10 +728,41 @@ def _switch_path(g: PlaneGraph, index: CurveIndex, du: int, dv: int) -> tuple[Se
     w = index.curve_vertices[across][pw]
     if w == du >> 2:
         raise _ConstructionSurprise("curve closed before the switch vertex")
-    dw = 4 * w if g.curve_of[4 * w] == along else 4 * w + 1
-    head = Segment(along, index.position[g.twin(du)], index.position[dw],
-                   index.step[du])
+    dw = 4 * w if curve_of[4 * w] == along else 4 * w + 1
+    head = Segment(along, position[g.twin(du)], position[dw], index.step[du])
     return (head,) if pw == pv else (head, Segment(across, pw, pv, -away))
+
+
+def _four_paths(
+    g: PlaneGraph,
+    index: CurveIndex,
+    z: int,
+    around: tuple[tuple[int, ...], tuple[tuple[int, ...], ...]],
+    su: int,
+    v: int,
+) -> tuple[tuple[Piece, ...], ...]:
+    """The pieces of :func:`proof_paths` from z's neighbour in slot su to
+    its neighbour v, given ``around = _around(g, index, z)``."""
+    nbr, corners = around
+    if len(set(nbr)) != 4:
+        raise _ConstructionSurprise("corner neighbours of z are not distinct")
+    u = nbr[su]
+    # z's corner arcs counterclockwise from u: arc[i] runs from the
+    # neighbour in slot su + i + 1 back to the one in slot su + i
+    arc = corners[su + 1:] + corners[:su + 1]
+    du = 4 * z + su
+    if nbr[(su + 2) % 4] == v:
+        return (
+            ((u, z, v),),
+            (_curve_rest(g, index, du),),
+            (arc[0][::-1] + arc[1][-2::-1],),   # u ~ a ~ v
+            (arc[3] + arc[2][1:],),             # u ~ b ~ v
+        )
+    if nbr[(su + 1) % 4] == v:
+        return ((arc[0][::-1],), (arc[3] + arc[2][1:] + arc[1][1:],),
+                _switch_path(g, index, du, 4 * z + (su + 1) % 4), ((u, z, v),))
+    return ((arc[3],), (arc[0][::-1] + arc[1][-2::-1] + arc[2][-2::-1],),
+            _switch_path(g, index, du, 4 * z + (su + 3) % 4), ((u, z, v),))
 
 
 def proof_paths(
@@ -743,7 +798,8 @@ def proof_paths(
         raise NotDistanceTwoError(f"{z} must neighbour both {u} and {v}")
 
     index = g.curve_index
-    nbr = [g.twin(d) >> 2 for d in range(4 * z, 4 * z + 4)]
+    around = _around(g, index, z)
+    nbr = around[0]
     su = nbr.index(u)
     if nbr[(su + 2) % 4] == v:
         case = 1
@@ -753,30 +809,10 @@ def proof_paths(
         b = nbr[(su + 2) % 4]
         a = nbr[(su + 3) % 4] if nbr[(su + 1) % 4] == v else nbr[(su + 1) % 4]
     roles = {"z": z, "a": a, "b": b}
-
     try:
-        if len({u, v, a, b}) != 4:
-            raise _ConstructionSurprise("corner neighbours of z are not distinct")
-        # z's corner arcs counterclockwise from u: arc[i] runs from the
-        # neighbour in slot su + i + 1 back to the one in slot su + i
-        arc = [_corner_arc(g, index, 4 * z + (su + i) % 4) for i in (1, 2, 3, 4)]
-        du = 4 * z + su
-        if case == 1:
-            pieces = (
-                ((u, z, v),),
-                (_curve_rest(g, index, du),),
-                (arc[0][::-1] + arc[1][-2::-1],),   # u ~ a ~ v
-                (arc[3] + arc[2][1:],),             # u ~ b ~ v
-            )
-        elif nbr[(su + 1) % 4] == v:
-            pieces = ((arc[0][::-1],), (arc[3] + arc[2][1:] + arc[1][1:],),
-                      _switch_path(g, index, du, 4 * z + (su + 1) % 4), ((u, z, v),))
-        else:
-            pieces = ((arc[3],), (arc[0][::-1] + arc[1][-2::-1] + arc[2][-2::-1],),
-                      _switch_path(g, index, du, 4 * z + (su + 3) % 4), ((u, z, v),))
+        pieces = _four_paths(g, index, z, around, su, v)
     except _ConstructionSurprise:
         return ProofPathsResult(case, roles, _fallback(g, u, v), used_fallback=True)
-
     cert = PathCertificate(u, v, pieces=pieces, index=index)
     if verify_compact_certificate(g, cert):
         return ProofPathsResult(case, roles, cert, used_fallback=False)
@@ -790,16 +826,35 @@ def _is_vgraph(g: RotationMap) -> bool:
 def _proof_bundles(
     g: PlaneGraph, pairs: dict[tuple[int, int], int]
 ) -> tuple[tuple[tuple[int, int, int, PathCertificate], ...], int]:
-    """Verified :func:`proof_paths` bundles for every pair of ``pairs``,
-    each with a common neighbour, on a V-graph g, and the fallback count.
-    The one route from "V-graph" to "4-connected"."""
-    certificates = []
+    """Verified bundles, as :func:`proof_paths` builds them, for every
+    pair of ``pairs``, each with a common neighbour, on a V-graph g, and
+    the fallback count; the one route from "V-graph" to "4-connected".
+
+    The pairs are taken in the order of their common neighbours, so that
+    z's neighbours and corner arcs are read once for all of its pairs;
+    the bundles come out in the order of ``pairs``.
+    """
+    index = g.curve_index
+    keys, zs = list(pairs), list(pairs.values())
+    certs: list[PathCertificate | None] = [None] * len(keys)
     fallbacks = 0
-    for (u, v), z in pairs.items():
-        res = proof_paths(g, u, z, v, validated=True)
-        fallbacks += res.used_fallback
-        certificates.append((u, z, v, res.certificate))
-    return tuple(certificates), fallbacks
+    z_read = None
+    for i in sorted(range(len(keys)), key=zs.__getitem__):
+        u, v = keys[i]
+        if zs[i] != z_read:
+            z_read = zs[i]
+            around = _around(g, index, z_read)
+        try:
+            cert = PathCertificate(
+                u, v, pieces=_four_paths(g, index, z_read, around, around[0].index(u), v),
+                index=index)
+        except _ConstructionSurprise:
+            cert = None
+        if cert is None or not verify_compact_certificate(g, cert):
+            cert = _fallback(g, u, v)
+            fallbacks += 1
+        certs[i] = cert
+    return tuple((u, z, v, cert) for ((u, v), z), cert in zip(pairs.items(), certs)), fallbacks
 
 
 def certify_distance_two(g: RotationMap, k: int) -> Distance2Certification:

@@ -45,7 +45,10 @@ class SelfCrossingCurveError(MapError):
 
 
 class SameCurveCrossingError(MapError):
-    """Both straight-through dart pairs at a vertex belong to one curve."""
+    """Both straight-through dart pairs at a vertex belong to one curve.
+
+    Such a curve revisits the vertex, so graphs raise
+    :class:`SelfCrossingCurveError` for it; the class stays exported."""
 
 
 class DisconnectedError(MapError):
@@ -445,21 +448,14 @@ class PlaneGraph(RotationMap):
 
     @cached_property
     def _curve_data(self) -> tuple[tuple[Curve, ...], tuple[int, ...]]:
+        # a curve revisits v exactly when both dart pairs at v carry its
+        # id (proof in the venngraph.validate docstring), so this one test
+        # also rules out two pairs of one curve crossing at a vertex
         orbits, curve_of = self.unchecked_curves
-        for orbit in orbits:
-            seen: set[int] = set()
-            for d in orbit:
-                v = d >> 2
-                if v in seen:
-                    raise SelfCrossingCurveError(
-                        f"curve revisits vertex {v}; not a simple closed curve"
-                    )
-                seen.add(v)
-        for v in range(self.vertex_count):
-            if curve_of[4 * v] == curve_of[4 * v + 1]:
-                raise SameCurveCrossingError(
-                    f"both dart pairs at vertex {v} belong to curve "
-                    f"{curve_of[4 * v]}"
+        for v, (a, b) in enumerate(zip(curve_of[0::4], curve_of[1::4])):
+            if a == b:
+                raise SelfCrossingCurveError(
+                    f"curve revisits vertex {v}; not a simple closed curve"
                 )
         return tuple(Curve(cid, o) for cid, o in enumerate(orbits)), curve_of
 
@@ -467,9 +463,12 @@ class PlaneGraph(RotationMap):
     def curves(self) -> tuple[Curve, ...]:
         """The recovered curves, one per orientation-orbit pair.
 
-        Raises :class:`SelfCrossingCurveError` or
-        :class:`SameCurveCrossingError` when the arrangement is not a
-        family of simple closed curves in general position.
+        Raises :class:`SelfCrossingCurveError`, at the smallest vertex a
+        curve revisits, when the arrangement is not a family of simple
+        closed curves in general position.
+        :class:`SameCurveCrossingError` is kept for callers that catch
+        it, but no graph raises it: a curve whose two dart pairs cross at
+        a vertex revisits that vertex.
         """
         return self._curve_data[0]
 

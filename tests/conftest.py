@@ -67,6 +67,21 @@ def figure_eight() -> PlaneGraph:
     return PlaneGraph(1, [1, 0, 3, 2])
 
 
+def random_circle_families(rng, count: int) -> list[tuple[int, PlaneGraph]]:
+    """``count`` families of 2..6 random circles that ``from_circles``
+    accepts, each with its number of circles."""
+    out = []
+    while len(out) < count:
+        k = rng.randint(2, 6)
+        circles = [(rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0), rng.uniform(0.5, 2.0))
+                   for _ in range(k)]
+        try:
+            out.append((k, from_circles(circles)))
+        except ValueError:
+            continue  # tangent, concentric or isolated circles
+    return out
+
+
 def rotation_map_from_edges(n: int, edges) -> RotationMap:
     """A simple graph as a rotation system, neighbours in listing order."""
     others: list[list[int]] = [[] for _ in range(n)]

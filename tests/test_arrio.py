@@ -7,14 +7,23 @@ import pytest
 from venngraph.arrio import (
     ArrSemanticError,
     ArrSyntaxError,
+    PathNames,
     format_cut_certificate,
     format_path_certificate,
     parse_arr,
     write_arr,
 )
-from venngraph.connectivity import CutCertificate, PathCertificate, certify_distance_two
+from venngraph.connectivity import (
+    CutCertificate,
+    PathCertificate,
+    Segment,
+    certify_distance_two,
+)
 from venngraph.generators import gen_venn
-from venngraph.maps import PlaneGraph
+from venngraph.maps import MapError, PlaneGraph
+from venngraph.validate import validate
+
+from conftest import random_circle_families
 
 
 def random_plane_graph(rng: random.Random) -> PlaneGraph:
@@ -95,6 +104,17 @@ class TestErrors:
             parse_arr("arrangement 1000000000000000\n")
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("text, line", [
+        ("arrangement \u00b2\n", 1),
+        ("arrangement 1\nv \u00b2 0.1 0.0 0.3 0.2\n", 2),
+        ("arrangement 1\nv 0 0.1 0.0 0.3 0.2\ncoord \u00b2 1 2\n", 3),
+    ])
+    def test_unicode_digit_ids_are_syntax_errors(self, text, line):
+        # '\u00b2' passes str.isdigit but not int(); it must fail as syntax
+        with pytest.raises(ArrSyntaxError) as err:
+            parse_arr(text)
+        assert err.value.line == line
+
     def test_twin_mismatch(self):
         text = (
             "arrangement 2\n"
@@ -152,6 +172,53 @@ class TestRandomizedRoundTrips:
             assert back.outer_dart == g.outer_dart
 
 
+def corrupted(text: str, rng: random.Random) -> str:
+    """``text`` with one line dropped, one twin reference broken, or one
+    id replaced by a Unicode digit (superscript two, which ``int``
+    rejects, or Arabic-Indic three, which it reads as 3)."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    tokens = lines[i].split()
+    kind = rng.randrange(3)
+    if kind == 0:
+        del lines[i]
+    elif kind == 1 and tokens[0] == "v":
+        tokens[rng.randint(2, 5)] = f"{rng.randrange(len(lines))}.{rng.randrange(4)}"
+        lines[i] = " ".join(tokens)
+    else:
+        tokens[1] = rng.choice(("\u00b2", "\u0663"))
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+class TestGeneratedInputs:
+    """Seeded loops over circle families, random rotation maps and
+    corrupted texts of both."""
+
+    def test_parse_then_validate_is_total(self):
+        rng = random.Random(5)
+        texts = [write_arr(g) for _, g in random_circle_families(rng, 40)]
+        texts += [write_arr(random_plane_graph(rng)) for _ in range(300)]
+        outcomes = {}
+        for text in texts + [corrupted(t, rng) for t in texts for _ in range(3)]:
+            try:
+                report = validate(parse_arr(text))
+            except (ArrSyntaxError, ArrSemanticError, MapError) as exc:
+                outcome = type(exc).__name__
+            else:
+                outcome = "v-graph" if report.is_vgraph else "report"
+            outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        assert {"v-graph", "report", "ArrSyntaxError", "ArrSemanticError"} <= set(outcomes)
+
+    def test_write_parse_write_is_the_identity(self):
+        rng = random.Random(6)
+        graphs = [g for _, g in random_circle_families(rng, 40)]
+        graphs += [random_plane_graph(rng) for _ in range(300)]
+        for g in graphs:
+            text = write_arr(g)
+            assert write_arr(parse_arr(text)) == text
+
+
 class TestCertificateBlocks:
     def test_path_lines(self):
         cert = PathCertificate(0, 5, ((0, 2, 5), (0, 3, 1, 5)))
@@ -165,6 +232,52 @@ class TestCertificateBlocks:
                 assert text == "".join(
                     "path: " + " ".join(map(str, path)) + "\n" for path in cert.paths
                 )
+
+    def test_sliced_names_match_the_vertex_join(self):
+        def plain(cert):
+            return "".join("path: " + " ".join(map(str, path)) + "\n"
+                           for path in cert.iter_paths())
+
+        wraps = reversed_ = shared = 0
+        for n in range(3, 9):
+            g = gen_venn(n)
+            names = PathNames(g)
+            for _, _, _, cert in certify_distance_two(g, 4).certificates:
+                assert format_path_certificate(cert, names) == plain(cert)
+                for path in cert.pieces:
+                    segments = [p for p in path if isinstance(p, Segment)]
+                    wraps += sum((p.start > p.end) == (p.step == 1) for p in segments)
+                    reversed_ += sum(p.step == -1 for p in segments)
+                    shared += len(segments) == 2
+        assert wraps > 100 and reversed_ > 100 and shared > 100
+
+    def test_sliced_names_follow_the_junction_rule(self):
+        # a piece repeats the vertex before it only when it does not
+        # start there; one-vertex, out-of-range and foreign-index
+        # segments print as their expansions do
+        g = gen_venn(4)
+        index = g.curve_index
+        cycle = index.curve_vertices[0]
+        last = len(cycle) - 1
+        paths = [
+            (Segment(0, 0, last, 1), Segment(0, last, last, -1), (cycle[last], cycle[0])),
+            ((cycle[2], cycle[1]), Segment(0, 1, 3, -1), Segment(0, 3, 3, 1)),
+            (Segment(0, 2, 2, 1), Segment(0, 2, 1, 1), (cycle[0],)),
+            ((cycle[3],), Segment(0, 0, 1, 1), Segment(0, 1, last + 4, -1)),
+            (Segment(1, 1, 0, -1), (), Segment(1, 0, 0, 2)),
+        ]
+        names = PathNames(g)
+        # the same diagram with its vertices numbered the other way round
+        n = g.vertex_count
+        flip = [4 * (n - 1 - (t >> 2)) + (t & 3) for t in map(g.twin, range(g.dart_count))]
+        other = PlaneGraph(n, [flip[4 * (n - 1 - (d >> 2)) + (d & 3)]
+                               for d in range(g.dart_count)]).curve_index
+        assert other.curve_vertices != index.curve_vertices
+        for pieces in paths:
+            for cert in (PathCertificate(0, 1, pieces=(pieces,), index=index),
+                         PathCertificate(0, 1, pieces=(pieces,), index=other)):
+                want = "path: " + " ".join(map(str, cert.paths[0])) + "\n"
+                assert format_path_certificate(cert, names) == want
 
     def test_cut_line_sorted(self):
         cert = CutCertificate(frozenset({4, 1, 2}), (frozenset({0}), frozenset({5})))

@@ -218,3 +218,14 @@ class TestInputHandling:
         path.write_text("arrangement 1000000000000000\n")
         assert main(["validate", str(path)]) == 2
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, line", [
+        ("arrangement \u00b2\n", 1),
+        ("arrangement 1\nv \u00b2 0.1 0.0 0.3 0.2\n", 2),
+        ("arrangement 1\nv 0 0.1 0.0 0.3 0.2\ncoord \u00b2 1 2\n", 3),
+    ])
+    def test_unicode_digit_id_is_an_input_error(self, capsys, tmp_path, text, line):
+        path = tmp_path / "digit.arr"
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        assert f"input error: line {line}:" in capsys.readouterr().err

@@ -253,14 +253,14 @@ class TestVertexConnectivity:
             assert len(flow_cut.cut) == 4 and verify_cut(plain, flow_cut)
 
     def test_vgraph_lower_bound_is_certified(self, monkeypatch, venn5):
-        real = connectivity.proof_paths
+        real = connectivity._four_paths
         calls = []
 
-        def counting(g, u, z, v, validated=False):
-            calls.append((u, v))
-            return real(g, u, z, v, validated)
+        def counting(g, index, z, around, su, v):
+            calls.append((around[0][su], v))
+            return real(g, index, z, around, su, v)
 
-        monkeypatch.setattr(connectivity, "proof_paths", counting)
+        monkeypatch.setattr(connectivity, "_four_paths", counting)
         assert vertex_connectivity(venn5)[0] == 4
         assert sorted(calls) == sorted(straight_through_pairs(venn5))
 
@@ -385,6 +385,33 @@ class TestDistanceTwoCertification:
             assert cert.k == 4
             assert verify_certificate(venn4, cert)
 
+    def test_rejected_bundles_fall_back_to_counted_flow_paths(self, monkeypatch, venn5):
+        # every third bundle fails verification and every seventh pair
+        # cannot be built; each is replaced by flow paths and counted
+        real_verify, real_build = (connectivity.verify_compact_certificate,
+                                   connectivity._four_paths)
+        checked, built = [], []
+
+        def verify(g, cert):
+            checked.append((cert.u, cert.v))
+            return len(checked) % 3 != 0 and real_verify(g, cert)
+
+        def build(g, index, z, around, su, v):
+            built.append(None)
+            if len(built) % 7 == 0:
+                raise connectivity._ConstructionSurprise("test")
+            return real_build(g, index, z, around, su, v)
+
+        monkeypatch.setattr(connectivity, "verify_compact_certificate", verify)
+        monkeypatch.setattr(connectivity, "_four_paths", build)
+        result = certify_distance_two(venn5, 4)
+        flow = [cert for *_, cert in result.certificates if cert.index is None]
+        assert result.certified
+        assert result.fallback_count == len(flow) == len(checked) // 3 + len(built) // 7
+        for u, z, v, cert in result.certificates:
+            assert (cert.u, cert.v, cert.k) == (u, v, 4)
+            assert verify_certificate(venn5, cert)
+
     def test_weave_counterexample_at_three(self, weaves):
         result = certify_distance_two(weaves[3], 3)
         assert not result.certified
@@ -475,6 +502,17 @@ class TestCompactCertificates:
                 assert 1 <= len(segments_of(cert)) <= 2
                 assert verify_certificate(g, cert)
 
+    def test_bundles_are_those_of_proof_paths(self, compact_corpus):
+        # the bundles built a common neighbour at a time are the pieces
+        # proof_paths builds for each pair alone, in sorted pair order
+        for g, result in compact_corpus:
+            pairs = [(u, v) for u, _, v, _ in result.certificates]
+            assert pairs == sorted(pairs) and len(pairs) == result.pair_count
+            for u, z, v, cert in result.certificates:
+                alone = proof_paths(g, u, z, v, validated=True)
+                assert not alone.used_fallback
+                assert alone.certificate.pieces == cert.pieces
+
     def test_segment_expansion_is_a_curve_walk(self, compact_corpus):
         for g, cert in sample(compact_corpus):
             for _, _, seg in segments_of(cert):
@@ -557,7 +595,7 @@ class TestCompactCertificates:
                 a1, c1, a2, c2 = (g.twin(d) >> 2 for d in range(4 * x, 4 * x + 4))
                 across = Segment(g.curve_of[4 * x + 1], index.position[g.twin(4 * x + 1)],
                                  index.position[g.twin(4 * x + 3)], index.step[4 * x + 3])
-                around = connectivity._corner_arc(g, index, 4 * x + 3)
+                around = connectivity._around(g, index, x)[1][3]
                 along = Segment(g.curve_of[4 * x], index.position[g.twin(4 * x + 2)],
                                 index.position[g.twin(4 * x)], index.step[4 * x])
                 cert = PathCertificate(c1, a1, pieces=((across, around, along),), index=index)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -15,6 +16,8 @@ from venngraph.generators import (
     gen_weave,
 )
 from venngraph.validate import check_ufi, digon_faces, validate, venn_check
+
+from conftest import random_circle_families
 
 
 class TestVenn3:
@@ -121,6 +124,15 @@ class TestFromCircles:
         assert report.is_general_position
         assert report.is_connected
         assert g.euler_characteristic == 2
+
+    def test_euler_and_curve_count_on_random_families(self):
+        # connected plane maps, whose curves recovered from the twin
+        # table are the circles, each edge on one of them
+        for k, g in random_circle_families(random.Random(8), 60):
+            assert g.is_connected
+            assert g.vertex_count - g.edge_count + len(g.faces) == 2
+            assert len(g.curves) == k
+            assert sum(c.edge_count for c in g.curves) == g.edge_count
 
     def test_triple_point_rejected(self):
         # all three circles pass through the origin

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from venngraph.maps import DisconnectedError, PlaneGraph
+from venngraph.maps import DisconnectedError, PlaneGraph, SelfCrossingCurveError
 from venngraph.validate import (
     check_general_position,
     check_ufi,
@@ -14,7 +16,22 @@ from venngraph.validate import (
     venn_check,
 )
 
-from conftest import figure_eight
+from conftest import figure_eight, random_circle_families
+from test_arrio import random_plane_graph
+
+
+def orbit_walk_revisits(g: PlaneGraph) -> tuple[int, ...]:
+    """Reference: the vertices some curve orbit visits twice, found by
+    walking every orbit with a set of the vertices seen."""
+    orbits, _ = g.unchecked_curves
+    out: set[int] = set()
+    for orbit in orbits:
+        seen: set[int] = set()
+        for d in orbit:
+            if d >> 2 in seen:
+                out.add(d >> 2)
+            seen.add(d >> 2)
+    return tuple(sorted(out))
 
 
 class TestGeneralPosition:
@@ -39,6 +56,25 @@ class TestGeneralPosition:
         report = check_general_position(g)
         assert not report.is_planar
         assert not report.ok
+
+    def test_curve_ids_agree_with_the_orbit_walk(self, weaves, flower):
+        # the lemma in the validate docstring, against the orbit walk
+        rng = random.Random(20261018)
+        corpus = [figure_eight(), flower, *weaves.values()]
+        corpus += [random_plane_graph(rng) for _ in range(2000)]
+        corpus += [g for _, g in random_circle_families(rng, 30)]
+        revisiting = 0
+        for g in corpus:
+            report = check_general_position(g)
+            walked = orbit_walk_revisits(g)
+            assert report.self_crossings == report.same_curve_crossings == walked
+            if walked:
+                revisiting += 1
+                with pytest.raises(SelfCrossingCurveError, match=f"vertex {walked[0]};"):
+                    g.curves
+            else:
+                assert len(g.curves) == len(g.unchecked_curves[0])
+        assert revisiting > 100 and len(corpus) - revisiting > 30
 
 
 class TestUfi:
