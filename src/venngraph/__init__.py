@@ -65,7 +65,6 @@ from .validate import (
     check_ufi,
     digon_faces,
     is_independent_family,
-    is_vgraph,
     two_faces,
     validate,
     venn_check,

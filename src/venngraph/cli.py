@@ -30,7 +30,7 @@ from .dual import DualNotHamiltonianError, NotVennError, dual, winkler_extend
 from .hamilton import DEFAULT_BUDGET, BudgetExceededError, find_hamilton
 from .maps import MapError, PlaneGraph
 from .render import LayoutUnavailableError, render_svg
-from .validate import validate, venn_check
+from .validate import two_faces, validate, venn_check
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAIL = 1
@@ -54,13 +54,13 @@ def _fmt_label(label: int, width: int) -> str:
 
 def _cmd_validate(args) -> int:
     g = _read_graph(args.input)
-    report = validate(g, with_venn=False)
+    report = validate(g)
     gp = report.general_position
     print(f"general-position: {'ok' if report.is_general_position else 'fail'}")
     if gp.self_crossings:
+        # a curve revisits exactly the vertices where it crosses itself
         print("self-crossing-at:", *gp.self_crossings)
-    if gp.same_curve_crossings:
-        print("same-curve-at:", *gp.same_curve_crossings)
+        print("same-curve-at:", *gp.self_crossings)
     print(f"planar: {'yes' if gp.is_planar else 'no'}")
     print(f"connected: {'yes' if report.is_connected else 'no'}")
     print(f"curves: {report.curve_count}")
@@ -70,7 +70,7 @@ def _cmd_validate(args) -> int:
             print(f"  face {vio.face} meets curve {vio.curve} {vio.count} times")
     else:
         print("ufi: ok")
-    print("two-faces:", *(report.two_faces or ("none",)))
+    print("two-faces:", *(two_faces(g) or ("none",)))
     print(f"v-graph: {'yes' if report.is_vgraph else 'no'}")
     return EXIT_OK if report.is_vgraph else EXIT_PROPERTY_FAIL
 
@@ -82,7 +82,9 @@ def _cmd_venn_check(args) -> int:
     print(f"regions: {report.face_count}")
     print(f"distinct-labels: {report.distinct_labels}")
     width = report.curve_count
-    if report.missing_labels:
+    if report.missing_labels is None:
+        print(f"missing: {(1 << report.curve_count) - report.distinct_labels} labels")
+    elif report.missing_labels:
         print("missing:", *(_fmt_label(x, width) for x in report.missing_labels))
     if report.duplicated_labels:
         print("duplicated:", *(_fmt_label(x, width) for x in report.duplicated_labels))

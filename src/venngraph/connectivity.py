@@ -96,7 +96,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, NamedTuple, Union
+from typing import Collection, Iterator, NamedTuple, Union
 
 from .maps import CurveIndex, DisconnectedError, MapError, PlaneGraph, RotationMap
 from .validate import validate
@@ -421,6 +421,7 @@ class _FlowNet:
         self.target: list[int] = []
         self.capacity: list[int] = []
         self.adj: list[list[int]] = [[] for _ in range(n)]
+        self.source_side: Collection[int] | None = None
 
         def add(x: int, y: int) -> None:
             self.adj[x].append(len(self.target))
@@ -445,9 +446,12 @@ class _FlowNet:
     def max_flow(self, u: int, v: int, cap: float = math.inf) -> int:
         """Reset all capacities, then push up to ``cap`` units from u to v.
 
-        A result below ``cap`` is the maximum flow, and the residual state
-        then holds a minimum cut.
+        A result below ``cap`` is the maximum flow, and ``source_side``
+        then holds the nodes that the last, failed search reached in the
+        residual network: the source side of a minimum cut.  Otherwise
+        ``source_side`` is None.
         """
+        self.source_side = None
         self.capacity[:] = self.initial
         s, t = 2 * u + 1, 2 * v
         total = 0
@@ -462,6 +466,7 @@ class _FlowNet:
                         prev_arc[y] = i
                         queue.append(y)
             if t not in prev_arc:
+                self.source_side = prev_arc.keys()
                 break
             y = t
             while y != s:
@@ -511,16 +516,11 @@ def _trace_paths(net: _FlowNet, g: RotationMap, u: int, v: int, k: int) -> PathC
 
 
 def _extract_cut(net: _FlowNet, g: RotationMap, u: int, v: int, k: int) -> CutCertificate:
-    source = 2 * u + 1
-    reach = {source}
-    queue = deque([source])
-    while queue:
-        x = queue.popleft()
-        for i in net.adj[x]:
-            y = net.target[i]
-            if net.capacity[i] > 0 and y not in reach:
-                reach.add(y)
-                queue.append(y)
+    """The minimum cut of the flow ``net`` holds after a maximum u,v-flow
+    of value k, read off its ``source_side``."""
+    reach = net.source_side
+    if reach is None:
+        raise AssertionError("the flow reached its cap, so it holds no cut")
     cut: set[int] = set()
     for x in reach:
         for i in net.adj[x]:
@@ -787,10 +787,8 @@ def proof_paths(
     ``used_fallback``.  Pass ``validated=True`` to skip the V-graph check
     when the caller already did it.
     """
-    if not validated:
-        report = validate(g, with_venn=False)
-        if not report.is_vgraph:
-            raise NotVGraphError("construction requires a valid V-graph")
+    if not validated and not validate(g).is_vgraph:
+        raise NotVGraphError("construction requires a valid V-graph")
     adj = g.adjacency_sets
     if u == v or v in adj[u]:
         raise NotDistanceTwoError(f"{u} and {v} must be distinct and non-adjacent")
@@ -820,7 +818,7 @@ def proof_paths(
 
 
 def _is_vgraph(g: RotationMap) -> bool:
-    return isinstance(g, PlaneGraph) and validate(g, with_venn=False).is_vgraph
+    return isinstance(g, PlaneGraph) and validate(g).is_vgraph
 
 
 def _proof_bundles(

@@ -6,7 +6,8 @@ segments between them.  The embedding is stored purely combinatorially as a
 rotation system.  Every vertex of degree k owns k *darts* (edge ends)
 numbered counterclockwise, and an involution ``twin`` pairs the two darts of
 each edge.  Faces and curves are orbits of permutations composed from
-``twin`` and the rotation, so the whole structure lives in one int table.
+``twin`` and the rotation, each walked by the same orbit loop over a
+successor table, so the whole structure lives in one int table.
 
 Darts are plain ints.  For the 4-regular :class:`PlaneGraph`, the dart of
 vertex ``v`` in rotation slot ``s`` (0..3) is ``4 * v + s``.
@@ -53,6 +54,26 @@ class SameCurveCrossingError(MapError):
 
 class DisconnectedError(MapError):
     """Operation requires a connected graph."""
+
+
+def _orbits(succ: Sequence[int]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The cycles of the permutation ``succ`` of its indices, each from its
+    smallest element and in order of that element, and the cycle id of
+    every element."""
+    orbit_of = [-1] * len(succ)
+    orbits: list[tuple[int, ...]] = []
+    for d0 in range(len(succ)):
+        if orbit_of[d0] >= 0:
+            continue
+        oid = len(orbits)
+        orbit = []
+        d = d0
+        while orbit_of[d] < 0:
+            orbit_of[d] = oid
+            orbit.append(d)
+            d = succ[d]
+        orbits.append(tuple(orbit))
+    return tuple(orbits), tuple(orbit_of)
 
 
 @dataclass(frozen=True)
@@ -226,27 +247,13 @@ class RotationMap:
 
     @cached_property
     def _face_data(self) -> tuple[tuple[Face, ...], tuple[int, ...]]:
-        twin = self._twin
-        n = len(twin)
         # after[d] = rot(d): d + 1, wrapping to the vertex's first dart
-        after = list(range(1, n + 1))
+        after = list(range(1, self.dart_count + 1))
         offsets = self._offsets
         for base, end in zip(offsets, offsets[1:]):
             after[end - 1] = base
-        face_of = [-1] * n
-        faces: list[Face] = []
-        for d0 in range(n):
-            if face_of[d0] >= 0:
-                continue
-            fid = len(faces)
-            orbit = []
-            d = d0
-            while face_of[d] < 0:
-                face_of[d] = fid
-                orbit.append(d)
-                d = after[twin[d]]
-            faces.append(Face(fid, tuple(orbit)))
-        return tuple(faces), tuple(face_of)
+        orbits, face_of = _orbits([after[t] for t in self._twin])
+        return tuple(Face(fid, o) for fid, o in enumerate(orbits)), face_of
 
     @property
     def faces(self) -> tuple[Face, ...]:
@@ -301,27 +308,16 @@ class RotationMap:
         """V - E + F; equals 2 exactly for connected genus-0 maps."""
         return self.vertex_count - self.edge_count + len(self.faces)
 
-    @cached_property
+    @property
     def is_planar(self) -> bool:
         """True iff every connected component embeds in the sphere.
 
-        Each component of a rotation system satisfies V - E + F = 2 - 2g;
-        the map is a plane (rather than higher-genus) embedding iff g = 0
-        componentwise.
+        Each face lies in one component, and component i of a rotation
+        system satisfies V_i - E_i + F_i = 2 - 2g_i with genus g_i >= 0.
+        Summed over c components, V - E + F = 2c - 2(g_1 + ... + g_c),
+        which is 2c exactly when every component has genus zero.
         """
-        comp_of = {}
-        for i, comp in enumerate(self.components):
-            for v in comp:
-                comp_of[v] = i
-        n = len(self.components)
-        vs = [len(c) for c in self.components]
-        es = [0] * n
-        fs = [0] * n
-        for d in self.edges():
-            es[comp_of[self._vertex_of[d]]] += 1
-        for face in self.faces:
-            fs[comp_of[self._vertex_of[face.boundary[0]]]] += 1
-        return all(vs[i] - es[i] + fs[i] == 2 for i in range(n))
+        return self.euler_characteristic == 2 * len(self.components)
 
     # -- distance-2 structure --------------------------------------------
 
@@ -409,22 +405,7 @@ class PlaneGraph(RotationMap):
         validators can inspect degenerate inputs without tripping the
         exceptions that :attr:`curves` raises.
         """
-        twin = self._twin
-        n = len(twin)
-        orbit_of = [-1] * n
-        orbits: list[tuple[int, ...]] = []
-        for d0 in range(n):
-            if orbit_of[d0] >= 0:
-                continue
-            oid = len(orbits)
-            orbit = []
-            d = d0
-            while orbit_of[d] < 0:
-                orbit_of[d] = oid
-                orbit.append(d)
-                d = twin[d] ^ 2
-            orbits.append(tuple(orbit))
-        return tuple(orbits), tuple(orbit_of)
+        return _orbits([t ^ 2 for t in self._twin])
 
     @cached_property
     def unchecked_curves(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:

@@ -4,8 +4,13 @@ An arrangement qualifies as a V-graph when it has at least three curves,
 is connected, lies in general position (simple closed curves, transverse
 crossings, two curves per crossing, plane embedding), and satisfies unique
 face incidence: no curve contributes more than one boundary edge to any
-face.  A simple Venn diagram additionally realises every interior/exterior
-combination of its n curves in exactly one of its 2^n regions.
+face.  :func:`validate` decides that and nothing more, in O(V).
+
+A simple Venn diagram additionally realises every interior/exterior
+combination of its n curves in exactly one of its 2^n regions.  That
+census is :func:`venn_check`'s alone, and it stays O(F): the labels
+missing from it are listed only when 2^n <= F, since past that there are
+too many to list.  Faces met by exactly two curves are :func:`two_faces`'s.
 
 Self-crossings are read off curve ids alone.  Lemma: in a
 :class:`~venngraph.maps.PlaneGraph`, a curve orbit visits vertex v twice
@@ -60,7 +65,6 @@ class GeneralPositionReport:
 
     ok: bool
     self_crossings: tuple[int, ...]
-    same_curve_crossings: tuple[int, ...]
     is_planar: bool
 
 
@@ -70,7 +74,7 @@ class VennReport:
     face_count: int
     labels: tuple[int, ...]
     distinct_labels: int
-    missing_labels: tuple[int, ...]
+    missing_labels: tuple[int, ...] | None
     duplicated_labels: tuple[int, ...]
     is_simple_venn: bool
 
@@ -81,28 +85,25 @@ class ValidationReport:
     is_connected: bool
     curve_count: int
     ufi_violations: tuple[UfiViolation, ...]
-    two_faces: tuple[int, ...]
     is_vgraph: bool
-    venn: VennReport | None
     general_position: GeneralPositionReport
 
 
 def check_general_position(g: PlaneGraph) -> GeneralPositionReport:
     """Report general-position violations; never raises.
 
-    ``self_crossings`` and ``same_curve_crossings`` are the same vertices,
-    those whose two dart pairs share a curve id (see the module
-    docstring); both fields are kept for their readers.
+    ``self_crossings`` are the vertices whose two dart pairs share a curve
+    id, which are also the vertices a curve revisits (see the module
+    docstring).
     """
     _, curve_of = g.unchecked_curves
-    same_curve = tuple(
+    self_crossings = tuple(
         v for v, (a, b) in enumerate(zip(curve_of[0::4], curve_of[1::4])) if a == b
     )
     planar = g.is_planar
     return GeneralPositionReport(
-        ok=not same_curve and planar,
-        self_crossings=same_curve,
-        same_curve_crossings=same_curve,
+        ok=not self_crossings and planar,
+        self_crossings=self_crossings,
         is_planar=planar,
     )
 
@@ -146,6 +147,10 @@ def venn_check(g: PlaneGraph, root_face: int = 0) -> VennReport:
     the offset is normalised so the most frequent label becomes zero
     (smallest such label on ties); a diagram has all labels distinct, which
     makes the normalisation the identity on its own output.
+
+    ``missing_labels`` lists the absent labels when 2^n <= F and is None
+    otherwise, when at least 2^n - F labels are absent; every field costs
+    O(F).
     """
     if not g.is_connected:
         raise DisconnectedError("region labels need a connected arrangement")
@@ -173,7 +178,9 @@ def venn_check(g: PlaneGraph, root_face: int = 0) -> VennReport:
     offset = min(lab for lab, c in counts.items() if c == top)
     norm = tuple(lab ^ offset for lab in labels)
     present = Counter(norm)
-    missing = tuple(x for x in range(1 << n) if x not in present)
+    missing = None
+    if (1 << n) <= len(faces):
+        missing = tuple(x for x in range(1 << n) if x not in present)
     duplicated = tuple(sorted(x for x, c in present.items() if c > 1))
     is_simple = len(faces) == (1 << n) and len(present) == len(faces)
     return VennReport(
@@ -189,32 +196,21 @@ def venn_check(g: PlaneGraph, root_face: int = 0) -> VennReport:
 
 def is_independent_family(g: PlaneGraph) -> bool:
     """Relaxed variant of the diagram check: every label occurs at least once."""
-    return not venn_check(g).missing_labels
+    report = venn_check(g)
+    return report.distinct_labels == 1 << report.curve_count
 
 
-def validate(g: PlaneGraph, with_venn: bool = True) -> ValidationReport:
-    """Full structural report; total on any built graph."""
+def validate(g: PlaneGraph) -> ValidationReport:
+    """Decide whether g is a V-graph; total on any built graph, O(V)."""
     gp = check_general_position(g)
     connected = g.is_connected
     n = len(g.unchecked_curves[0])
     ufi = check_ufi(g)
-    tf = two_faces(g)
-    vg = gp.ok and connected and n >= 3 and not ufi
-    venn = None
-    if with_venn and gp.ok and connected:
-        venn = venn_check(g)
     return ValidationReport(
         is_general_position=gp.ok,
         is_connected=connected,
         curve_count=n,
         ufi_violations=ufi,
-        two_faces=tf,
-        is_vgraph=vg,
-        venn=venn,
+        is_vgraph=gp.ok and connected and n >= 3 and not ufi,
         general_position=gp,
     )
-
-
-def is_vgraph(g: PlaneGraph) -> tuple[bool, ValidationReport]:
-    report = validate(g)
-    return report.is_vgraph, report

@@ -156,9 +156,8 @@ def test_criterion_8_structural_invariants(venn_family, weaves, flower, lens):
         )
         orbits, _ = g.curve_orbit_data
         assert sorted(d for o in orbits for d in o) == list(range(g.dart_count))
-        report = validate(g, with_venn=False)
-        if report.is_vgraph:
-            assert report.two_faces == ()
+        if validate(g).is_vgraph:
+            assert two_faces(g) == ()
     rng = random.Random(1789)
     for _ in range(200):
         g = random_plane_graph(rng)

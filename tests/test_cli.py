@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import importlib
 import re
+import time
+from pathlib import Path
 
 import pytest
 
 from venngraph.arrio import parse_arr, write_arr
 from venngraph.cli import main
+from venngraph.generators import from_circles, gen_weave
 from venngraph.hamilton import verify_cycle
+
+from conftest import circle_chain, figure_eight
+
+VENN6 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "venn6.arr"
 
 
 @pytest.fixture()
@@ -68,6 +76,18 @@ class TestChecks:
         assert "simple-venn: yes" in capsys.readouterr().out
         assert main(["venn-check", weave3_file]) == 1
 
+    def test_venn_check_counts_labels_it_cannot_list(self, capsys, tmp_path):
+        # the flower and a fourth circle on one of its petals: 10 regions,
+        # 9 labels and 2^4 = 16 possible ones, so the 7 absent are counted
+        r = 0.55
+        path = tmp_path / "flower4.arr"
+        path.write_text(write_arr(from_circles(
+            [(0.0, 0.0, r), (1.0, 0.0, r), (0.5, 3 ** 0.5 / 2, r), (1.9, 0.0, r)])))
+        assert main(["venn-check", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "curves: 4\nregions: 10\ndistinct-labels: 9\nmissing: 7 labels\n"
+            "duplicated: 0000\nsimple-venn: no\n")
+
     def test_connectivity(self, capsys, venn3_file, weave3_file):
         assert main(["connectivity", venn3_file]) == 0
         assert "connectivity: 4" in capsys.readouterr().out
@@ -108,6 +128,83 @@ class TestChecks:
 
     def test_paths_bad_triple(self, capsys, venn3_file):
         assert main(["paths", "0", "0", "0", venn3_file]) == 2
+
+
+class TestValidateOutput:
+    """The whole ``validate`` report, line for line."""
+
+    @pytest.mark.parametrize("name, code, expected", [
+        ("venn3", 0, [
+            "general-position: ok", "planar: yes", "connected: yes", "curves: 3",
+            "ufi: ok", "two-faces: none", "v-graph: yes",
+        ]),
+        ("weave3", 1, [
+            "general-position: ok", "planar: yes", "connected: yes", "curves: 2",
+            "ufi: 4 violations",
+            "  face 0 meets curve 0 3 times", "  face 0 meets curve 1 3 times",
+            "  face 2 meets curve 0 3 times", "  face 2 meets curve 1 3 times",
+            "two-faces: 0 1 2 3 4 5 6 7", "v-graph: no",
+        ]),
+        ("flower", 1, [
+            "general-position: ok", "planar: yes", "connected: yes", "curves: 3",
+            "ufi: 3 violations",
+            "  face 0 meets curve 0 2 times", "  face 2 meets curve 1 2 times",
+            "  face 6 meets curve 2 2 times",
+            "two-faces: 3 5 7", "v-graph: no",
+        ]),
+        # the only input whose report names self-crossings
+        ("figure-eight", 1, [
+            "general-position: fail", "self-crossing-at: 0", "same-curve-at: 0",
+            "planar: yes", "connected: yes", "curves: 1",
+            "ufi: 1 violations", "  face 0 meets curve 0 2 times",
+            "two-faces: none", "v-graph: no",
+        ]),
+    ])
+    def test_report(self, capsys, tmp_path, venn3, flower, name, code, expected):
+        g = {"venn3": venn3, "weave3": gen_weave(3), "flower": flower,
+             "figure-eight": figure_eight()}[name]
+        path = tmp_path / f"{name}.arr"
+        path.write_text(write_arr(g))
+        assert main(["validate", str(path)]) == code
+        assert capsys.readouterr().out == "".join(line + "\n" for line in expected)
+
+    def test_certifying_verbs_never_list_two_faces(self, capsys, monkeypatch):
+        def refuse(g):
+            raise AssertionError("two_faces was computed")
+
+        # the package's ``validate`` function shadows the submodule's name
+        monkeypatch.setattr(importlib.import_module("venngraph.validate"),
+                            "two_faces", refuse)
+        assert main(["certify", str(VENN6)]) == 0
+        assert "certified: yes" in capsys.readouterr().out
+        assert main(["connectivity", str(VENN6)]) == 0
+        assert capsys.readouterr().out.startswith("connectivity: 4\n")
+
+
+class TestThirtyCircleChain:
+    """2^30 labels, 60 regions: every verb stays linear in the regions."""
+
+    @pytest.fixture(scope="class")
+    def chain_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("chain") / "chain30.arr"
+        path.write_text(write_arr(circle_chain(30)))
+        return str(path)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["validate"], 1),
+        (["venn-check"], 1),
+        (["extend"], 1),
+        (["render", "--labels"], 0),
+    ])
+    def test_verb_is_fast(self, capsys, chain_file, argv, code):
+        start = time.perf_counter()
+        assert main(argv + [chain_file]) == code
+        assert time.perf_counter() - start < 0.5
+        out = capsys.readouterr().out
+        if argv == ["venn-check"]:
+            assert f"missing: {2**30 - 60} labels" in out.splitlines()
+        if argv == ["render", "--labels"]:
+            assert out.count(">" + "0" * 29 + "1<") == 1
 
 
 class TestHamiltonCli:

@@ -78,7 +78,7 @@ def circle_vgraphs(count: int = 20, seed: int = 41) -> list[PlaneGraph]:
             g = from_circles(circles)
         except ValueError:
             continue  # tangent, concentric or isolated circles
-        if validate(g, with_venn=False).is_vgraph:
+        if validate(g).is_vgraph:
             out.append(g)
     return out
 

@@ -60,10 +60,10 @@ class TestWinklerExtend:
 
     def test_chain_revalidates_every_step(self, venn_family):
         for n, g in venn_family["graphs"].items():
-            report = validate(g)
-            assert report.is_vgraph
-            assert report.venn.is_simple_venn
-            assert report.venn.curve_count == n
+            assert validate(g).is_vgraph
+            report = venn_check(g)
+            assert report.is_simple_venn
+            assert report.curve_count == n
 
     def test_count_evolution(self, venn_family):
         graphs = venn_family["graphs"]

@@ -37,10 +37,10 @@ class TestVenn3:
 class TestVennChain:
     def test_venn4_counts(self):
         g = gen_venn(4)
-        report = validate(g)
         assert g.vertex_count == 14
         assert len(g.faces) == 16
-        assert report.venn.is_simple_venn
+        assert validate(g).is_vgraph
+        assert venn_check(g).is_simple_venn
 
     def test_venn3_alias(self):
         assert gen_venn(3)._twin == gen_venn3()._twin
@@ -120,7 +120,7 @@ class TestFromCircles:
     def test_four_circles_in_a_row(self):
         circles = [(float(i) * 1.2, 0.0, 1.0) for i in range(4)]
         g = from_circles(circles)
-        report = validate(g, with_venn=False)
+        report = validate(g)
         assert report.is_general_position
         assert report.is_connected
         assert g.euler_characteristic == 2

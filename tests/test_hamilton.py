@@ -203,7 +203,7 @@ class TestSearchEffort:
                     g = from_circles(circles)
                 except ValueError:
                     continue  # tangent, concentric or isolated circles
-                if not validate(g, with_venn=False).is_vgraph:
+                if not validate(g).is_vgraph:
                     continue
                 found += 1
                 cycle = find_hamilton(g, budget=2 * g.vertex_count)

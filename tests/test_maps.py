@@ -1,6 +1,7 @@
 from __future__ import annotations
 
-from collections import deque
+import random
+from collections import Counter, deque
 
 import pytest
 
@@ -9,11 +10,65 @@ from venngraph.maps import (
     MapError,
     NonInvolutiveTwinError,
     PlaneGraph,
+    RotationMap,
     SelfTwinError,
 )
 from venngraph.generators import gen_weave
 
 from conftest import figure_eight
+from test_arrio import random_plane_graph
+
+
+def random_rotation_map(rng: random.Random, pieces: int) -> RotationMap:
+    """The disjoint union of ``pieces`` random rotation systems of 1..5
+    vertices of degree 1..4, each with its darts paired at random; a
+    piece is often planar and often not, and may itself be disconnected."""
+    degrees: list[int] = []
+    twin: list[int] = []
+    for _ in range(pieces):
+        ds = [rng.randint(1, 4) for _ in range(rng.randint(1, 5))]
+        if sum(ds) % 2:
+            ds[0] += 1
+        base = len(twin)
+        darts = list(range(base, base + sum(ds)))
+        rng.shuffle(darts)
+        twin.extend([0] * sum(ds))
+        for a, b in zip(darts[0::2], darts[1::2]):
+            twin[a], twin[b] = b, a
+        degrees.extend(ds)
+    return RotationMap(degrees, twin)
+
+
+def component_genera(g: RotationMap) -> list[int]:
+    """Oracle: the genus of every component, from its own V - E + F,
+    with components found by union-find over the edges."""
+    root = list(range(g.vertex_count))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for d in g.edges():
+        a, b = g.edge_endpoints(d)
+        root[find(a)] = find(b)
+    v = Counter(find(x) for x in range(g.vertex_count))
+    e = Counter(find(g.dart_vertex(d)) for d in g.edges())
+    f = Counter(find(g.dart_vertex(face.boundary[0])) for face in g.faces)
+    return [(2 - (v[r] - e[r] + f[r])) // 2 for r in v]
+
+
+def assert_orbits_of(succ, orbits, orbit_of) -> None:
+    """Each orbit follows ``succ`` from its smallest element round to
+    itself, orbits come in order of those elements, and ``orbit_of``
+    names each element's orbit."""
+    assert [o[0] for o in orbits] == sorted(min(o) for o in orbits)
+    for oid, orbit in enumerate(orbits):
+        for i, d in enumerate(orbit):
+            assert orbit_of[d] == oid
+            assert succ(d) == orbit[(i + 1) % len(orbit)]
+    assert sorted(d for o in orbits for d in o) == list(range(len(orbit_of)))
 
 
 def bfs_distances(g, start):
@@ -64,6 +119,11 @@ class TestBuild:
         assert not g.is_connected
         assert len(g.components) == 2
         assert g.is_planar  # both components are genus zero
+        # beside a one-vertex torus map instead, the Euler sum is 2 + 0,
+        # where two plane components would give 4
+        g = PlaneGraph(n + 1, list(w._twin) + [t + 4 * n for t in (2, 3, 0, 1)])
+        assert len(g.components) == 2 and g.euler_characteristic == 2
+        assert not g.is_planar
 
     def test_coords_and_outer_validation(self):
         w = gen_weave(2)
@@ -75,7 +135,35 @@ class TestBuild:
             PlaneGraph(4, w._twin, coords={0: (0.0, 0.0), 2: (1.0, 0.0)})
 
 
+class TestPlanarity:
+    def test_is_planar_agrees_with_per_component_euler(self):
+        rng = random.Random(20261018)
+        kinds = Counter()
+        for _ in range(1500):
+            g = random_rotation_map(rng, rng.randint(1, 4))
+            genera = component_genera(g)
+            assert all(x >= 0 for x in genera)
+            assert g.is_planar == (max(genera) == 0)
+            assert len(g.components) == len(genera)
+            kinds[len(genera) > 1, min(genera) == 0, max(genera) > 0] += 1
+        mixed = kinds[True, True, True]
+        planar_split = kinds[True, True, False]
+        single_torus = kinds[False, False, True]
+        assert mixed > 100 and planar_split > 100 and single_torus > 100
+
+
 class TestPermutationAlgebra:
+    def test_face_and_curve_orbits_follow_their_permutations(self):
+        rng = random.Random(1815)
+        for _ in range(300):
+            m = random_rotation_map(rng, rng.randint(1, 3))
+            assert_orbits_of(lambda d: m.rot(m.twin(d)), [f.boundary for f in m.faces],
+                             m.face_of)
+            g = random_plane_graph(rng)
+            assert_orbits_of(lambda d: g.rot(g.twin(d)), [f.boundary for f in g.faces],
+                             g.face_of)
+            assert_orbits_of(g.curve_next, *g.curve_orbit_data)
+
     def test_twin_is_fixed_point_free_involution(self, venn3, weaves):
         for g in [venn3, *weaves.values()]:
             for d in range(g.dart_count):

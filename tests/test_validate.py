@@ -1,22 +1,24 @@
 from __future__ import annotations
 
+import importlib
 import random
+import time
 
 import pytest
 
+from venngraph.generators import gen_venn
 from venngraph.maps import DisconnectedError, PlaneGraph, SelfCrossingCurveError
 from venngraph.validate import (
     check_general_position,
     check_ufi,
     digon_faces,
     is_independent_family,
-    is_vgraph,
     two_faces,
     validate,
     venn_check,
 )
 
-from conftest import figure_eight, random_circle_families
+from conftest import circle_chain, figure_eight, random_circle_families
 from test_arrio import random_plane_graph
 
 
@@ -67,7 +69,7 @@ class TestGeneralPosition:
         for g in corpus:
             report = check_general_position(g)
             walked = orbit_walk_revisits(g)
-            assert report.self_crossings == report.same_curve_crossings == walked
+            assert report.self_crossings == walked
             if walked:
                 revisiting += 1
                 with pytest.raises(SelfCrossingCurveError, match=f"vertex {walked[0]};"):
@@ -115,14 +117,13 @@ class TestTwoFaces:
 
 class TestVGraph:
     def test_venn3_is_vgraph(self, venn3):
-        ok, report = is_vgraph(venn3)
-        assert ok
+        report = validate(venn3)
         assert report.is_vgraph
         assert report.curve_count == 3
 
     def test_weave_is_not(self, weaves):
-        ok, report = is_vgraph(weaves[5])
-        assert not ok
+        report = validate(weaves[5])
+        assert not report.is_vgraph
         assert report.curve_count == 2
         assert report.ufi_violations
 
@@ -137,7 +138,18 @@ class TestVGraph:
             g = PlaneGraph(venn4.vertex_count, twin)
         except Exception:
             return  # a build error is an acceptable outcome
-        assert not validate(g, with_venn=False).is_vgraph
+        assert not validate(g).is_vgraph
+
+    def test_verdict_labels_no_regions(self, monkeypatch):
+        def refuse(g, root_face=0):
+            raise AssertionError("validate labelled the regions")
+
+        # the package's ``validate`` function shadows the submodule's name
+        module = importlib.import_module("venngraph.validate")
+        monkeypatch.setattr(module, "venn_check", refuse)
+        for n in range(5, 9):
+            report = validate(gen_venn(n))
+            assert report.is_vgraph and report.curve_count == n
 
 
 class TestVennCheck:
@@ -186,6 +198,28 @@ class TestVennCheck:
     def test_independent_family_holds_for_diagram(self, venn4):
         assert is_independent_family(venn4)
 
+    def test_missing_labels_listed_only_up_to_the_region_count(self):
+        # a chain of 5 circles has 10 regions, all labelled differently,
+        # and 2^5 > 10, so the 22 absent labels are not listed
+        report = venn_check(circle_chain(5))
+        assert report.face_count == report.distinct_labels == 10
+        assert report.missing_labels is None
+        assert not report.is_simple_venn
+        assert not is_independent_family(circle_chain(5))
+
+    def test_thirty_circle_chain_is_linear(self):
+        g = circle_chain(30)
+        start = time.perf_counter()
+        report = venn_check(g)
+        verdict = validate(g)
+        assert time.perf_counter() - start < 0.5
+        assert report.curve_count == 30
+        assert report.face_count == report.distinct_labels == 60
+        assert report.missing_labels is None
+        # the outer face meets each inner circle twice
+        assert verdict.is_connected and verdict.is_general_position
+        assert verdict.ufi_violations and not verdict.is_vgraph
+
     def test_torus_labeling_is_inconsistent(self):
         from venngraph.validate import InconsistentLabelingError
 
@@ -198,15 +232,16 @@ class TestCrossImplications:
     def test_vgraph_has_no_two_faces(self, venn_family, weaves, flower, lens):
         corpus = [*venn_family["graphs"].values(), *weaves.values(), flower, lens]
         for g in corpus:
-            report = validate(g, with_venn=False)
-            if report.is_vgraph:
-                assert report.two_faces == ()
+            if validate(g).is_vgraph:
+                assert two_faces(g) == ()
 
     def test_venn_implies_ufi(self, venn_family, weaves, flower, lens):
         corpus = [*venn_family["graphs"].values(), *weaves.values(), flower, lens]
         for g in corpus:
             report = validate(g)
-            if report.venn is not None and report.venn.is_simple_venn:
+            if not (report.is_general_position and report.is_connected):
+                continue
+            if venn_check(g).is_simple_venn:
                 assert report.ufi_violations == ()
 
     def test_diagram_count_formulas(self, venn_family):
