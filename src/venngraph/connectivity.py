@@ -770,7 +770,8 @@ def proof_paths(
 ) -> ProofPathsResult:
     """Four internally disjoint u,v-paths read off the structure around z.
 
-    z must be a common neighbour of the non-adjacent pair u, v.  The curve
+    z must be a common neighbour of the non-adjacent pair u, v, all three
+    vertices of g; otherwise :class:`NotDistanceTwoError`.  The curve
     through the z-u edge plays the 'along' role.  If v is z's opposite
     neighbour on that curve (case 1), the paths are u-z-v, the rest of
     that curve, and the two halves of the perimeter of the four faces
@@ -782,22 +783,26 @@ def proof_paths(
     one curve :class:`Segment` in case 1 and one or two in case 2, and the
     perimeter paths are slices of the face vertex tuples.  It costs
     O(face degree + log V) to build and to verify with
-    :func:`verify_compact_certificate`; ``paths`` expands it.  A
-    verification failure swaps in flow-derived paths and flags
-    ``used_fallback``.  Pass ``validated=True`` to skip the V-graph check
-    when the caller already did it.
+    :func:`verify_compact_certificate`; ``paths`` expands it.  The
+    bundle comes from the route every V-graph certification takes
+    (:func:`_proof_bundles`), where a verification failure swaps in
+    flow-derived paths; this flags ``used_fallback``.  Pass
+    ``validated=True`` to skip the V-graph check when the caller already
+    did it.
     """
     if not validated and not validate(g).is_vgraph:
         raise NotVGraphError("construction requires a valid V-graph")
+    n = g.vertex_count
+    for x in (u, z, v):
+        if not 0 <= x < n:
+            raise NotDistanceTwoError(f"vertex {x} is not in 0..{n - 1}")
     adj = g.adjacency_sets
     if u == v or v in adj[u]:
         raise NotDistanceTwoError(f"{u} and {v} must be distinct and non-adjacent")
     if u not in adj[z] or v not in adj[z]:
         raise NotDistanceTwoError(f"{z} must neighbour both {u} and {v}")
 
-    index = g.curve_index
-    around = _around(g, index, z)
-    nbr = around[0]
+    nbr = [g.twin(d) >> 2 for d in range(4 * z, 4 * z + 4)]
     su = nbr.index(u)
     if nbr[(su + 2) % 4] == v:
         case = 1
@@ -807,14 +812,8 @@ def proof_paths(
         b = nbr[(su + 2) % 4]
         a = nbr[(su + 3) % 4] if nbr[(su + 1) % 4] == v else nbr[(su + 1) % 4]
     roles = {"z": z, "a": a, "b": b}
-    try:
-        pieces = _four_paths(g, index, z, around, su, v)
-    except _ConstructionSurprise:
-        return ProofPathsResult(case, roles, _fallback(g, u, v), used_fallback=True)
-    cert = PathCertificate(u, v, pieces=pieces, index=index)
-    if verify_compact_certificate(g, cert):
-        return ProofPathsResult(case, roles, cert, used_fallback=False)
-    return ProofPathsResult(case, roles, _fallback(g, u, v), used_fallback=True)
+    ((_, _, _, cert),), fallbacks = _proof_bundles(g, {(u, v): z})
+    return ProofPathsResult(case, roles, cert, used_fallback=fallbacks > 0)
 
 
 def _is_vgraph(g: RotationMap) -> bool:
@@ -824,9 +823,9 @@ def _is_vgraph(g: RotationMap) -> bool:
 def _proof_bundles(
     g: PlaneGraph, pairs: dict[tuple[int, int], int]
 ) -> tuple[tuple[tuple[int, int, int, PathCertificate], ...], int]:
-    """Verified bundles, as :func:`proof_paths` builds them, for every
-    pair of ``pairs``, each with a common neighbour, on a V-graph g, and
-    the fallback count; the one route from "V-graph" to "4-connected".
+    """Verified :func:`proof_paths` bundles for every pair of ``pairs``,
+    each with a common neighbour, on a V-graph g, and the fallback count;
+    the one route from "V-graph" to "4-connected".
 
     The pairs are taken in the order of their common neighbours, so that
     z's neighbours and corner arcs are read once for all of its pairs;

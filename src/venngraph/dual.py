@@ -61,19 +61,19 @@ class DualGraph(RotationMap):
     primal darts (and hence between dual and primal edges).
     """
 
-    def __init__(
-        self,
-        degrees: tuple[int, ...],
-        twin: tuple[int, ...],
-        primal: PlaneGraph,
-        to_primal: tuple[int, ...],
-    ):
-        super().__init__(degrees, twin)
-        self.primal = primal
-        self._to_primal = to_primal
-        to_dual = [-1] * len(to_primal)
+    def __init__(self, primal: PlaneGraph):
+        faces = primal.faces
+        to_primal: list[int] = []
+        for f in faces:
+            to_primal.extend(f.boundary)
+        to_dual = [-1] * primal.dart_count
         for dd, pd in enumerate(to_primal):
             to_dual[pd] = dd
+        super().__init__(
+            [f.degree for f in faces], [to_dual[primal.twin(pd)] for pd in to_primal]
+        )
+        self.primal = primal
+        self._to_primal = tuple(to_primal)
         self._to_dual = tuple(to_dual)
 
     def primal_dart(self, dual_dart: int) -> int:
@@ -91,16 +91,7 @@ class DualGraph(RotationMap):
 
 def dual(g: PlaneGraph) -> DualGraph:
     """The planar dual as a rotation system, with the crossing map attached."""
-    faces = g.faces
-    degrees = tuple(f.degree for f in faces)
-    to_primal: list[int] = []
-    for f in faces:
-        to_primal.extend(f.boundary)
-    to_dual = [-1] * g.dart_count
-    for dd, pd in enumerate(to_primal):
-        to_dual[pd] = dd
-    twin = tuple(to_dual[g.twin(pd)] for pd in to_primal)
-    return DualGraph(degrees, twin, g, tuple(to_primal))
+    return DualGraph(g)
 
 
 def prism_order(g: PlaneGraph, curve: Curve) -> list[int]:

@@ -95,7 +95,7 @@ class Face:
 @dataclass(frozen=True)
 class Curve:
     """One closed curve, as the canonically oriented orbit of
-    ``opposite(twin(d))``.
+    :meth:`PlaneGraph.curve_next`.
 
     Of the two orientation orbits of each curve, the one containing the
     smallest dart is kept.  The orbit has one dart per edge of the curve.
@@ -206,9 +206,6 @@ class RotationMap:
 
     def dart_vertex(self, d: int) -> int:
         return self._vertex_of[d]
-
-    def dart_slot(self, d: int) -> int:
-        return d - self._offsets[self._vertex_of[d]]
 
     def darts_of(self, v: int) -> range:
         return range(self._offsets[v], self._offsets[v + 1])
@@ -372,25 +369,6 @@ class PlaneGraph(RotationMap):
         self.coords = dict(coords) if coords else None
         self.outer_dart = outer_dart
 
-    # fast paths for the fixed degree
-    def dart(self, v: int, s: int) -> int:
-        if not 0 <= s < 4:
-            raise BadSlotError(f"slot {s} not in 0..3")
-        return 4 * v + s
-
-    def dart_vertex(self, d: int) -> int:
-        return d >> 2
-
-    def dart_slot(self, d: int) -> int:
-        return d & 3
-
-    def rot(self, d: int) -> int:
-        return (d & ~3) | ((d + 1) & 3)
-
-    def opposite(self, d: int) -> int:
-        """The dart of the same curve leaving the vertex on the far side."""
-        return d ^ 2
-
     def curve_next(self, d: int) -> int:
         """Successor of d along its curve: cross the edge, continue straight."""
         return self._twin[d] ^ 2
@@ -408,41 +386,39 @@ class PlaneGraph(RotationMap):
         return _orbits([t ^ 2 for t in self._twin])
 
     @cached_property
-    def unchecked_curves(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """Curve orbits and the curve id of every dart, without checks.
+    def curve_of(self) -> tuple[int, ...]:
+        """Curve id per dart, defined on every map and never raising.
 
-        Orientation orbits are paired through ``opposite``; the orbit with
-        the smaller first dart is kept.  A self-crossing curve simply ends
-        up with both dart pairs at a vertex carrying the same id, which
-        validators report and :attr:`curves` raises.
+        The two orientation orbits of a curve (the orbit of ``d ^ 2`` is
+        the orbit of ``d`` reversed) share an id, and ids are numbered in
+        order of each curve's smallest dart.  A curve that revisits a
+        vertex simply carries its id on both dart pairs there
+        (:attr:`self_crossings`).
         """
         orbits, orbit_of = self.curve_orbit_data
         curve_of = [-1] * self.dart_count
-        kept: list[tuple[int, ...]] = []
+        cid = 0
         for orbit in orbits:
-            if curve_of[orbit[0]] >= 0:
-                continue
-            for d in orbit + orbits[orbit_of[orbit[0] ^ 2]]:
-                curve_of[d] = len(kept)
-            kept.append(orbit)
-        return tuple(kept), tuple(curve_of)
+            if curve_of[orbit[0]] < 0:
+                for d in orbit + orbits[orbit_of[orbit[0] ^ 2]]:
+                    curve_of[d] = cid
+                cid += 1
+        return tuple(curve_of)
 
     @cached_property
-    def _curve_data(self) -> tuple[tuple[Curve, ...], tuple[int, ...]]:
-        # a curve revisits v exactly when both dart pairs at v carry its
-        # id (proof in the venngraph.validate docstring), so this one test
-        # also rules out two pairs of one curve crossing at a vertex
-        orbits, curve_of = self.unchecked_curves
-        for v, (a, b) in enumerate(zip(curve_of[0::4], curve_of[1::4])):
-            if a == b:
-                raise SelfCrossingCurveError(
-                    f"curve revisits vertex {v}; not a simple closed curve"
-                )
-        return tuple(Curve(cid, o) for cid, o in enumerate(orbits)), curve_of
+    def self_crossings(self) -> tuple[int, ...]:
+        """The vertices some curve revisits, ascending: those whose two
+        dart pairs carry one curve id (proof in the
+        :mod:`venngraph.validate` docstring).  This one test also covers
+        two pairs of one curve crossing at a vertex."""
+        curve_of = self.curve_of
+        return tuple(
+            v for v, (a, b) in enumerate(zip(curve_of[0::4], curve_of[1::4])) if a == b
+        )
 
-    @property
+    @cached_property
     def curves(self) -> tuple[Curve, ...]:
-        """The recovered curves, one per orientation-orbit pair.
+        """The recovered curves, one per orientation-orbit pair, in id order.
 
         Raises :class:`SelfCrossingCurveError`, at the smallest vertex a
         curve revisits, when the arrangement is not a family of simple
@@ -451,19 +427,27 @@ class PlaneGraph(RotationMap):
         it, but no graph raises it: a curve whose two dart pairs cross at
         a vertex revisits that vertex.
         """
-        return self._curve_data[0]
-
-    @property
-    def curve_of(self) -> tuple[int, ...]:
-        """Curve id per dart (both orientations of a curve share an id)."""
-        return self._curve_data[1]
+        if self.self_crossings:
+            raise SelfCrossingCurveError(
+                f"curve revisits vertex {self.self_crossings[0]}; "
+                "not a simple closed curve"
+            )
+        curve_of = self.curve_of
+        curves: list[Curve] = []
+        for orbit in self.curve_orbit_data[0]:
+            # ids rise in orbit order, so each curve's first orbit is the
+            # first one met carrying the next id
+            if curve_of[orbit[0]] == len(curves):
+                curves.append(Curve(len(curves), orbit))
+        return tuple(curves)
 
     @cached_property
     def curve_index(self) -> CurveIndex:
         """Positions on curves and faces (see :class:`CurveIndex`).
 
-        Raises like :attr:`curves` when the arrangement is not a family
-        of simple closed curves in general position.
+        Raises :class:`SelfCrossingCurveError`, like :attr:`curves`, when
+        the arrangement is not a family of simple closed curves in general
+        position.
         """
         n = self.dart_count
         curve_of = self.curve_of

@@ -12,9 +12,11 @@ census is :func:`venn_check`'s alone, and it stays O(F): the labels
 missing from it are listed only when 2^n <= F, since past that there are
 too many to list.  Faces met by exactly two curves are :func:`two_faces`'s.
 
-Self-crossings are read off curve ids alone.  Lemma: in a
-:class:`~venngraph.maps.PlaneGraph`, a curve orbit visits vertex v twice
-exactly when ``curve_of[4v] == curve_of[4v + 1]``.  Proof:
+Self-crossings are read off curve ids alone, by
+:attr:`PlaneGraph.self_crossings <venngraph.maps.PlaneGraph.self_crossings>`,
+which this lemma backs.  Lemma: in a :class:`~venngraph.maps.PlaneGraph`,
+a curve orbit visits vertex v twice exactly when
+``curve_of[4v] == curve_of[4v + 1]``.  Proof:
 
 - Write f(d) = twin(d) ^ 2 for the step along a curve.  If e = f(d) then
   f(e ^ 2) = twin(twin(d)) ^ 2 = d ^ 2, so the orbit of d ^ 2 is the
@@ -96,10 +98,7 @@ def check_general_position(g: PlaneGraph) -> GeneralPositionReport:
     id, which are also the vertices a curve revisits (see the module
     docstring).
     """
-    _, curve_of = g.unchecked_curves
-    self_crossings = tuple(
-        v for v, (a, b) in enumerate(zip(curve_of[0::4], curve_of[1::4])) if a == b
-    )
+    self_crossings = g.self_crossings
     planar = g.is_planar
     return GeneralPositionReport(
         ok=not self_crossings and planar,
@@ -110,7 +109,7 @@ def check_general_position(g: PlaneGraph) -> GeneralPositionReport:
 
 def check_ufi(g: PlaneGraph) -> tuple[UfiViolation, ...]:
     """Per-face, per-curve boundary-edge counts of two or more."""
-    _, curve_of = g.unchecked_curves
+    curve_of = g.curve_of
     out = []
     for face in g.faces:
         cids = [curve_of[d] for d in face.boundary]
@@ -125,7 +124,7 @@ def check_ufi(g: PlaneGraph) -> tuple[UfiViolation, ...]:
 
 def two_faces(g: PlaneGraph) -> tuple[int, ...]:
     """Faces incident to exactly two curves (not merely the digons)."""
-    _, curve_of = g.unchecked_curves
+    curve_of = g.curve_of
     return tuple(
         face.id
         for face in g.faces
@@ -204,7 +203,7 @@ def validate(g: PlaneGraph) -> ValidationReport:
     """Decide whether g is a V-graph; total on any built graph, O(V)."""
     gp = check_general_position(g)
     connected = g.is_connected
-    n = len(g.unchecked_curves[0])
+    n = max(g.curve_of) + 1
     ufi = check_ufi(g)
     return ValidationReport(
         is_general_position=gp.ok,

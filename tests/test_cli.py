@@ -9,7 +9,7 @@ import pytest
 
 from venngraph.arrio import parse_arr, write_arr
 from venngraph.cli import main
-from venngraph.generators import from_circles, gen_weave
+from venngraph.generators import from_circles, gen_venn, gen_weave
 from venngraph.hamilton import verify_cycle
 
 from conftest import circle_chain, figure_eight
@@ -128,6 +128,20 @@ class TestChecks:
 
     def test_paths_bad_triple(self, capsys, venn3_file):
         assert main(["paths", "0", "0", "0", venn3_file]) == 2
+
+    @pytest.mark.parametrize("verb", [["paths"], ["render", "--paths"]])
+    @pytest.mark.parametrize(
+        "triple, bad", [(("99", "1", "2"), 99), (("0", "-12", "1"), -12)]
+    )
+    def test_paths_vertex_outside_the_graph_is_a_usage_error(
+        self, capsys, tmp_path, verb, triple, bad
+    ):
+        path = tmp_path / "venn4.arr"
+        path.write_text(write_arr(gen_venn(4)))
+        assert main([*verb, *triple, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: vertex {bad} is not in 0..13\n"
 
 
 class TestValidateOutput:
@@ -263,6 +277,14 @@ class TestTransforms:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.fullmatch(r"layout: .*face \d+ flat or folded\n", captured.err)
+
+    def test_render_self_crossing_curve_with_coordinates(self, capsys, tmp_path):
+        # curve ids need no simple curves, so a figure eight with stored
+        # coordinates draws its two loops
+        path = tmp_path / "eight.arr"
+        path.write_text("arrangement 1\nv 0 0.1 0.0 0.3 0.2\ncoord 0 0.0 0.0\n")
+        assert main(["render", str(path)]) == 0
+        assert capsys.readouterr().out.count("<path") == 2
 
     def test_render_partial_coordinates_is_an_input_error(self, capsys, tmp_path, venn3):
         lines = [l for l in write_arr(venn3).splitlines() if not l.startswith("coord 0 ")]

@@ -375,6 +375,36 @@ class TestProofPaths:
             wu, wz, wv = weaves[3].distance2_pairs()[0]
             proof_paths(weaves[3], wu, wz, wv)
 
+    def test_vertices_outside_the_graph_are_rejected(self, venn3):
+        u, z, v = venn3.distance2_pairs()[0]
+        n = venn3.vertex_count
+        for triple in ((n, z, v), (u, -n, v), (u, z, -1)):
+            with pytest.raises(NotDistanceTwoError, match=f"not in 0..{n - 1}"):
+                proof_paths(venn3, *triple)
+
+    def test_bundle_comes_from_the_certification_route(self, monkeypatch, venn4):
+        calls = []
+        real = connectivity._proof_bundles
+
+        def recording(g, pairs):
+            calls.append(dict(pairs))
+            return real(g, pairs)
+
+        monkeypatch.setattr(connectivity, "_proof_bundles", recording)
+        for u, z, v in venn4.distance2_pairs():
+            calls.clear()
+            proof_paths(venn4, u, z, v, validated=True)
+            assert calls == [{(u, v): z}]
+
+    def test_rejected_bundle_falls_back_to_flow_paths(self, monkeypatch, venn4):
+        monkeypatch.setattr(connectivity, "verify_compact_certificate",
+                            lambda g, cert: False)
+        for u, z, v in venn4.distance2_pairs():
+            result = proof_paths(venn4, u, z, v, validated=True)
+            assert result.used_fallback
+            assert result.certificate.index is None
+            assert verify_certificate(venn4, result.certificate)
+
 
 class TestDistanceTwoCertification:
     def test_venn4_certified_at_four(self, venn4):

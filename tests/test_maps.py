@@ -230,8 +230,14 @@ class TestCurves:
     def test_figure_eight_rejected(self):
         from venngraph.maps import SelfCrossingCurveError
 
-        with pytest.raises(SelfCrossingCurveError):
-            figure_eight().curves
+        # curve ids exist on every map; only curves and curve_index raise
+        g = figure_eight()
+        assert g.curve_of == (0, 0, 0, 0)
+        assert g.self_crossings == (0,)
+        with pytest.raises(SelfCrossingCurveError, match="vertex 0;"):
+            g.curves
+        with pytest.raises(SelfCrossingCurveError, match="vertex 0;"):
+            g.curve_index
 
     def test_distinct_curves_at_each_vertex(self, venn4):
         for v in range(venn4.vertex_count):

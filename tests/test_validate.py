@@ -24,10 +24,10 @@ from test_arrio import random_plane_graph
 
 def orbit_walk_revisits(g: PlaneGraph) -> tuple[int, ...]:
     """Reference: the vertices some curve orbit visits twice, found by
-    walking every orbit with a set of the vertices seen."""
-    orbits, _ = g.unchecked_curves
+    walking every orbit with a set of the vertices seen.  Both
+    orientations of a curve visit the same vertices."""
     out: set[int] = set()
-    for orbit in orbits:
+    for orbit in g.curve_orbit_data[0]:
         seen: set[int] = set()
         for d in orbit:
             if d >> 2 in seen:
@@ -75,7 +75,7 @@ class TestGeneralPosition:
                 with pytest.raises(SelfCrossingCurveError, match=f"vertex {walked[0]};"):
                     g.curves
             else:
-                assert len(g.curves) == len(g.unchecked_curves[0])
+                assert len(g.curves) == max(g.curve_of) + 1
         assert revisiting > 100 and len(corpus) - revisiting > 30
 
 
