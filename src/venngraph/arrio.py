@@ -122,6 +122,8 @@ def parse_arr(text: str) -> PlaneGraph:
         )
     twin = [refs[d] for d in range(4 * vertex_count)]
     for d, t in enumerate(twin):
+        if t == d:
+            raise ArrSemanticError(ref_line[d], f"dart {d >> 2}.{d & 3} names itself")
         if twin[t] != d:
             raise ArrSemanticError(
                 ref_line[d],

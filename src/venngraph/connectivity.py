@@ -479,36 +479,39 @@ class _FlowNet:
 
 
 def _trace_paths(net: _FlowNet, g: RotationMap, u: int, v: int, k: int) -> PathCertificate:
-    """Decompose the flow into k verified vertex paths, lowest-id target first."""
-    used: dict[int, int] = {}
+    """Decompose the flow into k verified vertex paths, lowest-id target first.
+
+    No flow enters u, as u-in's only forward arc leads back to the source
+    u-out; none leaves the sink v-in, where every search stops; every
+    other vertex carries at most its in -> out arc's one unit.  So each
+    flow arc out of u-out starts a chain that runs to v, meeting no other
+    chain and not itself, and the path is read off by following it.  A
+    walk past V vertices, a dead end, a path count other than k or a
+    failed :func:`verify_certificate` raises :class:`AssertionError`.
+    """
     source, sink = 2 * u + 1, 2 * v
+    capacity, target = net.capacity, net.target
     paths = []
-    for _ in range(k):
-        node = source
-        nodes = [source]
-        pos = {source: 0}
+    for first in net.adj[source]:
+        if first % 2 or not capacity[first ^ 1]:
+            continue  # not a forward arc carrying flow
+        path = [u]
+        node = target[first]
         while node != sink:
-            nxt_arc = None
-            for i in net.adj[node]:
-                if i % 2 == 0 and net.capacity[i ^ 1] > used.get(i, 0):
-                    nxt_arc = i
+            if node % 2 == 0:
+                path.append(node >> 1)
+                if len(path) > g.vertex_count:
+                    raise AssertionError("flow path longer than V: the flow holds a cycle")
+            for arc in net.adj[node]:
+                if arc % 2 == 0 and capacity[arc ^ 1]:
                     break
-            if nxt_arc is None:
+            else:
                 raise AssertionError("flow decomposition lost conservation")
-            used[nxt_arc] = used.get(nxt_arc, 0) + 1
-            nxt = net.target[nxt_arc]
-            if nxt in pos:
-                # cancel the circulation just traced
-                cut_at = pos[nxt]
-                for dropped in nodes[cut_at + 1:]:
-                    del pos[dropped]
-                nodes = nodes[: cut_at + 1]
-                node = nxt
-                continue
-            pos[nxt] = len(nodes)
-            nodes.append(nxt)
-            node = nxt
-        paths.append(tuple([u] + [x >> 1 for x in nodes if x % 2 == 0]))
+            node = target[arc]
+        path.append(v)
+        paths.append(tuple(path))
+    if len(paths) != k:
+        raise AssertionError(f"{len(paths)} flow paths leave u, expected {k}")
     cert = PathCertificate(u, v, tuple(paths))
     if not verify_certificate(g, cert):
         raise AssertionError("flow paths failed verification")

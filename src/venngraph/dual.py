@@ -120,11 +120,11 @@ def winkler_extend(g: PlaneGraph, budget: int | None = None) -> PlaneGraph:
     cycle exists.
 
     For each consecutive pair of regions on the cycle, the lowest shared
-    primal edge is subdivided by a new crossing; consecutive crossings are
-    joined by a new edge through the region they flank.  The chain of new
-    edges is the added curve: it crosses each chosen edge transversally and
-    splits every old region in two.  The output is re-validated before it
-    is returned.
+    primal edge, read off the dual that gave the cycle, is subdivided by
+    a new crossing; consecutive crossings are joined by a new edge
+    through the region they flank.  The chain of new edges is the added
+    curve: it crosses each chosen edge transversally and splits every
+    old region in two.  The output is re-validated before it is returned.
     """
     report = venn_check(g)
     if not report.is_simple_venn:
@@ -151,18 +151,13 @@ def winkler_extend(g: PlaneGraph, budget: int | None = None) -> PlaneGraph:
     nf = len(order)
     v0 = g.vertex_count
 
-    # shared primal edges per unordered face pair, lowest dart first
-    shared: dict[tuple[int, int], list[int]] = {}
+    # the lowest primal edge under the dual darts from each region to the next
     face_of = g.face_of
-    for e in g.edges():
-        fa, fb = face_of[e], face_of[g.twin(e)]
-        key = (fa, fb) if fa < fb else (fb, fa)
-        shared.setdefault(key, []).append(e)
-    chosen: list[int] = []
-    for i in range(nf):
-        fa, fb = order[i], order[(i + 1) % nf]
-        key = (fa, fb) if fa < fb else (fb, fa)
-        chosen.append(min(shared[key]))
+    chosen = [
+        min(g.edge_of(d.primal_dart(x)) for x in d.darts_of(order[i])
+            if d.dart_vertex(d.twin(x)) == order[(i + 1) % nf])
+        for i in range(nf)
+    ]
 
     twin = list(g._twin) + [-1] * (4 * nf)
     side: dict[tuple[int, int], int] = {}  # (step, flanking face) -> new dart

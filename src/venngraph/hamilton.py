@@ -395,15 +395,11 @@ def find_hamilton(
                 if was_in and decide(False, e):
                     break
 
-    cycle_adj: list[list[int]] = [[] for _ in range(n)]
-    for ei, (a, b) in enumerate(edges):
-        if state[ei] == _INCLUDED:
-            cycle_adj[a].append(b)
-            cycle_adj[b].append(a)
-    order = [0, min(cycle_adj[0])]
+    # walk the included edges from vertex 0, towards its lower neighbour first
+    order = [0, min(y for y, e in incident[0] if state[e] == _INCLUDED)]
     while len(order) < n:
-        x, prev = order[-1], order[-2]
-        order.append(cycle_adj[x][1] if cycle_adj[x][0] == prev else cycle_adj[x][0])
+        prev, x = order[-2], order[-1]
+        order.append(next(y for y, e in incident[x] if state[e] == _INCLUDED and y != prev))
     cycle = HamiltonCycle(tuple(order))
     if not verify_cycle(g, cycle.order):
         raise AssertionError("search produced an invalid cycle")

@@ -190,8 +190,11 @@ def render_svg(
 
     ``hamilton`` overlays a vertex cycle; ``cert`` overlays four certified
     paths; ``labels`` writes each region's membership vector in binary at
-    the face centroid.
+    the face centroid.  A map that is not plane raises
+    :class:`LayoutUnavailableError`, with stored coordinates or without.
     """
+    if g.coords and not g.is_planar:
+        raise LayoutUnavailableError("the map is not plane, so no coordinates draw it")
     pos = g.coords if g.coords else barycentric_layout(g)
     to_screen = _viewport(pos, size, margin=40)
     curve_of = g.curve_of

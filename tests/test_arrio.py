@@ -141,11 +141,10 @@ class TestErrors:
         with pytest.raises(ArrSemanticError):
             parse_arr(text)
 
-    def test_self_twin_surfaces_from_build(self):
-        from venngraph.maps import SelfTwinError
-
-        with pytest.raises(SelfTwinError):
+    def test_self_twin_names_its_line(self):
+        with pytest.raises(ArrSemanticError, match="dart 0.0 names itself") as err:
             parse_arr("arrangement 1\nv 0 0.0 0.2 0.1 0.3\n")
+        assert err.value.line == 2
 
     def test_bad_coordinate(self):
         base = "arrangement 1\nv 0 0.1 0.0 0.3 0.2\n"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib
+import math
 import re
 import time
 from pathlib import Path
@@ -11,10 +12,18 @@ from venngraph.arrio import parse_arr, write_arr
 from venngraph.cli import main
 from venngraph.generators import from_circles, gen_venn, gen_weave
 from venngraph.hamilton import verify_cycle
+from venngraph.maps import PlaneGraph
 
-from conftest import circle_chain, figure_eight
+from conftest import circle_chain, complete_rotation_map, figure_eight
 
 VENN6 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "venn6.arr"
+
+# connected and plane, but no cycle passes through all three vertices
+NO_HAMILTON_CYCLE = (
+    "arrangement 3\nv 0 2.2 0.2 0.1 2.3\nv 1 1.1 1.0 2.0 2.1\nv 2 1.2 1.3 0.0 0.3\n"
+)
+# two vertices joined by four parallel edges in an order no plane drawing has
+NOT_PLANE = "arrangement 2\nv 0 1.0 1.1 1.2 1.3\nv 1 0.0 0.1 0.2 0.3\n"
 
 
 @pytest.fixture()
@@ -53,6 +62,10 @@ class TestGen:
 
     def test_gen_missing_parameter(self, capsys):
         assert main(["gen", "venn"]) == 2
+
+    def test_gen_weave_missing_parameter(self, capsys):
+        assert main(["gen", "weave"]) == 2
+        assert "gen weave needs a crossing parameter" in capsys.readouterr().err
 
     def test_gen_bad_parameter(self, capsys):
         assert main(["gen", "weave", "1"]) == 2
@@ -113,6 +126,21 @@ class TestChecks:
             captured = capsys.readouterr()
             assert "certified" not in captured.out
             assert "k must be at least 1" in captured.err
+
+    def test_venn_check_lists_the_missing_label(self, capsys, tmp_path):
+        # three pairwise-crossing circles with no point inside all three
+        g = from_circles([(0, 0, 1.1), (2, 0, 1.1), (1, math.sqrt(3), 1.1)])
+        path = tmp_path / "ring.arr"
+        path.write_text(write_arr(g))
+        assert main(["venn-check", str(path)]) == 1
+        assert "missing: 111" in capsys.readouterr().out.splitlines()
+
+    def test_certify_without_distance_two_pairs_is_vacuous(self, capsys, tmp_path):
+        k5 = complete_rotation_map(5)
+        path = tmp_path / "k5.arr"
+        path.write_text(write_arr(PlaneGraph(5, [k5.twin(d) for d in range(k5.dart_count)])))
+        assert main(["certify", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("vacuous: ")
 
     def test_certify_verbose_prints_paths(self, capsys, venn3_file):
         assert main(["certify", "--verbose", venn3_file]) == 0
@@ -234,6 +262,14 @@ class TestHamiltonCli:
     def test_budget_is_usage_error(self, capsys, venn3_file):
         assert main(["hamilton", "--budget", "1", venn3_file]) == 2
 
+    def test_exhausted_search_is_a_property_failure(self, capsys, tmp_path):
+        path = tmp_path / "three.arr"
+        path.write_text(NO_HAMILTON_CYCLE)
+        assert main(["hamilton", str(path)]) == 1
+        assert capsys.readouterr().out == "exhausted: no Hamilton cycle exists\n"
+        assert main(["render", "--hamilton", str(path)]) == 1
+        assert capsys.readouterr().err == "no Hamilton cycle to overlay\n"
+
 
 class TestTransforms:
     def test_extend_pipeline(self, capsys, venn3_file):
@@ -286,6 +322,17 @@ class TestTransforms:
         assert main(["render", str(path)]) == 0
         assert capsys.readouterr().out.count("<path") == 2
 
+    @pytest.mark.parametrize("coords", ["", "coord 0 0.0 0.0\ncoord 1 1.0 0.0\n"],
+                             ids=["layout", "stored-coordinates"])
+    def test_render_refuses_a_map_that_is_not_plane(self, capsys, tmp_path, coords):
+        path = tmp_path / "not-plane.arr"
+        path.write_text(NOT_PLANE + coords)
+        assert not parse_arr(NOT_PLANE + coords).is_planar
+        assert main(["render", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("layout: ")
+
     def test_render_partial_coordinates_is_an_input_error(self, capsys, tmp_path, venn3):
         lines = [l for l in write_arr(venn3).splitlines() if not l.startswith("coord 0 ")]
         path = tmp_path / "partial.arr"
@@ -313,6 +360,12 @@ class TestInputHandling:
 
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/file.arr"]) == 2
+
+    def test_self_twin_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "self.arr"
+        path.write_text("arrangement 1\nv 0 0.0 0.2 0.1 0.3\n")
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == "input error: line 2: dart 0.0 names itself\n"
 
     def test_malformed_input(self, capsys, tmp_path):
         path = tmp_path / "bad.arr"

@@ -160,6 +160,36 @@ class TestMaxDisjointPaths:
                     assert k == min_separator_size(g, u, v)
                     assert len(cut.cut) == k
 
+    def test_paths_follow_the_flow_in_source_order(self, venn4):
+        # each flow arc out of u-out starts one path; they come in the
+        # order of those arcs, by their targets' ids
+        net = connectivity._FlowNet(venn4)
+        for u, _, v in venn4.distance2_pairs():
+            k, cert, _ = connectivity._witnesses(net, venn4, u, v)
+            assert [p[1] for p in cert.paths] == sorted(p[1] for p in cert.paths)
+            assert len(cert.paths) == k
+
+    def test_corrupted_flow_raises(self, venn4):
+        u, _, v = venn4.distance2_pairs()[0]
+        net = connectivity._FlowNet(venn4)
+        k = net.max_flow(u, v)
+        path = next(p for p in connectivity._trace_paths(net, venn4, u, v, k).paths
+                    if len(p) >= 4)
+
+        def set_flow(x, y, units):
+            arc = next(i for i in net.adj[x] if i % 2 == 0 and net.target[i] == y)
+            net.capacity[arc], net.capacity[arc ^ 1] = 1 - units, units
+
+        with pytest.raises(AssertionError, match="expected"):
+            connectivity._trace_paths(net, venn4, u, v, k + 1)
+        # send the flow out of the path's second interior vertex back into
+        # its first: that path's walk now runs round a cycle forever
+        w1, w2, w3 = path[1:4]
+        set_flow(2 * w2 + 1, 2 * w3, 0)
+        set_flow(2 * w2 + 1, 2 * w1, 1)
+        with pytest.raises(AssertionError, match="longer than V"):
+            connectivity._trace_paths(net, venn4, u, v, k)
+
 
 class TestVertexConnectivity:
     def test_venn3_is_four(self, venn3):

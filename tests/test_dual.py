@@ -10,6 +10,23 @@ from venngraph.maps import Curve
 from venngraph.validate import validate, venn_check
 
 
+def lowest_shared_edges(g, order) -> list[int]:
+    """Per step of the face cycle ``order``, the lowest primal edge whose
+    two sides are that step's two faces, by a scan of every edge."""
+    face_of, nf = g.face_of, len(order)
+    return [
+        min(e for e in g.edges()
+            if {face_of[e], face_of[g.twin(e)]} == {order[i], order[(i + 1) % nf]})
+        for i in range(nf)
+    ]
+
+
+def crossed_edges(g, out) -> list[int]:
+    """The primal edge of g that each new vertex of ``out`` subdivides,
+    in the order of the steps that added them."""
+    return [out.twin(4 * v + 2) for v in range(g.vertex_count, out.vertex_count)]
+
+
 class TestDual:
     def test_package_attribute_is_the_module(self):
         import venngraph
@@ -73,6 +90,13 @@ class TestWinklerExtend:
             assert len(after.faces) == 2 ** (n + 1)
             assert after.is_connected
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_crossings_are_the_lowest_shared_edges(self, n):
+        g = gen_venn(n)
+        curve = next(c for c in reversed(g.curves) if c.edge_count == 2 ** (n - 1))
+        assert crossed_edges(g, winkler_extend(g)) == lowest_shared_edges(
+            g, prism_order(g, curve))
+
     def test_new_curve_crosses_every_region_once(self, venn3):
         g4 = winkler_extend(venn3)
         new_vertices = set(range(venn3.vertex_count, g4.vertex_count))
@@ -131,11 +155,15 @@ class TestRemovableCurve:
 
         def counting(d, **kwargs):
             calls.append(d.vertex_count)
-            return real(d, **kwargs)
+            cycles.append(real(d, **kwargs))
+            return cycles[-1]
 
+        cycles = []
         monkeypatch.setattr(dual_module, "find_hamilton", counting)
         with pytest.warns(RuntimeWarning, match="4-curve diagram"):
             g5 = winkler_extend(venn4)
         assert calls == [16]
+        # the searched order, too, crosses the lowest shared edges
+        assert crossed_edges(venn4, g5) == lowest_shared_edges(venn4, cycles[0].order)
         report = venn_check(g5)
         assert report.is_simple_venn and report.curve_count == 5

@@ -290,6 +290,8 @@ class TestRouteAgreement:
             monkeypatch.setattr(hamilton, "_plane_faces", lambda g, darts: None)
             cycle = find_hamilton(g, budget=spent)
             assert (None if cycle is None else cycle.order) == order
+            # every cycle starts at 0 and heads to its lower neighbour
+            assert order is None or order[0] == 0 and order[1] < order[-1]
             if spent:
                 with pytest.raises(BudgetExceededError) as exc:
                     find_hamilton(g, budget=spent - 1)

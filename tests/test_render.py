@@ -106,6 +106,15 @@ class TestRenderSvg:
         with pytest.raises(LayoutUnavailableError):
             render_svg(weaves[3])
 
+    def test_stored_coordinates_never_draw_a_map_that_is_not_plane(self):
+        # four parallel edges, met in the same rotation at both ends
+        g = PlaneGraph(2, [4, 5, 6, 7, 0, 1, 2, 3], coords={0: (0.0, 0.0), 1: (1.0, 0.0)})
+        assert not g.is_planar
+        with pytest.raises(LayoutUnavailableError, match="not plane"):
+            render_svg(g)
+        eight = PlaneGraph(1, [1, 0, 3, 2], coords={0: (0.0, 0.0)})
+        assert eight.is_planar and render_svg(eight).count("<path") == 2
+
 
 class TestBarycentricLayout:
     def test_positions_average_neighbours(self, venn4):
