@@ -4,7 +4,7 @@ Grammar::
 
     arrangement <V>
     v <id> <n0>.<s0> <n1>.<s1> <n2>.<s2> <n3>.<s3>
-    coord <id> <x> <y>          # optional: one per vertex, for all or none
+    coord <id> <x> <y>          # optional: finite numbers, for all vertices or none
     outer <vertex>.<slot>       # optional, rendering hint only
 
 One ``v`` line per vertex, ids 0..V-1, listing the twin of each of the
@@ -18,10 +18,11 @@ the rotation lines), so ``write(parse(write(g))) == write(g)``.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, chain
+from math import isfinite
 
 from .connectivity import CutCertificate, PathCertificate, Piece, Segment
-from .maps import CurveIndex, PlaneGraph
+from .maps import CurveIndex, NonInvolutiveTwinError, PlaneGraph, SelfTwinError
 
 
 class ArrSyntaxError(ValueError):
@@ -40,57 +41,60 @@ class ArrSemanticError(ValueError):
         self.line = line
 
 
-def _parse_dart(token: str, vertex_count: int, line: int) -> int:
-    # str.isdecimal accepts exactly the characters of the regex class \d
-    v, dot, s = token.partition(".")
-    if not (dot and v.isdecimal() and s.isdecimal()):
-        raise ArrSyntaxError(line, f"expected vertex.slot, got {token!r}")
-    v, s = int(v), int(s)
-    if v >= vertex_count:
-        raise ArrSemanticError(line, f"vertex {v} out of range 0..{vertex_count - 1}")
-    if s >= 4:
-        raise ArrSemanticError(line, f"slot {s} out of range 0..3")
-    return 4 * v + s
+def _parse_darts(tokens: list[str], vertex_count: int, line: int) -> list[int]:
+    """The darts named by ``vertex.slot`` tokens, in order."""
+    darts = []
+    for token in tokens:
+        # str.isdecimal accepts exactly the characters of the regex class \d
+        v, dot, s = token.partition(".")
+        if not (dot and v.isdecimal() and s.isdecimal()):
+            raise ArrSyntaxError(line, f"expected vertex.slot, got {token!r}")
+        v, s = int(v), int(s)
+        if v >= vertex_count:
+            raise ArrSemanticError(line, f"vertex {v} out of range 0..{vertex_count - 1}")
+        if s >= 4:
+            raise ArrSemanticError(line, f"slot {s} out of range 0..3")
+        darts.append(4 * v + s)
+    return darts
 
 
 def parse_arr(text: str) -> PlaneGraph:
     """Parse ARR text into a graph; errors carry line numbers."""
     vertex_count: int | None = None
-    # dart -> twin and dart -> line, filled per 'v' line: nothing of size
-    # O(V) is allocated before the rotation lines are known to exist
-    refs: dict[int, int] = {}
-    ref_line: dict[int, int] = {}
-    seen_vertex: set[int] = set()
+    # the twins of each 'v' line in line order, and per vertex where its
+    # four start and its line: nothing of size O(V) is allocated before
+    # the rotation lines are known to exist, and no object per line outlives it
+    refs: list[int] = []
+    row_at: dict[int, int] = {}
+    row_line: dict[int, int] = {}
     coords: dict[int, tuple[float, float]] = {}
     outer: int | None = None
     last_line = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
         last_line = lineno
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
+        directive = tokens[0]
         if vertex_count is None:
-            if tokens[0] != "arrangement" or len(tokens) != 2 or not tokens[1].isdecimal():
+            if directive != "arrangement" or len(tokens) != 2 or not tokens[1].isdecimal():
                 raise ArrSyntaxError(lineno, "expected header 'arrangement <V>'")
             vertex_count = int(tokens[1])
             if vertex_count < 1:
                 raise ArrSemanticError(lineno, "vertex count must be positive")
             continue
-        if tokens[0] == "v":
+        if directive == "v":
             if len(tokens) != 6 or not tokens[1].isdecimal():
                 raise ArrSyntaxError(lineno, "expected 'v <id> <t0> <t1> <t2> <t3>'")
             vid = int(tokens[1])
             if vid >= vertex_count:
                 raise ArrSemanticError(lineno, f"vertex {vid} out of range")
-            if vid in seen_vertex:
+            if vid in row_at:
                 raise ArrSemanticError(lineno, f"vertex {vid} defined twice")
-            seen_vertex.add(vid)
-            for s, token in enumerate(tokens[2:]):
-                d = 4 * vid + s
-                refs[d] = _parse_dart(token, vertex_count, lineno)
-                ref_line[d] = lineno
-        elif tokens[0] == "coord":
+            row_at[vid] = len(refs)
+            refs += _parse_darts(tokens[2:], vertex_count, lineno)
+            row_line[vid] = lineno
+        elif directive == "coord":
             if len(tokens) != 4 or not tokens[1].isdecimal():
                 raise ArrSyntaxError(lineno, "expected 'coord <id> <x> <y>'")
             vid = int(tokens[1])
@@ -99,19 +103,22 @@ def parse_arr(text: str) -> PlaneGraph:
             if vid in coords:
                 raise ArrSemanticError(lineno, f"vertex {vid} has two coordinates")
             try:
-                coords[vid] = (float(tokens[2]), float(tokens[3]))
+                x, y = float(tokens[2]), float(tokens[3])
             except ValueError:
                 raise ArrSyntaxError(lineno, "coordinates must be numbers") from None
-        elif tokens[0] == "outer":
+            if not (isfinite(x) and isfinite(y)):
+                raise ArrSyntaxError(lineno, "coordinates must be finite numbers")
+            coords[vid] = (x, y)
+        elif directive == "outer":
             if len(tokens) != 2:
                 raise ArrSyntaxError(lineno, "expected 'outer <vertex>.<slot>'")
-            outer = _parse_dart(tokens[1], vertex_count, lineno)
+            (outer,) = _parse_darts(tokens[1:], vertex_count, lineno)
         else:
-            raise ArrSyntaxError(lineno, f"unknown directive {tokens[0]!r}")
+            raise ArrSyntaxError(lineno, f"unknown directive {directive!r}")
     if vertex_count is None:
         raise ArrSyntaxError(last_line or 1, "missing 'arrangement' header")
-    if len(seen_vertex) < vertex_count:
-        missing = next(x for x in range(vertex_count) if x not in seen_vertex)
+    if len(row_at) < vertex_count:
+        missing = next(x for x in range(vertex_count) if x not in row_at)
         raise ArrSyntaxError(
             last_line, f"truncated: no rotation line for vertex {missing}"
         )
@@ -120,25 +127,28 @@ def parse_arr(text: str) -> PlaneGraph:
         raise ArrSemanticError(
             last_line, f"no coordinates for vertex {missing}; give all or none"
         )
-    twin = [refs[d] for d in range(4 * vertex_count)]
-    for d, t in enumerate(twin):
+    twin = list(chain.from_iterable(
+        refs[i:i + 4] for i in map(row_at.__getitem__, range(vertex_count))))
+    try:
+        return PlaneGraph(vertex_count, twin, coords=coords or None, outer_dart=outer)
+    except (SelfTwinError, NonInvolutiveTwinError) as exc:
+        # the constructor names the first dart that fails its twin test
+        d = exc.dart
+        t = twin[d]
         if t == d:
-            raise ArrSemanticError(ref_line[d], f"dart {d >> 2}.{d & 3} names itself")
-        if twin[t] != d:
-            raise ArrSemanticError(
-                ref_line[d],
-                f"twin mismatch: dart {d >> 2}.{d & 3} names {t >> 2}.{t & 3}, "
-                f"which names {twin[t] >> 2}.{twin[t] & 3}",
-            )
-    return PlaneGraph(vertex_count, twin, coords=coords or None, outer_dart=outer)
+            message = f"dart {d >> 2}.{d & 3} names itself"
+        else:
+            message = (f"twin mismatch: dart {d >> 2}.{d & 3} names {t >> 2}.{t & 3}, "
+                       f"which names {twin[t] >> 2}.{twin[t] & 3}")
+        raise ArrSemanticError(row_line[d >> 2], message) from None
 
 
 def write_arr(g: PlaneGraph) -> str:
     """Canonical ARR text for a graph."""
     lines = [f"arrangement {g.vertex_count}"]
-    refs = [f"{t >> 2}.{t & 3}" for t in map(g.twin, range(g.dart_count))]
-    for v in range(g.vertex_count):
-        lines.append(f"v {v} " + " ".join(refs[4 * v:4 * v + 4]))
+    refs = iter([f"{t >> 2}.{t & 3}" for t in g._twin])
+    lines += [f"v {v} {a} {b} {c} {d}"
+              for v, a, b, c, d in zip(range(g.vertex_count), refs, refs, refs, refs)]
     if g.coords:
         for v in sorted(g.coords):
             x, y = g.coords[v]

@@ -27,6 +27,7 @@ next extension finds it first.
 from __future__ import annotations
 
 import warnings
+from itertools import chain
 
 from .hamilton import find_hamilton, verify_cycle
 from .maps import Curve, MapError, PlaneGraph, RotationMap
@@ -62,15 +63,14 @@ class DualGraph(RotationMap):
     """
 
     def __init__(self, primal: PlaneGraph):
-        faces = primal.faces
-        to_primal: list[int] = []
-        for f in faces:
-            to_primal.extend(f.boundary)
+        boundaries = list(map(primal.face_boundary, range(len(primal.face_first))))
+        to_primal = list(chain.from_iterable(boundaries))
         to_dual = [-1] * primal.dart_count
         for dd, pd in enumerate(to_primal):
             to_dual[pd] = dd
         super().__init__(
-            [f.degree for f in faces], [to_dual[primal.twin(pd)] for pd in to_primal]
+            list(map(len, boundaries)),
+            list(map(to_dual.__getitem__, map(primal._twin.__getitem__, to_primal))),
         )
         self.primal = primal
         self._to_primal = tuple(to_primal)
@@ -152,12 +152,13 @@ def winkler_extend(g: PlaneGraph, budget: int | None = None) -> PlaneGraph:
     v0 = g.vertex_count
 
     # the lowest primal edge under the dual darts from each region to the next
-    face_of = g.face_of
-    chosen = [
-        min(g.edge_of(d.primal_dart(x)) for x in d.darts_of(order[i])
-            if d.dart_vertex(d.twin(x)) == order[(i + 1) % nf])
-        for i in range(nf)
-    ]
+    face_of, twin_of, to_primal = g.face_of, g._twin, d._to_primal
+    chosen = []
+    for i, f in enumerate(order):
+        after = order[(i + 1) % nf]
+        darts = d.darts_of(f)
+        chosen.append(min(min(x, twin_of[x]) for x in to_primal[darts.start:darts.stop]
+                          if face_of[twin_of[x]] == after))
 
     twin = list(g._twin) + [-1] * (4 * nf)
     side: dict[tuple[int, int], int] = {}  # (step, flanking face) -> new dart

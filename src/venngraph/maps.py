@@ -6,22 +6,31 @@ segments between them.  The embedding is stored purely combinatorially as a
 rotation system.  Every vertex of degree k owns k *darts* (edge ends)
 numbered counterclockwise, and an involution ``twin`` pairs the two darts of
 each edge.  Faces and curves are orbits of permutations composed from
-``twin`` and the rotation, each walked by the same orbit loop over a
-successor table, so the whole structure lives in one int table.
+``twin`` and the rotation.
 
 Darts are plain ints.  For the 4-regular :class:`PlaneGraph`, the dart of
 vertex ``v`` in rotation slot ``s`` (0..3) is ``4 * v + s``.
 
-Maps are immutable once constructed; faces, curves and adjacency are
-derived lazily and cached, so instances are safe to share across
-concurrent readers.
+The derived structure is held as int tables, each filled by one pass:
+the face successor of every dart, with each dart's face id and each
+face's first dart; each dart's curve id and each curve's first dart;
+and the connected components, by a search over the twin table.  The
+checks in :mod:`venngraph.validate` read only these tables.  The
+:class:`Face` and :class:`Curve` objects, :attr:`PlaneGraph.curve_orbit_data`
+and :attr:`RotationMap.adjacency_sets` are built from the same tables on
+first request, with the same numbering.
+
+Maps are immutable once constructed; everything derived is computed
+lazily and cached, so instances are safe to share across concurrent
+readers.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain, repeat
+from operator import eq, itemgetter, xor
 from typing import Collection, Iterable, Mapping, Sequence
 
 
@@ -34,11 +43,19 @@ class BadSlotError(MapError):
 
 
 class SelfTwinError(MapError):
-    """The twin table maps a dart to itself."""
+    """The twin table maps a dart to itself; ``dart`` names it."""
+
+    def __init__(self, message: str, dart: int):
+        super().__init__(message)
+        self.dart = dart
 
 
 class NonInvolutiveTwinError(MapError):
-    """twin(twin(d)) != d for some dart d."""
+    """twin(twin(d)) != d for some dart d, named by ``dart``."""
+
+    def __init__(self, message: str, dart: int):
+        super().__init__(message)
+        self.dart = dart
 
 
 class SelfCrossingCurveError(MapError):
@@ -56,24 +73,31 @@ class DisconnectedError(MapError):
     """Operation requires a connected graph."""
 
 
-def _orbits(succ: Sequence[int]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The cycles of the permutation ``succ`` of its indices, each from its
-    smallest element and in order of that element, and the cycle id of
-    every element."""
+def _orbit_table(succ: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The cycle id of every element of the permutation ``succ`` of its
+    indices, cycles numbered in order of their smallest elements, and
+    that smallest element of each cycle."""
     orbit_of = [-1] * len(succ)
-    orbits: list[tuple[int, ...]] = []
+    first: list[int] = []
     for d0 in range(len(succ)):
-        if orbit_of[d0] >= 0:
-            continue
-        oid = len(orbits)
-        orbit = []
-        d = d0
-        while orbit_of[d] < 0:
-            orbit_of[d] = oid
-            orbit.append(d)
-            d = succ[d]
-        orbits.append(tuple(orbit))
-    return tuple(orbits), tuple(orbit_of)
+        if orbit_of[d0] < 0:
+            oid = len(first)
+            first.append(d0)
+            d = d0
+            while orbit_of[d] < 0:
+                orbit_of[d] = oid
+                d = succ[d]
+    return orbit_of, first
+
+
+def _walk(succ: Sequence[int], d0: int) -> tuple[int, ...]:
+    """The cycle of ``succ`` through ``d0``, starting there."""
+    orbit = [d0]
+    d = succ[d0]
+    while d != d0:
+        orbit.append(d)
+        d = succ[d]
+    return tuple(orbit)
 
 
 @dataclass(frozen=True)
@@ -150,39 +174,40 @@ class RotationMap:
     """
 
     def __init__(self, degrees: Sequence[int], twin: Sequence[int]):
-        degrees = tuple(int(x) for x in degrees)
+        degrees = tuple(map(int, degrees))
         if not degrees:
             raise BadSlotError("a map needs at least one vertex")
-        if any(x <= 0 for x in degrees):
+        if min(degrees) <= 0:
             raise BadSlotError("every vertex needs positive degree")
-        offsets = [0]
-        for x in degrees:
-            offsets.append(offsets[-1] + x)
+        offsets = tuple(accumulate(degrees, initial=0))
         n_darts = offsets[-1]
-        twin = tuple(int(x) for x in twin)
+        twin = tuple(map(int, twin))
         if len(twin) != n_darts:
             raise BadSlotError(
                 f"twin table has {len(twin)} entries, expected {n_darts}"
             )
-        vertex_of = [0] * n_darts
-        for v, deg in enumerate(degrees):
-            for d in range(offsets[v], offsets[v + 1]):
-                vertex_of[d] = v
-        for d, t in enumerate(twin):
-            if not 0 <= t < n_darts:
-                raise BadSlotError(f"twin({d}) = {t} is out of range")
-            if t == d:
-                raise SelfTwinError(f"twin({d}) = {d}")
-            if twin[t] != d:
-                raise NonInvolutiveTwinError(
-                    f"twin({t}) = {twin[t]}, expected {d}"
-                )
+        # whole-table tests first; the walk below only names the first bad dart
+        ids = tuple(range(n_darts))
+        if (min(twin) < 0 or max(twin) >= n_darts or any(map(eq, twin, ids))
+                or itemgetter(*twin)(twin) != ids):
+            for d, t in enumerate(twin):
+                if not 0 <= t < n_darts:
+                    raise BadSlotError(f"twin({d}) = {t} is out of range")
+                if t == d:
+                    raise SelfTwinError(f"twin({d}) = {d}", d)
+                if twin[t] != d:
+                    raise NonInvolutiveTwinError(
+                        f"twin({t}) = {twin[t]}, expected {d}", d
+                    )
         self._degrees = degrees
-        self._offsets = tuple(offsets)
+        self._offsets = offsets
         self._twin = twin
-        self._vertex_of = tuple(vertex_of)
 
     # -- dart primitives ------------------------------------------------
+
+    @cached_property
+    def _vertex_of(self) -> tuple[int, ...]:
+        return tuple(chain.from_iterable(map(repeat, range(len(self._degrees)), self._degrees)))
 
     @property
     def vertex_count(self) -> int:
@@ -235,36 +260,63 @@ class RotationMap:
     @cached_property
     def adjacency_sets(self) -> tuple[frozenset[int], ...]:
         """Neighbor sets; parallel edges collapse, loops keep v in its own set."""
-        sets: list[set[int]] = [set() for _ in range(self.vertex_count)]
-        for d, t in enumerate(self._twin):
-            sets[self._vertex_of[d]].add(self._vertex_of[t])
-        return tuple(frozenset(s) for s in sets)
+        nbr = list(map(self._vertex_of.__getitem__, self._twin))
+        offsets = self._offsets
+        return tuple(map(frozenset, map(nbr.__getitem__, map(slice, offsets, offsets[1:]))))
 
     # -- faces ----------------------------------------------------------
 
     @cached_property
-    def _face_data(self) -> tuple[tuple[Face, ...], tuple[int, ...]]:
+    def _face_table(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         # after[d] = rot(d): d + 1, wrapping to the vertex's first dart
         after = list(range(1, self.dart_count + 1))
         offsets = self._offsets
         for base, end in zip(offsets, offsets[1:]):
             after[end - 1] = base
-        orbits, face_of = _orbits([after[t] for t in self._twin])
-        return tuple(Face(fid, o) for fid, o in enumerate(orbits)), face_of
+        succ = tuple(map(after.__getitem__, self._twin))
+        face_of, first = _orbit_table(succ)
+        return succ, tuple(face_of), tuple(first)
 
     @property
-    def faces(self) -> tuple[Face, ...]:
-        return self._face_data[0]
+    def face_next(self) -> tuple[int, ...]:
+        """Per dart, ``rot(twin(d))``: the next dart round d's face."""
+        return self._face_table[0]
 
     @property
     def face_of(self) -> tuple[int, ...]:
-        """Face id per dart."""
-        return self._face_data[1]
+        """Face id per dart, faces numbered in order of their smallest darts."""
+        return self._face_table[1]
+
+    @property
+    def face_first(self) -> tuple[int, ...]:
+        """Per face, its smallest dart, where its boundary starts."""
+        return self._face_table[2]
+
+    def face_boundary(self, f: int) -> tuple[int, ...]:
+        """Face f's darts in boundary order from its smallest one."""
+        return _walk(self.face_next, self.face_first[f])
+
+    @cached_property
+    def faces(self) -> tuple[Face, ...]:
+        return tuple(Face(f, self.face_boundary(f)) for f in range(len(self.face_first)))
 
     def face_vertices(self, face: Face) -> tuple[int, ...]:
         return tuple(self._vertex_of[d] for d in face.boundary)
 
     # -- connectivity / Euler -------------------------------------------
+
+    def _reach(self, found: list[int], seen: list[bool]) -> list[int]:
+        """Extend ``found``, whose vertices are all marked in ``seen``, by
+        every vertex reachable from them through unmarked vertices,
+        marking each; the one search over the twin table."""
+        twin, vertex_of, offsets = self._twin, self._vertex_of, self._offsets
+        for x in found:
+            for t in twin[offsets[x]:offsets[x + 1]]:
+                y = vertex_of[t]
+                if not seen[y]:
+                    seen[y] = True
+                    found.append(y)
+        return found
 
     def reachable(
         self, sources: Iterable[int], blocked: Collection[int] = ()
@@ -274,26 +326,26 @@ class RotationMap:
         Sources are included even when blocked; the search never passes
         through a blocked vertex.
         """
-        adj = self.adjacency_sets
-        seen = set(sources)
-        queue = deque(seen)
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in seen and y not in blocked:
-                    seen.add(y)
-                    queue.append(y)
-        return frozenset(seen)
+        n = self.vertex_count
+        seen = [False] * n
+        for x in blocked:
+            if 0 <= x < n:
+                seen[x] = True
+        found = list(sources)
+        for x in found:
+            seen[x] = True
+        return frozenset(self._reach(found, seen))
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
-        seen: set[int] = set()
+        """Vertex sets of the connected components, each ascending, in
+        order of their smallest vertices."""
+        seen = [False] * self.vertex_count
         comps = []
         for start in range(self.vertex_count):
-            if start not in seen:
-                comp = self.reachable((start,))
-                seen |= comp
-                comps.append(tuple(sorted(comp)))
+            if not seen[start]:
+                seen[start] = True
+                comps.append(tuple(sorted(self._reach([start], seen))))
         return tuple(comps)
 
     @property
@@ -303,7 +355,7 @@ class RotationMap:
     @property
     def euler_characteristic(self) -> int:
         """V - E + F; equals 2 exactly for connected genus-0 maps."""
-        return self.vertex_count - self.edge_count + len(self.faces)
+        return self.vertex_count - self.edge_count + len(self.face_first)
 
     @property
     def is_planar(self) -> bool:
@@ -376,6 +428,22 @@ class PlaneGraph(RotationMap):
     # -- curve recovery ---------------------------------------------------
 
     @cached_property
+    def _curve_table(self) -> tuple[tuple[int, ...], ...]:
+        succ = tuple(map(xor, self._twin, repeat(2)))
+        orbit_of, orbit_first = _orbit_table(succ)
+        # the orbit of d ^ 2 is the orbit of d reversed (see the
+        # venngraph.validate docstring); one id covers both, and ids rise
+        # with each curve's smallest dart, which starts its first orbit
+        curve_of_orbit = [-1] * len(orbit_first)
+        curve_first: list[int] = []
+        for oid, d0 in enumerate(orbit_first):
+            if curve_of_orbit[oid] < 0:
+                curve_of_orbit[oid] = curve_of_orbit[orbit_of[d0 ^ 2]] = len(curve_first)
+                curve_first.append(d0)
+        curve_of = tuple(map(curve_of_orbit.__getitem__, orbit_of))
+        return succ, tuple(orbit_of), tuple(orbit_first), curve_of, tuple(curve_first)
+
+    @cached_property
     def curve_orbit_data(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """Raw orbits of ``curve_next`` and the orbit id of every dart.
 
@@ -383,9 +451,10 @@ class PlaneGraph(RotationMap):
         validators can inspect degenerate inputs without tripping the
         exceptions that :attr:`curves` raises.
         """
-        return _orbits([t ^ 2 for t in self._twin])
+        succ, orbit_of, orbit_first = self._curve_table[:3]
+        return tuple(_walk(succ, d0) for d0 in orbit_first), orbit_of
 
-    @cached_property
+    @property
     def curve_of(self) -> tuple[int, ...]:
         """Curve id per dart, defined on every map and never raising.
 
@@ -395,15 +464,12 @@ class PlaneGraph(RotationMap):
         vertex simply carries its id on both dart pairs there
         (:attr:`self_crossings`).
         """
-        orbits, orbit_of = self.curve_orbit_data
-        curve_of = [-1] * self.dart_count
-        cid = 0
-        for orbit in orbits:
-            if curve_of[orbit[0]] < 0:
-                for d in orbit + orbits[orbit_of[orbit[0] ^ 2]]:
-                    curve_of[d] = cid
-                cid += 1
-        return tuple(curve_of)
+        return self._curve_table[3]
+
+    @property
+    def curve_first(self) -> tuple[int, ...]:
+        """Per curve id, its smallest dart, where its canonical orbit starts."""
+        return self._curve_table[4]
 
     @cached_property
     def self_crossings(self) -> tuple[int, ...]:
@@ -432,14 +498,8 @@ class PlaneGraph(RotationMap):
                 f"curve revisits vertex {self.self_crossings[0]}; "
                 "not a simple closed curve"
             )
-        curve_of = self.curve_of
-        curves: list[Curve] = []
-        for orbit in self.curve_orbit_data[0]:
-            # ids rise in orbit order, so each curve's first orbit is the
-            # first one met carrying the next id
-            if curve_of[orbit[0]] == len(curves):
-                curves.append(Curve(len(curves), orbit))
-        return tuple(curves)
+        succ = self._curve_table[0]
+        return tuple(Curve(c, _walk(succ, d0)) for c, d0 in enumerate(self.curve_first))
 
     @cached_property
     def curve_index(self) -> CurveIndex:
@@ -460,15 +520,18 @@ class PlaneGraph(RotationMap):
                 step[d], step[d ^ 2] = 1, -1
                 crossings.setdefault((curve.id, curve_of[d ^ 1]), []).append(i)
         face_position = [0] * n
-        for face in self.faces:
-            for i, d in enumerate(face.boundary):
+        face_vertices = []
+        for f in range(len(self.face_first)):
+            boundary = self.face_boundary(f)
+            for i, d in enumerate(boundary):
                 face_position[d] = i
+            face_vertices.append(tuple(d >> 2 for d in boundary))
         return CurveIndex(
             curve_vertices=tuple(c.vertices for c in self.curves),
             position=tuple(position),
             step=tuple(step),
             crossings={k: tuple(x) for k, x in crossings.items()},
-            face_vertices=tuple(self.face_vertices(f) for f in self.faces),
+            face_vertices=tuple(face_vertices),
             face_position=tuple(face_position),
         )
 

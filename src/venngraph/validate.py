@@ -38,8 +38,10 @@ itself are the same set, found in O(V).
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
+from operator import xor
 from typing import NamedTuple
 
 from .maps import DisconnectedError, MapError, PlaneGraph
@@ -108,33 +110,35 @@ def check_general_position(g: PlaneGraph) -> GeneralPositionReport:
 
 
 def check_ufi(g: PlaneGraph) -> tuple[UfiViolation, ...]:
-    """Per-face, per-curve boundary-edge counts of two or more."""
-    curve_of = g.curve_of
-    out = []
-    for face in g.faces:
-        cids = [curve_of[d] for d in face.boundary]
-        if len(set(cids)) == len(cids):
-            continue
-        counts = Counter(cids)
-        for cid in sorted(counts):
-            if counts[cid] >= 2:
-                out.append(UfiViolation(face.id, cid, counts[cid]))
-    return tuple(out)
+    """Per-face, per-curve boundary-edge counts of two or more.
+
+    Every dart lies on one face and one curve, so UFI holds exactly when
+    no two darts share a (face, curve) pair; the pairs are counted only
+    when some do.
+    """
+    if len(_face_curve_pairs(g)) == g.dart_count:
+        return ()
+    counts = Counter(zip(g.face_of, g.curve_of))
+    return tuple(UfiViolation(f, c, k) for (f, c), k in sorted(counts.items()) if k >= 2)
+
+
+def _face_curve_pairs(g: PlaneGraph) -> set[int]:
+    """The (face, curve) pairs of all darts, each as face * n + curve."""
+    n = len(g.curve_first)
+    return {f * n + c for f, c in zip(g.face_of, g.curve_of)}
 
 
 def two_faces(g: PlaneGraph) -> tuple[int, ...]:
     """Faces incident to exactly two curves (not merely the digons)."""
-    curve_of = g.curve_of
-    return tuple(
-        face.id
-        for face in g.faces
-        if len({curve_of[d] for d in face.boundary}) == 2
-    )
+    n = len(g.curve_first)
+    curves_at = Counter(key // n for key in _face_curve_pairs(g))
+    return tuple(f for f in range(len(g.face_first)) if curves_at[f] == 2)
 
 
 def digon_faces(g: PlaneGraph) -> tuple[int, ...]:
     """Faces with a two-edge boundary; diagnostic companion to two_faces."""
-    return tuple(face.id for face in g.faces if face.degree == 2)
+    degree = Counter(g.face_of)
+    return tuple(f for f in range(len(g.face_first)) if degree[f] == 2)
 
 
 def venn_check(g: PlaneGraph, root_face: int = 0) -> VennReport:
@@ -149,48 +153,64 @@ def venn_check(g: PlaneGraph, root_face: int = 0) -> VennReport:
 
     ``missing_labels`` lists the absent labels when 2^n <= F and is None
     otherwise, when at least 2^n - F labels are absent; every field costs
-    O(F).
+    O(F).  A map whose curve crosses itself is never a simple diagram.
+
+    The search reaches every face exactly when the map is connected, as
+    every vertex lies on a face; a disconnected map raises
+    :class:`DisconnectedError` before any disagreement is reported.
     """
-    if not g.is_connected:
-        raise DisconnectedError("region labels need a connected arrangement")
-    n = len(g.curves)
-    curve_of = g.curve_of
-    faces = g.faces
-    face_of = g.face_of
-    labels: list[int | None] = [None] * len(faces)
+    n = len(g.curve_first)
+    curve_of, face_next, first = g.curve_of, g.face_next, g.face_first
+    across = list(map(g.face_of.__getitem__, g._twin))
+    bit = list(map((1).__lshift__, curve_of))
+    labels: list[int | None] = [None] * len(first)
     labels[root_face] = 0
-    queue = deque([root_face])
-    while queue:
-        f = queue.popleft()
-        for d in faces[f].boundary:
-            other = face_of[g.twin(d)]
-            lab = labels[f] ^ (1 << curve_of[d])
-            if labels[other] is None:
+    queue = [root_face]
+    for f in queue:
+        here = labels[f]
+        d = d0 = first[f]
+        while True:
+            other = across[d]
+            lab = here ^ bit[d]
+            seen = labels[other]
+            if seen is None:
                 labels[other] = lab
                 queue.append(other)
-            elif labels[other] != lab:
+            elif seen != lab:
+                if not g.is_connected:
+                    raise _disconnected()
                 raise InconsistentLabelingError(
                     f"faces {f} and {other} disagree across curve {curve_of[d]}"
                 )
+            d = face_next[d]
+            if d == d0:
+                break
+    if len(queue) < len(first):
+        raise _disconnected()
     counts = Counter(labels)
     top = max(counts.values())
     offset = min(lab for lab, c in counts.items() if c == top)
-    norm = tuple(lab ^ offset for lab in labels)
+    norm = tuple(map(xor, labels, repeat(offset)))
     present = Counter(norm)
     missing = None
-    if (1 << n) <= len(faces):
+    if (1 << n) <= len(first):
         missing = tuple(x for x in range(1 << n) if x not in present)
     duplicated = tuple(sorted(x for x, c in present.items() if c > 1))
-    is_simple = len(faces) == (1 << n) and len(present) == len(faces)
+    is_simple = (len(first) == (1 << n) and len(present) == len(first)
+                 and not g.self_crossings)
     return VennReport(
         curve_count=n,
-        face_count=len(faces),
+        face_count=len(first),
         labels=norm,
         distinct_labels=len(present),
         missing_labels=missing,
         duplicated_labels=duplicated,
         is_simple_venn=is_simple,
     )
+
+
+def _disconnected() -> DisconnectedError:
+    return DisconnectedError("region labels need a connected arrangement")
 
 
 def is_independent_family(g: PlaneGraph) -> bool:
@@ -203,7 +223,7 @@ def validate(g: PlaneGraph) -> ValidationReport:
     """Decide whether g is a V-graph; total on any built graph, O(V)."""
     gp = check_general_position(g)
     connected = g.is_connected
-    n = max(g.curve_of) + 1
+    n = len(g.curve_first)
     ufi = check_ufi(g)
     return ValidationReport(
         is_general_position=gp.ok,

@@ -79,6 +79,10 @@ class TestRoundTrip:
             "v 0", "v 0", 1
         ).replace("\nv 3", "  # trailing\n\nv 3")
         assert parse_arr(noisy)._twin == venn3._twin
+        tabbed = "\n".join("\t" + "\t \t".join(line.split()) + "\t#\tnote"
+                           for line in text.splitlines()) + "\n\t\n"
+        back = parse_arr(tabbed)
+        assert back._twin == venn3._twin and back.coords == venn3.coords
 
 
 class TestErrors:
@@ -152,6 +156,64 @@ class TestErrors:
             parse_arr(base + "coord 0 1.0 east\n")
         with pytest.raises(ArrSemanticError):
             parse_arr(base + "coord 0 1 2\ncoord 0 3 4\n")
+        for x, y in [("nan", "0"), ("0", "inf"), ("-Infinity", "1"), ("NaN", "-nan")]:
+            with pytest.raises(ArrSyntaxError) as err:
+                parse_arr(base + f"coord 0 {x} {y}\n")
+            assert err.value.line == 3
+            assert str(err.value) == "line 3: coordinates must be finite numbers"
+
+    V1 = "arrangement 1\nv 0 0.1 0.0 0.3 0.2\n"
+
+    @pytest.mark.parametrize("text, error, line, message", [
+        ("arrangment 1\nv 0 0.1 0.0 0.3 0.2\n", ArrSyntaxError, 1,
+         "expected header 'arrangement <V>'"),
+        ("v 0 0.1 0.0 0.3 0.2\n", ArrSyntaxError, 1, "expected header 'arrangement <V>'"),
+        ("arrangement 0\n", ArrSemanticError, 1, "vertex count must be positive"),
+        ("", ArrSyntaxError, 1, "missing 'arrangement' header"),
+        ("# nothing but a comment\n\n", ArrSyntaxError, 2, "missing 'arrangement' header"),
+        ("arrangement 1\nv 0 0.1 0.0 0.3\n", ArrSyntaxError, 2,
+         "expected 'v <id> <t0> <t1> <t2> <t3>'"),
+        ("arrangement 1\nv x 0.1 0.0 0.3 0.2\n", ArrSyntaxError, 2,
+         "expected 'v <id> <t0> <t1> <t2> <t3>'"),
+        ("arrangement 1\nv 0 0.1 0-0 0.3 0.2\n", ArrSyntaxError, 2,
+         "expected vertex.slot, got '0-0'"),
+        ("arrangement 1\nv 0 0.1 .0 0.3 0.2\n", ArrSyntaxError, 2,
+         "expected vertex.slot, got '.0'"),
+        ("arrangement 1\nv 1 0.1 0.0 0.3 0.2\n", ArrSemanticError, 2, "vertex 1 out of range"),
+        ("arrangement 2\nv 0 0.1 0.0 2.3 0.2\n", ArrSemanticError, 2,
+         "vertex 2 out of range 0..1"),
+        ("arrangement 1\nv 0 0.1 0.0 0.4 0.2\n", ArrSemanticError, 2, "slot 4 out of range 0..3"),
+        (V1 + "v 0 0.1 0.0 0.3 0.2\n", ArrSemanticError, 3, "vertex 0 defined twice"),
+        ("arrangement 1\nv 0 0.0 0.2 0.1 0.3\n", ArrSemanticError, 2, "dart 0.0 names itself"),
+        ("arrangement 2\nv 0 1.0 1.1 1.2 1.3\nv 1 0.0 0.1 0.3 0.2\n", ArrSemanticError, 2,
+         "twin mismatch: dart 0.2 names 1.2, which names 0.3"),
+        ("arrangement 2\nv 0 1.0 1.1 1.2 1.3\n\n", ArrSyntaxError, 3,
+         "truncated: no rotation line for vertex 1"),
+        ("arrangement 2\nv 0 1.0 1.1 1.2 1.3\nv 1 0.0 0.1 0.2 0.3\ncoord 0 1 2\n",
+         ArrSemanticError, 4, "no coordinates for vertex 1; give all or none"),
+        (V1 + "coord 0 1.0 east\n", ArrSyntaxError, 3, "coordinates must be numbers"),
+        (V1 + "coord 0 1.0\n", ArrSyntaxError, 3, "expected 'coord <id> <x> <y>'"),
+        (V1 + "coord 1 1.0 2.0\n", ArrSemanticError, 3, "vertex 1 out of range"),
+        (V1 + "coord 0 1 2\ncoord 0 3 4\n", ArrSemanticError, 4, "vertex 0 has two coordinates"),
+        (V1 + "outer\n", ArrSyntaxError, 3, "expected 'outer <vertex>.<slot>'"),
+        (V1 + "outer 0.1 0.2\n", ArrSyntaxError, 3, "expected 'outer <vertex>.<slot>'"),
+        (V1 + "outer 0:1\n", ArrSyntaxError, 3, "expected vertex.slot, got '0:1'"),
+        (V1 + "outer 0.7\n", ArrSemanticError, 3, "slot 7 out of range 0..3"),
+        (V1 + "vertex 0 0.1 0.0 0.3 0.2\n", ArrSyntaxError, 3, "unknown directive 'vertex'"),
+    ], ids=[
+        "bad-header", "v-before-header", "zero-vertices", "empty", "comment-only",
+        "v-arity", "v-id", "dart-token", "dart-without-vertex", "v-id-range",
+        "dart-vertex-range", "dart-slot-range", "v-twice", "self-twin", "twin-mismatch",
+        "truncated", "partial-coordinates", "coordinate-not-a-number", "coord-arity",
+        "coord-id-range", "coord-twice", "outer-alone", "outer-arity", "outer-token",
+        "outer-slot-range", "unknown-directive",
+    ])
+    def test_each_error_pins_class_line_and_message(self, text, error, line, message):
+        with pytest.raises((ArrSyntaxError, ArrSemanticError)) as err:
+            parse_arr(text)
+        assert type(err.value) is error
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
 
     def test_partial_coordinates_report_last_line(self, venn3):
         lines = [l for l in write_arr(venn3).splitlines() if not l.startswith("coord 0 ")]

@@ -101,6 +101,19 @@ class TestChecks:
             "curves: 4\nregions: 10\ndistinct-labels: 9\nmissing: 7 labels\n"
             "duplicated: 0000\nsimple-venn: no\n")
 
+    def test_self_crossing_curve_is_no_diagram(self, capsys, tmp_path):
+        # one curve crossing itself bounds three regions: both verbs answer
+        # no rather than stopping at the curve
+        path = tmp_path / "eight.arr"
+        path.write_text(write_arr(figure_eight()))
+        assert main(["venn-check", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "curves: 1\nregions: 3\ndistinct-labels: 2\nduplicated: 0\nsimple-venn: no\n")
+        assert main(["extend", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "not a diagram: 1 curves but 2 distinct labels over 3 regions\n"
+
     def test_connectivity(self, capsys, venn3_file, weave3_file):
         assert main(["connectivity", venn3_file]) == 0
         assert "connectivity: 4" in capsys.readouterr().out

@@ -3,12 +3,25 @@ from __future__ import annotations
 import importlib
 import random
 import time
+from collections import Counter, deque
 
 import pytest
 
+from venngraph.arrio import parse_arr, write_arr
 from venngraph.generators import gen_venn
-from venngraph.maps import DisconnectedError, PlaneGraph, SelfCrossingCurveError
+from venngraph.maps import (
+    Curve,
+    DisconnectedError,
+    Face,
+    PlaneGraph,
+    SelfCrossingCurveError,
+)
 from venngraph.validate import (
+    GeneralPositionReport,
+    InconsistentLabelingError,
+    UfiViolation,
+    ValidationReport,
+    VennReport,
     check_general_position,
     check_ufi,
     digon_faces,
@@ -36,6 +49,114 @@ def orbit_walk_revisits(g: PlaneGraph) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
+def orbit_ids(succ, n: int) -> list[int]:
+    """Reference: the orbit of each of 0..n-1 under ``succ``, one step at
+    a time, orbits numbered in order of their smallest elements."""
+    ids = [-1] * n
+    count = 0
+    for d0 in range(n):
+        if ids[d0] < 0:
+            d = d0
+            while ids[d] < 0:
+                ids[d] = count
+                d = succ(d)
+            count += 1
+    return ids
+
+
+def reference_tables(g: PlaneGraph):
+    """Face ids, curve ids and components by their definitions, from the
+    public dart primitives alone: faces are orbits of rot(twin(d)), a
+    curve is the orbits of d and d ^ 2 under curve_next, numbered by its
+    smallest dart, and components come from a search over
+    ``adjacency_sets``."""
+    n = g.dart_count
+    face_of = orbit_ids(lambda d: g.rot(g.twin(d)), n)
+    orbit = orbit_ids(g.curve_next, n)
+    key = [min(orbit[d], orbit[d ^ 2]) for d in range(n)]
+    rank = {k: i for i, k in enumerate(sorted(set(key)))}
+    curve_of = [rank[k] for k in key]
+    seen: set[int] = set()
+    components = []
+    for start in range(g.vertex_count):
+        if start in seen:
+            continue
+        comp, queue = {start}, deque([start])
+        while queue:
+            for y in g.adjacency_sets[queue.popleft()]:
+                if y not in comp:
+                    comp.add(y)
+                    queue.append(y)
+        seen |= comp
+        components.append(tuple(sorted(comp)))
+    return face_of, curve_of, tuple(components)
+
+
+def reference_reports(g: PlaneGraph):
+    """The ``check_ufi``, ``validate`` and ``venn_check`` results by their
+    definitions; the last is the exception venn_check must raise, if any."""
+    face_of, curve_of, components = reference_tables(g)
+    faces = max(face_of) + 1
+    curves = max(curve_of) + 1
+    per_face = Counter(zip(face_of, curve_of))
+    ufi = tuple(UfiViolation(f, c, k) for (f, c), k in sorted(per_face.items()) if k > 1)
+    revisits = orbit_walk_revisits(g)
+    planar = g.vertex_count - g.edge_count + faces == 2 * len(components)
+    connected = len(components) == 1
+    gp = GeneralPositionReport(not revisits and planar, revisits, planar)
+    report = ValidationReport(gp.ok, connected, curves, ufi,
+                              gp.ok and connected and curves >= 3 and not ufi, gp)
+    if not connected:
+        return ufi, report, DisconnectedError
+    # breadth-first from face 0, each face's darts in boundary order from
+    # its smallest one, as the venn_check docstring defines the labels
+    boundary = {f: [] for f in range(faces)}
+    for d in range(g.dart_count):
+        if not boundary[face_of[d]]:
+            e = d
+            while True:
+                boundary[face_of[d]].append(e)
+                e = g.rot(g.twin(e))
+                if e == d:
+                    break
+    labels = {0: 0}
+    queue = deque([0])
+    while queue:
+        f = queue.popleft()
+        for d in boundary[f]:
+            other, lab = face_of[g.twin(d)], labels[f] ^ (1 << curve_of[d])
+            if other not in labels:
+                labels[other] = lab
+                queue.append(other)
+            elif labels[other] != lab:
+                return ufi, report, InconsistentLabelingError(
+                    f"faces {f} and {other} disagree across curve {curve_of[d]}")
+    counts = Counter(labels.values())
+    offset = min(lab for lab, c in counts.items() if c == max(counts.values()))
+    norm = tuple(labels[f] ^ offset for f in range(faces))
+    present = set(norm)
+    venn = VennReport(
+        curves, faces, norm, len(present),
+        tuple(x for x in range(1 << curves) if x not in present)
+        if 1 << curves <= faces else None,
+        tuple(sorted(x for x, c in Counter(norm).items() if c > 1)),
+        faces == 1 << curves and len(present) == faces and not revisits,
+    )
+    return ufi, report, venn
+
+
+@pytest.fixture(scope="module")
+def corpus(weaves, flower):
+    """Seeded graphs: random plane graphs (mostly disconnected or of
+    higher genus), circle families, the figure eight, the flower, the
+    weaves and gen_venn(3..8)."""
+    rng = random.Random(20261018)
+    graphs = [figure_eight(), flower, *weaves.values()]
+    graphs += [random_plane_graph(rng) for _ in range(2000)]
+    graphs += [g for _, g in random_circle_families(rng, 30)]
+    return graphs + [gen_venn(n) for n in range(3, 9)]
+
+
 class TestGeneralPosition:
     def test_venn3_passes(self, venn3):
         report = check_general_position(venn3)
@@ -59,12 +180,8 @@ class TestGeneralPosition:
         assert not report.is_planar
         assert not report.ok
 
-    def test_curve_ids_agree_with_the_orbit_walk(self, weaves, flower):
+    def test_curve_ids_agree_with_the_orbit_walk(self, corpus):
         # the lemma in the validate docstring, against the orbit walk
-        rng = random.Random(20261018)
-        corpus = [figure_eight(), flower, *weaves.values()]
-        corpus += [random_plane_graph(rng) for _ in range(2000)]
-        corpus += [g for _, g in random_circle_families(rng, 30)]
         revisiting = 0
         for g in corpus:
             report = check_general_position(g)
@@ -77,6 +194,28 @@ class TestGeneralPosition:
             else:
                 assert len(g.curves) == max(g.curve_of) + 1
         assert revisiting > 100 and len(corpus) - revisiting > 30
+
+    def test_tables_and_reports_agree_with_their_definitions(self, corpus):
+        outcomes = Counter()
+        for g in corpus:
+            face_of, curve_of, components = reference_tables(g)
+            assert list(g.face_of) == face_of
+            assert list(g.curve_of) == curve_of
+            assert g.components == components
+            ufi, report, venn = reference_reports(g)
+            assert check_ufi(g) == ufi
+            assert validate(g) == report
+            if isinstance(venn, VennReport):
+                assert venn_check(g) == venn
+                outcomes["simple" if venn.is_simple_venn else "report"] += 1
+            else:
+                expected = venn if isinstance(venn, type) else type(venn)
+                with pytest.raises(expected) as err:
+                    venn_check(g)
+                if not isinstance(venn, type):
+                    assert str(err.value) == str(venn)
+                outcomes[expected.__name__] += 1
+        assert min(outcomes.values()) >= 6 and len(outcomes) == 4
 
 
 class TestUfi:
@@ -150,6 +289,18 @@ class TestVGraph:
         for n in range(5, 9):
             report = validate(gen_venn(n))
             assert report.is_vgraph and report.curve_count == n
+
+
+    def test_checks_build_no_face_or_curve_objects(self, monkeypatch):
+        g = parse_arr(write_arr(gen_venn(8)))
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"a {type(self).__name__} object was built")
+
+        monkeypatch.setattr(Face, "__init__", refuse)
+        monkeypatch.setattr(Curve, "__init__", refuse)
+        assert validate(g).is_vgraph
+        assert venn_check(g).is_simple_venn
 
 
 class TestVennCheck:
