@@ -43,14 +43,11 @@ from .hamilton import (
 )
 from .maps import (
     BadSlotError,
-    Curve,
     DisconnectedError,
-    Face,
     MapError,
     NonInvolutiveTwinError,
     PlaneGraph,
     RotationMap,
-    SameCurveCrossingError,
     SelfCrossingCurveError,
     SelfTwinError,
 )

@@ -30,7 +30,7 @@ from .dual import DualNotHamiltonianError, NotVennError, dual, winkler_extend
 from .hamilton import DEFAULT_BUDGET, BudgetExceededError, find_hamilton
 from .maps import MapError, PlaneGraph
 from .render import LayoutUnavailableError, render_svg
-from .validate import two_faces, validate, venn_check
+from .validate import InconsistentLabelingError, two_faces, validate, venn_check
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAIL = 1
@@ -288,6 +288,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PROPERTY_FAIL
     except LayoutUnavailableError as exc:
         print(f"layout: {exc}", file=sys.stderr)
+        return EXIT_PROPERTY_FAIL
+    except InconsistentLabelingError as exc:
+        # the region labels of a map that is not plane need not close up
+        print(f"not plane: {exc}", file=sys.stderr)
         return EXIT_PROPERTY_FAIL
     except (MapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,7 +30,7 @@ import warnings
 from itertools import chain
 
 from .hamilton import find_hamilton, verify_cycle
-from .maps import Curve, MapError, PlaneGraph, RotationMap
+from .maps import MapError, PlaneGraph, RotationMap
 from .validate import venn_check
 
 
@@ -63,7 +63,7 @@ class DualGraph(RotationMap):
     """
 
     def __init__(self, primal: PlaneGraph):
-        boundaries = list(map(primal.face_boundary, range(len(primal.face_first))))
+        boundaries = primal.faces
         to_primal = list(chain.from_iterable(boundaries))
         to_dual = [-1] * primal.dart_count
         for dd, pd in enumerate(to_primal):
@@ -94,17 +94,18 @@ def dual(g: PlaneGraph) -> DualGraph:
     return DualGraph(g)
 
 
-def prism_order(g: PlaneGraph, curve: Curve) -> list[int]:
-    """The faces flanking ``curve``: those on its right in curve order, then
-    those on its left in reverse.
+def prism_order(g: PlaneGraph, c: int) -> list[int]:
+    """The faces flanking curve ``c``: those on its right along its
+    canonical orbit (:attr:`PlaneGraph.curves`), then those on its left in
+    reverse.
 
     This is a Hamilton cycle of the dual exactly when the curve is
     removable in a simple Venn diagram (2^(n-1) edges); otherwise faces
     repeat or are missed, which :func:`verify_cycle` reports.
     """
-    face_of = g.face_of
-    right = [face_of[x] for x in curve.darts]
-    left = [face_of[g.twin(x)] for x in curve.darts]
+    face_of, darts = g.face_of, g.curves[c]
+    right = [face_of[x] for x in darts]
+    left = [face_of[g.twin(x)] for x in darts]
     return right + left[::-1]
 
 
@@ -134,8 +135,9 @@ def winkler_extend(g: PlaneGraph, budget: int | None = None) -> PlaneGraph:
         )
     d = dual(g)
     half = 1 << (report.curve_count - 1)
-    curve = next((c for c in reversed(g.curves) if c.edge_count == half), None)
-    order = None if curve is None else prism_order(g, curve)
+    curves = g.curves
+    c = next((c for c in reversed(range(len(curves))) if len(curves[c]) == half), None)
+    order = None if c is None else prism_order(g, c)
     if order is None or not verify_cycle(d, order):
         warnings.warn(
             f"no removable curve yields a dual Hamilton cycle of this "

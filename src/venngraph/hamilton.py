@@ -131,7 +131,7 @@ def _plane_faces(
         return None
     face_of = sub.face_of
     sides = [(face_of[d], face_of[sub.twin(d)]) for d in sub_darts]
-    return sides, [set(sub.face_vertices(f)) for f in sub.faces]
+    return sides, [{sub.dart_vertex(d) for d in boundary} for boundary in sub.faces]
 
 
 def find_hamilton(

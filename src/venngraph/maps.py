@@ -15,10 +15,12 @@ The derived structure is held as int tables, each filled by one pass:
 the face successor of every dart, with each dart's face id and each
 face's first dart; each dart's curve id and each curve's first dart;
 and the connected components, by a search over the twin table.  The
-checks in :mod:`venngraph.validate` read only these tables.  The
-:class:`Face` and :class:`Curve` objects, :attr:`PlaneGraph.curve_orbit_data`
-and :attr:`RotationMap.adjacency_sets` are built from the same tables on
-first request, with the same numbering.
+checks in :mod:`venngraph.validate` read only these tables.  A face or
+a curve is nothing more than its orbit, a tuple of darts:
+:attr:`RotationMap.faces` and :attr:`PlaneGraph.curves` walk each orbit
+from its first dart on first request, with the tables' numbering.
+:attr:`PlaneGraph.curve_orbit_data` and :attr:`RotationMap.adjacency_sets`
+are likewise built from the tables on first request.
 
 Maps are immutable once constructed; everything derived is computed
 lazily and cached, so instances are safe to share across concurrent
@@ -30,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
+from math import isfinite
 from operator import eq, itemgetter, xor
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -60,13 +63,6 @@ class NonInvolutiveTwinError(MapError):
 
 class SelfCrossingCurveError(MapError):
     """A recovered curve passes through the same vertex twice."""
-
-
-class SameCurveCrossingError(MapError):
-    """Both straight-through dart pairs at a vertex belong to one curve.
-
-    Such a curve revisits the vertex, so graphs raise
-    :class:`SelfCrossingCurveError` for it; the class stays exported."""
 
 
 class DisconnectedError(MapError):
@@ -101,50 +97,13 @@ def _walk(succ: Sequence[int], d0: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class Face:
-    """One face of the embedding: an orbit of ``rot(twin(d))``.
-
-    ``boundary`` lists the orbit's darts starting from the smallest one;
-    consecutive darts are consecutive directed boundary edges.
-    """
-
-    id: int
-    boundary: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.boundary)
-
-
-@dataclass(frozen=True)
-class Curve:
-    """One closed curve, as the canonically oriented orbit of
-    :meth:`PlaneGraph.curve_next`.
-
-    Of the two orientation orbits of each curve, the one containing the
-    smallest dart is kept.  The orbit has one dart per edge of the curve.
-    """
-
-    id: int
-    darts: tuple[int, ...]
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(d >> 2 for d in self.darts)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.darts)
-
-
-@dataclass(frozen=True)
 class CurveIndex:
     """Where every vertex sits on its curves and faces, built in O(V).
 
     Paths that follow a curve or a face boundary can then be named by
-    positions instead of walked.  Positions refer to the canonical
-    orientation of each curve (:class:`Curve`) and to each face's
-    boundary order (:class:`Face`).
+    positions instead of walked.  Positions refer to each curve's
+    canonical orbit (:attr:`PlaneGraph.curves`) and to each face's
+    boundary orbit (:attr:`RotationMap.faces`).
 
     - ``curve_vertices[c]``: curve c's vertices in curve order;
     - ``position[d]``: the position of dart d's vertex on d's curve;
@@ -292,16 +251,13 @@ class RotationMap:
         """Per face, its smallest dart, where its boundary starts."""
         return self._face_table[2]
 
-    def face_boundary(self, f: int) -> tuple[int, ...]:
-        """Face f's darts in boundary order from its smallest one."""
-        return _walk(self.face_next, self.face_first[f])
-
     @cached_property
-    def faces(self) -> tuple[Face, ...]:
-        return tuple(Face(f, self.face_boundary(f)) for f in range(len(self.face_first)))
-
-    def face_vertices(self, face: Face) -> tuple[int, ...]:
-        return tuple(self._vertex_of[d] for d in face.boundary)
+    def faces(self) -> tuple[tuple[int, ...], ...]:
+        """Per face id, its darts in boundary order from its smallest one
+        (:attr:`face_first`); consecutive darts are consecutive directed
+        boundary edges."""
+        succ = self.face_next
+        return tuple(_walk(succ, d0) for d0 in self.face_first)
 
     # -- connectivity / Euler -------------------------------------------
 
@@ -396,7 +352,8 @@ class PlaneGraph(RotationMap):
 
     Optional ``coords`` (vertex -> (x, y), for every vertex or none) and
     ``outer_dart`` are rendering metadata only; no combinatorial operation
-    reads them.
+    reads them.  Coordinates are stored as Python floats, and any that
+    do not convert to a finite float raise :class:`MapError`.
     """
 
     def __init__(
@@ -416,9 +373,16 @@ class PlaneGraph(RotationMap):
             if coords and len(coords) < vertex_count:
                 missing = next(v for v in range(vertex_count) if v not in coords)
                 raise MapError(f"no coordinates for vertex {missing}; give all or none")
+            try:
+                coords = {v: (float(x), float(y)) for v, (x, y) in coords.items()}
+            except (TypeError, ValueError):
+                raise MapError("coordinates must be pairs of numbers") from None
+            bad = next((v for v, xy in coords.items() if not all(map(isfinite, xy))), None)
+            if bad is not None:
+                raise MapError(f"coordinates of vertex {bad} are not finite")
         if outer_dart is not None and not 0 <= outer_dart < 4 * vertex_count:
             raise BadSlotError(f"outer dart {outer_dart} out of range")
-        self.coords = dict(coords) if coords else None
+        self.coords = coords or None
         self.outer_dart = outer_dart
 
     def curve_next(self, d: int) -> int:
@@ -483,55 +447,48 @@ class PlaneGraph(RotationMap):
         )
 
     @cached_property
-    def curves(self) -> tuple[Curve, ...]:
-        """The recovered curves, one per orientation-orbit pair, in id order.
+    def curves(self) -> tuple[tuple[int, ...], ...]:
+        """Per curve id, its canonical orbit of :meth:`curve_next`: of the
+        curve's two orientation orbits, the one from its smallest dart
+        (:attr:`curve_first`), one dart per edge.  Defined on every map
+        and never raising; a curve that revisits a vertex is reported by
+        :attr:`self_crossings` and refused by :attr:`curve_index`."""
+        succ = self._curve_table[0]
+        return tuple(_walk(succ, d0) for d0 in self.curve_first)
+
+    @cached_property
+    def curve_index(self) -> CurveIndex:
+        """Positions on curves and faces (see :class:`CurveIndex`).
 
         Raises :class:`SelfCrossingCurveError`, at the smallest vertex a
         curve revisits, when the arrangement is not a family of simple
         closed curves in general position.
-        :class:`SameCurveCrossingError` is kept for callers that catch
-        it, but no graph raises it: a curve whose two dart pairs cross at
-        a vertex revisits that vertex.
         """
         if self.self_crossings:
             raise SelfCrossingCurveError(
                 f"curve revisits vertex {self.self_crossings[0]}; "
                 "not a simple closed curve"
             )
-        succ = self._curve_table[0]
-        return tuple(Curve(c, _walk(succ, d0)) for c, d0 in enumerate(self.curve_first))
-
-    @cached_property
-    def curve_index(self) -> CurveIndex:
-        """Positions on curves and faces (see :class:`CurveIndex`).
-
-        Raises :class:`SelfCrossingCurveError`, like :attr:`curves`, when
-        the arrangement is not a family of simple closed curves in general
-        position.
-        """
         n = self.dart_count
         curve_of = self.curve_of
         position = [0] * n
         step = [0] * n
         crossings: dict[tuple[int, int], list[int]] = {}
-        for curve in self.curves:
-            for i, d in enumerate(curve.darts):
+        for c, darts in enumerate(self.curves):
+            for i, d in enumerate(darts):
                 position[d] = position[d ^ 2] = i
                 step[d], step[d ^ 2] = 1, -1
-                crossings.setdefault((curve.id, curve_of[d ^ 1]), []).append(i)
+                crossings.setdefault((c, curve_of[d ^ 1]), []).append(i)
         face_position = [0] * n
-        face_vertices = []
-        for f in range(len(self.face_first)):
-            boundary = self.face_boundary(f)
+        for boundary in self.faces:
             for i, d in enumerate(boundary):
                 face_position[d] = i
-            face_vertices.append(tuple(d >> 2 for d in boundary))
         return CurveIndex(
-            curve_vertices=tuple(c.vertices for c in self.curves),
+            curve_vertices=tuple(tuple(d >> 2 for d in darts) for darts in self.curves),
             position=tuple(position),
             step=tuple(step),
             crossings={k: tuple(x) for k, x in crossings.items()},
-            face_vertices=tuple(face_vertices),
+            face_vertices=tuple(tuple(d >> 2 for d in boundary) for boundary in self.faces),
             face_position=tuple(face_position),
         )
 

@@ -93,14 +93,14 @@ def _folded_face(g: PlaneGraph, outer_id: int, z: np.ndarray) -> int | None:
     corners has no area and fails.
     """
     tri = []
-    for face in g.faces:
-        if face.id == outer_id:
+    for f, boundary in enumerate(g.faces):
+        if f == outer_id:
             continue
-        if face.degree < 3:
-            return face.id
-        first = face.boundary[0] >> 2
-        tri.extend((face.id, first, d >> 2, e >> 2)
-                   for d, e in zip(face.boundary[1:-1], face.boundary[2:]))
+        if len(boundary) < 3:
+            return f
+        first = boundary[0] >> 2
+        tri.extend((f, first, d >> 2, e >> 2)
+                   for d, e in zip(boundary[1:-1], boundary[2:]))
     if not tri:
         return None
     fid, a, b, c = np.array(tri).T
@@ -134,11 +134,12 @@ def barycentric_layout(g: PlaneGraph) -> dict[int, tuple[float, float]]:
     check; that last message names the face and, on two or more
     vertices, the graph's vertex connectivity, computed only then.
     """
+    faces = g.faces
     if g.outer_dart is not None:
-        outer = g.faces[g.face_of[g.outer_dart]]
+        outer = g.face_of[g.outer_dart]
     else:
-        outer = max(g.faces, key=lambda f: (f.degree, -f.id))
-    ring = [g.dart_vertex(d) for d in outer.boundary]
+        outer = max(range(len(faces)), key=lambda f: len(faces[f]))
+    ring = [g.dart_vertex(d) for d in faces[outer]]
     if len(set(ring)) != len(ring):
         raise LayoutUnavailableError("chosen outer face boundary is not simple")
 
@@ -155,7 +156,7 @@ def barycentric_layout(g: PlaneGraph) -> dict[int, tuple[float, float]]:
         index[interior] = np.arange(len(interior))
         diag = 4.0 - (around == interior).sum(axis=0)
         z[interior] = _solve(index[around], diag, z[around].sum(axis=0))
-    face = _folded_face(g, outer.id, z)
+    face = _folded_face(g, outer, z)
     if face is not None:
         message = f"averaging layout draws face {face} flat or folded"
         if n >= 2:  # connectivity is defined from two vertices on
@@ -247,11 +248,11 @@ def render_svg(
     if labels:
         report = venn_check(g)
         width = max(report.curve_count, 1)
-        for face in g.faces:
-            verts = {g.dart_vertex(d) for d in face.boundary}
+        for f, boundary in enumerate(g.faces):
+            verts = {g.dart_vertex(d) for d in boundary}
             cx = sum(to_screen(pos[v])[0] for v in verts) / len(verts)
             cy = sum(to_screen(pos[v])[1] for v in verts) / len(verts)
-            text = format(report.labels[face.id], f"0{width}b")
+            text = format(report.labels[f], f"0{width}b")
             out.append(
                 f'<text class="region-label" x="{cx:.2f}" y="{cy:.2f}" '
                 f'font-size="11" font-family="monospace" '

@@ -151,7 +151,7 @@ def test_criterion_8_structural_invariants(venn_family, weaves, flower, lens):
         assert g.euler_characteristic == 2
         assert g.edge_count == 2 * g.vertex_count
         assert len(g.faces) == g.vertex_count + 2
-        assert sorted(d for f in g.faces for d in f.boundary) == list(
+        assert sorted(d for boundary in g.faces for d in boundary) == list(
             range(g.dart_count)
         )
         orbits, _ = g.curve_orbit_data
@@ -164,7 +164,7 @@ def test_criterion_8_structural_invariants(venn_family, weaves, flower, lens):
         back = parse_arr(write_arr(g))
         assert back._twin == g._twin
         assert back.coords == g.coords
-        assert sorted(d for f in back.faces for d in f.boundary) == list(
+        assert sorted(d for boundary in back.faces for d in boundary) == list(
             range(back.dart_count)
         )
     _report(8, True, f"Euler, size and orbit identities on {len(corpus)} graphs "

@@ -85,6 +85,17 @@ class TestRoundTrip:
         assert back._twin == venn3._twin and back.coords == venn3.coords
 
 
+    def test_numpy_scalar_coordinates_round_trip(self, venn3):
+        np = pytest.importorskip("numpy")
+        coords = {v: (np.float64(x), np.float32(y)) for v, (x, y) in venn3.coords.items()}
+        g = PlaneGraph(venn3.vertex_count, venn3._twin, coords=coords)
+        text = write_arr(g)
+        assert "np." not in text
+        back = parse_arr(text)
+        assert back.coords == g.coords == {v: (float(x), float(y))
+                                           for v, (x, y) in coords.items()}
+
+
 class TestErrors:
     def test_out_of_range_vertex(self):
         with pytest.raises(ArrSemanticError) as err:

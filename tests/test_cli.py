@@ -114,6 +114,17 @@ class TestChecks:
         assert captured.out == ""
         assert captured.err == "not a diagram: 1 curves but 2 distinct labels over 3 regions\n"
 
+    @pytest.mark.parametrize("verb", ["venn-check", "extend"])
+    def test_map_that_is_not_plane_is_no_diagram(self, capsys, tmp_path, verb):
+        # a well-formed map whose region labels cannot close up fails the
+        # property, as validate's "planar: no" does; it is no input error
+        path = tmp_path / "torus.arr"
+        path.write_text(NOT_PLANE)
+        assert main([verb, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "not plane: faces 0 and 1 disagree across curve 1\n"
+
     def test_connectivity(self, capsys, venn3_file, weave3_file):
         assert main(["connectivity", venn3_file]) == 0
         assert "connectivity: 4" in capsys.readouterr().out

@@ -87,8 +87,8 @@ def straight_through_pairs(g: PlaneGraph) -> set[tuple[int, int]]:
     """The two neighbours of each vertex along each of its curves, when
     they are not adjacent, read off the curve orbits."""
     out = set()
-    for curve in g.curves:
-        ring = curve.vertices
+    for darts in g.curves:
+        ring = [d >> 2 for d in darts]
         for i in range(len(ring)):
             a, b = ring[i - 1], ring[(i + 1) % len(ring)]
             if a != b and b not in g.adjacency_sets[a]:
@@ -538,19 +538,20 @@ class TestCompactCertificates:
     def test_index_agrees_with_curves_and_faces(self, compact_corpus):
         for g, _ in compact_corpus:
             index = g.curve_index
-            assert index.curve_vertices == tuple(c.vertices for c in g.curves)
-            assert index.face_vertices == tuple(g.face_vertices(f) for f in g.faces)
+            assert index.curve_vertices == tuple(
+                tuple(d >> 2 for d in darts) for darts in g.curves)
+            assert index.face_vertices == tuple(
+                tuple(d >> 2 for d in boundary) for boundary in g.faces)
             for d in range(g.dart_count):
-                curve = g.curves[g.curve_of[d]]
-                assert index.curve_vertices[curve.id][index.position[d]] == d >> 2
-                assert index.step[d] == (1 if d in curve.darts else -1)
-                face = g.faces[g.face_of[d]]
-                assert face.boundary[index.face_position[d]] == d
-            for c in g.curves:
-                for other in g.curves:
-                    want = tuple(i for i, d in enumerate(c.darts)
-                                 if g.curve_of[d ^ 1] == other.id)
-                    assert index.crossings.get((c.id, other.id), ()) == want
+                c = g.curve_of[d]
+                assert index.curve_vertices[c][index.position[d]] == d >> 2
+                assert index.step[d] == (1 if d in g.curves[c] else -1)
+                assert g.faces[g.face_of[d]][index.face_position[d]] == d
+            for c, darts in enumerate(g.curves):
+                for other in range(len(g.curves)):
+                    want = tuple(i for i, d in enumerate(darts)
+                                 if g.curve_of[d ^ 1] == other)
+                    assert index.crossings.get((c, other), ()) == want
 
     def test_bundles_verify_compact_and_expanded(self, compact_corpus):
         for g, result in compact_corpus:
@@ -576,7 +577,7 @@ class TestCompactCertificates:
     def test_segment_expansion_is_a_curve_walk(self, compact_corpus):
         for g, cert in sample(compact_corpus):
             for _, _, seg in segments_of(cert):
-                darts = g.curves[seg.curve].darts
+                darts = g.curves[seg.curve]
                 d = darts[seg.start] if seg.step == 1 else darts[seg.start] ^ 2
                 walk = [d >> 2]
                 while walk[-1] != darts[seg.end] >> 2:

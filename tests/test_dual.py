@@ -6,7 +6,7 @@ from venngraph import dual as dual_module
 from venngraph.dual import NotVennError, dual, prism_order, winkler_extend
 from venngraph.generators import gen_venn
 from venngraph.hamilton import verify_cycle
-from venngraph.maps import Curve
+from venngraph.maps import PlaneGraph
 from venngraph.validate import validate, venn_check
 
 
@@ -42,12 +42,12 @@ class TestDual:
 
     def test_degrees_match_face_boundaries(self, venn4):
         d = dual(venn4)
-        for f in venn4.faces:
-            assert d.degree(f.id) == f.degree
+        for f, boundary in enumerate(venn4.faces):
+            assert d.degree(f) == len(boundary)
 
     def test_dual_faces_are_quadrilaterals(self, venn3, venn4, weaves):
         for g in (venn3, venn4, weaves[3]):
-            assert all(f.degree == 4 for f in dual(g).faces)
+            assert all(len(boundary) == 4 for boundary in dual(g).faces)
 
     def test_crossing_map_is_a_bijection(self, venn4):
         d = dual(venn4)
@@ -93,28 +93,29 @@ class TestWinklerExtend:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_crossings_are_the_lowest_shared_edges(self, n):
         g = gen_venn(n)
-        curve = next(c for c in reversed(g.curves) if c.edge_count == 2 ** (n - 1))
+        c = next(c for c in reversed(range(len(g.curves)))
+                 if len(g.curves[c]) == 2 ** (n - 1))
         assert crossed_edges(g, winkler_extend(g)) == lowest_shared_edges(
-            g, prism_order(g, curve))
+            g, prism_order(g, c))
 
     def test_new_curve_crosses_every_region_once(self, venn3):
         g4 = winkler_extend(venn3)
         new_vertices = set(range(venn3.vertex_count, g4.vertex_count))
         new_curves = [
-            c for c in g4.curves if set(c.vertices) == new_vertices
+            darts for darts in g4.curves if {d >> 2 for d in darts} == new_vertices
         ]
         assert len(new_curves) == 1
-        assert new_curves[0].edge_count == len(venn3.faces)  # 2^n crossings
+        assert len(new_curves[0]) == len(venn3.faces)  # 2^n crossings
 
     def test_new_crossings_are_transverse_pairs(self, venn3):
         g4 = winkler_extend(venn3)
         new_curve = next(
-            c for c in g4.curves
-            if set(c.vertices) == set(range(6, g4.vertex_count))
+            c for c, darts in enumerate(g4.curves)
+            if {d >> 2 for d in darts} == set(range(6, g4.vertex_count))
         )
-        for v in new_curve.vertices:
-            a, b = g4.vertex_curves(v)
-            assert new_curve.id in (a, b)
+        for d in g4.curves[new_curve]:
+            a, b = g4.vertex_curves(d >> 2)
+            assert new_curve in (a, b)
             assert a != b
 
     def test_inputs_must_be_diagrams(self, weaves, flower):
@@ -133,8 +134,8 @@ class TestRemovableCurve:
         g = gen_venn(n)
         d = dual(g)
         verdicts = {
-            c.id: (verify_cycle(d, prism_order(g, c)), c.edge_count == 2 ** (n - 1))
-            for c in g.curves
+            c: (verify_cycle(d, prism_order(g, c)), len(darts) == 2 ** (n - 1))
+            for c, darts in enumerate(g.curves)
         }
         assert all(ok == removable for ok, removable in verdicts.values())
         # the newest curve is removable, so the constructive route applies
@@ -145,7 +146,9 @@ class TestRemovableCurve:
     @pytest.mark.parametrize("breakage", ["no removable curve", "order fails"])
     def test_fallback_searches_once_and_warns(self, monkeypatch, venn4, breakage):
         if breakage == "no removable curve":
-            monkeypatch.setattr(Curve, "edge_count", property(lambda c: 0))
+            # no curve has the 2^(n-1) edges of a removable one
+            monkeypatch.setattr(PlaneGraph, "curves",
+                                property(lambda g: ((),) * len(g.curve_first)))
         else:
             monkeypatch.setattr(
                 dual_module, "prism_order", lambda g, c: list(range(len(g.faces) - 1))

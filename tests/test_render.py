@@ -24,8 +24,8 @@ def without_coords(g: PlaneGraph) -> PlaneGraph:
 
 
 def outer_ring(g: PlaneGraph) -> list[int]:
-    outer = max(g.faces, key=lambda f: (f.degree, -f.id))
-    return [d >> 2 for d in outer.boundary]
+    outer = max(g.faces, key=len)  # the first longest: lowest id on ties
+    return [d >> 2 for d in outer]
 
 
 def dense_layout(g: PlaneGraph) -> dict[int, tuple[float, float]]:
@@ -70,7 +70,7 @@ def folded_face_after(monkeypatch, g: PlaneGraph, mutate) -> int:
 
 
 def face_vertices(g: PlaneGraph, face: int) -> set[int]:
-    return {d >> 2 for d in g.faces[face].boundary}
+    return {d >> 2 for d in g.faces[face]}
 
 
 class TestRenderSvg:
@@ -119,8 +119,7 @@ class TestRenderSvg:
 class TestBarycentricLayout:
     def test_positions_average_neighbours(self, venn4):
         pos = barycentric_layout(venn4)
-        outer = max(venn4.faces, key=lambda f: (f.degree, -f.id))
-        ring = {venn4.dart_vertex(d) for d in outer.boundary}
+        ring = set(outer_ring(venn4))
         for v in range(venn4.vertex_count):
             if v in ring:
                 continue
@@ -188,7 +187,7 @@ class TestDrawingCertificate:
         # the face's opposite edge p q
         v, p, q = next(
             (tri[i], tri[i - 1], tri[i - 2])
-            for tri in ([d >> 2 for d in f.boundary] for f in g.faces if f.degree == 3)
+            for tri in ([d >> 2 for d in f] for f in g.faces if len(f) == 3)
             for i in range(3) if tri[i] not in ring and tri[i - 1] not in ring
             and tri[i - 2] not in ring
         )
