@@ -67,9 +67,14 @@ def from_circles(circles: Sequence[Circle]) -> PlaneGraph:
     for c in range(len(circles)):
         if not on_circle[c]:
             raise ValueError(f"circle {c} crosses nothing; not representable")
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if math.dist(points[i], points[j]) < 1e-6:
+    # sweep by x: a pair closer than 1e-6 is also closer than 1e-6 in x
+    swept = sorted(points)
+    for i, p in enumerate(swept):
+        for j in range(i + 1, len(swept)):
+            q = swept[j]
+            if q[0] - p[0] >= 1e-6:
+                break
+            if math.dist(p, q) < 1e-6:
                 raise ValueError("coincident crossings; not in general position")
 
     def ccw_tangent(c: int, vid: int) -> tuple[float, float]:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
 from math import isfinite
-from operator import eq, itemgetter, xor
+from operator import eq, index, itemgetter, xor
 from typing import Collection, Iterable, Mapping, Sequence
 
 
@@ -352,8 +352,10 @@ class PlaneGraph(RotationMap):
 
     Optional ``coords`` (vertex -> (x, y), for every vertex or none) and
     ``outer_dart`` are rendering metadata only; no combinatorial operation
-    reads them.  Coordinates are stored as Python floats, and any that
-    do not convert to a finite float raise :class:`MapError`.
+    reads them.  Coordinates are stored as Python floats under int
+    vertex ids; a key that :func:`operator.index` refuses, or a
+    coordinate that does not convert to a finite float, raises
+    :class:`MapError`.
     """
 
     def __init__(
@@ -367,14 +369,21 @@ class PlaneGraph(RotationMap):
             raise BadSlotError("vertex_count must be at least 1")
         super().__init__((4,) * vertex_count, twin)
         if coords is not None:
-            bad = [v for v in coords if not 0 <= v < vertex_count]
+            ids = []
+            for v in coords:
+                try:
+                    ids.append(index(v))
+                except TypeError:
+                    raise MapError(f"coordinate key {v!r} is not an int vertex id") from None
+            bad = [v for v in ids if not 0 <= v < vertex_count]
             if bad:
                 raise BadSlotError(f"coordinates for unknown vertex {bad[0]}")
-            if coords and len(coords) < vertex_count:
-                missing = next(v for v in range(vertex_count) if v not in coords)
+            present = set(ids)
+            if ids and len(present) < vertex_count:
+                missing = next(v for v in range(vertex_count) if v not in present)
                 raise MapError(f"no coordinates for vertex {missing}; give all or none")
             try:
-                coords = {v: (float(x), float(y)) for v, (x, y) in coords.items()}
+                coords = {v: (float(x), float(y)) for v, (x, y) in zip(ids, coords.values())}
             except (TypeError, ValueError):
                 raise MapError("coordinates must be pairs of numbers") from None
             bad = next((v for v, xy in coords.items() if not all(map(isfinite, xy))), None)

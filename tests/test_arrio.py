@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -95,6 +97,16 @@ class TestRoundTrip:
         assert back.coords == g.coords == {v: (float(x), float(y))
                                            for v, (x, y) in coords.items()}
 
+
+    def test_fraction_and_decimal_coordinates_round_trip(self, venn3):
+        # the scalar conversion the numpy test covers, with no numpy
+        coords = {v: (Fraction(x), Decimal(y)) for v, (x, y) in venn3.coords.items()}
+        g = PlaneGraph(venn3.vertex_count, venn3._twin, coords=coords)
+        text = write_arr(g)
+        assert "Fraction" not in text and "Decimal" not in text
+        back = parse_arr(text)
+        assert back.coords == g.coords == {v: (float(x), float(y))
+                                           for v, (x, y) in coords.items()}
 
 class TestErrors:
     def test_out_of_range_vertex(self):

@@ -336,7 +336,8 @@ class TestTransforms:
         assert main(["render", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert re.fullmatch(r"layout: .*face \d+ flat or folded\n", captured.err)
+        assert re.fullmatch(r"layout: face \d+ is not a simple cycle of 3 or more corners\n",
+                            captured.err)
 
     def test_render_self_crossing_curve_with_coordinates(self, capsys, tmp_path):
         # curve ids need no simple curves, so a figure eight with stored

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +11,7 @@ from venngraph.cli import main
 from venngraph.dual import winkler_extend
 from venngraph.generators import (
     MAX_VENN_CURVES,
+    _circle_pair_points,
     from_circles,
     gen_venn,
     gen_venn3,
@@ -133,6 +135,21 @@ class TestFromCircles:
             assert g.vertex_count - g.edge_count + len(g.faces) == 2
             assert len(g.curves) == k
             assert sum(map(len, g.curves)) == g.edge_count
+
+    @pytest.mark.parametrize("eps, ok", [(0.25e-6, False), (1e-6, True)])
+    def test_crossings_closer_than_1e_6_are_coincident(self, eps, ok):
+        # the third circle passes eps outside the crossing at the top of
+        # the first two, so its crossings there are 2 eps from it and apart
+        circles = [(0.0, 0.0, 1.0), (1.0, 0.0, 1.0),
+                   (0.5, -math.sqrt(3.0) / 2.0, math.sqrt(3.0) + eps)]
+        points = [p for a, b in combinations(circles, 2) for p in _circle_pair_points(a, b)]
+        gap = min(math.dist(p, q) for p, q in combinations(points, 2))
+        assert gap == pytest.approx(2 * eps, rel=1e-3)
+        if ok:
+            assert from_circles(circles).vertex_count == 6
+        else:
+            with pytest.raises(ValueError, match="coincident crossings"):
+                from_circles(circles)
 
     def test_triple_point_rejected(self):
         # all three circles pass through the origin

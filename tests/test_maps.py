@@ -13,7 +13,8 @@ from venngraph.maps import (
     RotationMap,
     SelfTwinError,
 )
-from venngraph.generators import gen_weave
+from venngraph.arrio import parse_arr, write_arr
+from venngraph.generators import gen_venn3, gen_weave
 
 from conftest import figure_eight
 from test_arrio import random_plane_graph
@@ -150,6 +151,19 @@ class TestBuild:
         g = PlaneGraph(4, w._twin, coords={v: (v, True) for v in range(4)})
         assert g.coords == {v: (float(v), 1.0) for v in range(4)}
         assert all(type(c) is float for xy in g.coords.values() for c in xy)
+
+    def test_coordinate_keys_are_int_vertex_ids(self):
+        # 0.0 would be written as "coord 0.0 ...", which parse_arr refuses
+        g = gen_venn3()
+        rest = {v: xy for v, xy in g.coords.items() if v > 1}
+        with pytest.raises(MapError, match="coordinate key 0.0 is not an int vertex id"):
+            PlaneGraph(g.vertex_count, g._twin,
+                       coords={0.0: g.coords[0], 1: g.coords[1], **rest})
+        shown = PlaneGraph(g.vertex_count, g._twin,
+                           coords={0: g.coords[0], True: g.coords[1], **rest})
+        assert [type(v) for v in shown.coords] == [int] * g.vertex_count
+        assert "coord 1 " in write_arr(shown)
+        assert parse_arr(write_arr(shown)).coords == g.coords
 
 
 class TestPlanarity:
