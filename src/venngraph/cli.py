@@ -4,11 +4,13 @@ All verbs read an arrangement in ARR format from a file argument (or
 stdin when the argument is ``-`` or omitted) and write results to stdout.
 
 Exit codes: 0 the checked property holds or the artifact was produced;
-1 the property fails; 2 input or usage error (including a spent search
-budget); 3 a guaranteed result was contradicted (no Hamilton cycle in a
-certified 4-connected planar graph, or an unextendable diagram with five
-or fewer curves), which would be reportable news rather than a bug in the
-input; 141 (128 + SIGPIPE) the reader of stdout went away, as in
+1 the property fails, which includes a disconnected map given to a verb
+that needs a connected one (``not connected:`` on stderr); 2 input or
+usage error (including a spent search budget); 3 a guaranteed result
+was contradicted (no Hamilton cycle in a certified 4-connected planar
+graph, or an unextendable diagram with five or fewer curves), which
+would be reportable news rather than a bug in the input; 141 (128 +
+SIGPIPE) the reader of stdout went away, as in
 ``venngraph certify --verbose big.arr | head -1``, and nothing is printed.
 """
 
@@ -28,7 +30,7 @@ from .connectivity import (
 )
 from .dual import DualNotHamiltonianError, NotVennError, dual, winkler_extend
 from .hamilton import DEFAULT_BUDGET, BudgetExceededError, find_hamilton
-from .maps import MapError, PlaneGraph
+from .maps import DisconnectedError, MapError, PlaneGraph
 from .render import LayoutUnavailableError, render_svg
 from .validate import InconsistentLabelingError, two_faces, validate, venn_check
 
@@ -292,6 +294,9 @@ def main(argv: list[str] | None = None) -> int:
     except InconsistentLabelingError as exc:
         # the region labels of a map that is not plane need not close up
         print(f"not plane: {exc}", file=sys.stderr)
+        return EXIT_PROPERTY_FAIL
+    except DisconnectedError as exc:
+        print(f"not connected: {exc}", file=sys.stderr)
         return EXIT_PROPERTY_FAIL
     except (MapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

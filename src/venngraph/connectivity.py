@@ -10,13 +10,17 @@ at most the minimum degree, which bounds every flow worth computing.
 
 Two routes supply the disjoint paths.  A unit-capacity max-flow on the
 vertex-split digraph, built once per graph and reset per pair, yields the
-path count of any pair together with a matching minimum separator.  For
-4-regular arrangements satisfying unique face incidence there is also a
-direct construction: around any common neighbour z of a distance-2 pair,
-four disjoint paths can be read off the two curves crossing at z and the
-perimeter of the four faces around z.  The construction is verified after
-the fact and falls back to flow-derived paths if verification ever fails,
-so its output is always a sound certificate.
+path count of any pair together with a matching minimum separator.  On a
+family of simple closed curves crossing transversally, a
+:class:`~venngraph.maps.PlaneGraph` with no
+:attr:`~venngraph.maps.PlaneGraph.self_crossings`, there is also a direct
+construction: around any common neighbour z of a distance-2 pair, four
+disjoint paths can be read off the two curves crossing at z and the
+perimeter of the four faces around z.  Unique face incidence is what
+guarantees that the construction always works; on other curve families
+it works for most pairs.  Every constructed bundle is verified after the
+fact, and a pair whose bundle fails takes flow paths instead, so the
+output is always a sound certificate.
 
 A constructed bundle is held compactly and verified without being
 expanded.  Each path is a tuple of pieces, every piece starting at the
@@ -26,9 +30,18 @@ the positions of :attr:`~venngraph.maps.PlaneGraph.curve_index`.  The
 long path of a bundle is one segment or two, and the perimeter paths
 are runs sliced out of face boundaries, so a bundle has O(face degree)
 numbers however long its paths are.  The verifier checks explicit steps
-against the adjacency sets.  Consecutive vertices of a segment are
-adjacent because a curve is an orbit of the twin table, and a segment
-within bounds is simple because the curves of a validated V-graph are.
+against the adjacency sets.  What it assumes of the curves holds on
+every map that has a ``curve_index``, V-graph or not:
+
+- consecutive vertices of a segment are adjacent, because a curve is an
+  orbit of the twin table;
+- a curve is a simple cycle, so a segment within bounds is simple: a
+  curve that revisits a vertex is a self-crossing (lemma in the
+  :mod:`venngraph.validate` docstring), which ``curve_index`` refuses;
+- every vertex lies on exactly two distinct curves, at the positions of
+  its two dart pairs, so the vertices that two curves share are exactly
+  their crossing lists.
+
 Disjointness then needs only the following, since two pieces can share
 a vertex only at an end of one or at a vertex inside both:
 
@@ -47,11 +60,13 @@ a vertex only at an end of one or at a vertex inside both:
   and those on the segment with fewer are tested against the other's
   interval.
 
-Many bundles are built a vertex at a time: the pairs are grouped by
-their common neighbour z, z's four neighbours and four corner arcs are
-read once for the group, and each pair's pieces then come from the same
-builder as :func:`proof_paths`.  Every bundle is still verified on its
-own, and one that fails is replaced by counted flow paths.
+One loop, :func:`_proof_bundles`, certifies a set of pairs on every
+map.  It takes them in order; at k = 4 on a map with simple curves, each
+pair first gets the :func:`proof_paths` bundle around its common
+neighbour z (z's four neighbours and four corner arcs are read once per
+z), and a pair whose bundle cannot be built or fails verification takes
+flow paths from one network shared by the call.  On a V-graph such a
+pair is a counted fallback; on any other map it is simply the flow route.
 
 On V-graphs the construction alone settles connectivity, with no flow,
 and it needs only the straight-through pairs: the two far ends
@@ -311,12 +326,14 @@ def _segments_meet(g: PlaneGraph, index: CurveIndex, s: Segment, t: Segment) -> 
 
 def verify_compact_certificate(g: PlaneGraph, cert: PathCertificate) -> bool:
     """The checks of :func:`verify_certificate` on a compact certificate,
-    without expanding it; see the module docstring for the argument.
+    without expanding it; see the module docstring for the argument,
+    which holds on every map with simple curves, V-graph or not.
 
     Reads only ``g``'s adjacency sets, curve ids and
-    :attr:`PlaneGraph.curve_index` besides the certificate's own numbers.
-    A certificate with segments must carry that same index, from which
-    its ``paths`` expand.
+    :attr:`PlaneGraph.curve_index` besides the certificate's own numbers,
+    so it raises :class:`~venngraph.maps.SelfCrossingCurveError` where
+    that index does.  A certificate with segments must carry that same
+    index, from which its ``paths`` expand.
     """
     index = g.curve_index
     adj = g.adjacency_sets
@@ -417,31 +434,25 @@ class _FlowNet:
     """
 
     def __init__(self, g: RotationMap):
-        n = 2 * g.vertex_count
-        self.target: list[int] = []
-        self.capacity: list[int] = []
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-        self.source_side: Collection[int] | None = None
-
-        def add(x: int, y: int) -> None:
-            self.adj[x].append(len(self.target))
-            self.target.append(y)
-            self.capacity.append(1)
-            self.adj[y].append(len(self.target))
-            self.target.append(x)
-            self.capacity.append(0)
-
-        for w in range(g.vertex_count):
-            add(2 * w, 2 * w + 1)
+        ends = [(2 * w, 2 * w + 1) for w in range(g.vertex_count)]
         for d in g.edges():
             a, b = g.edge_endpoints(d)
-            if a == b:
-                continue
-            add(2 * a + 1, 2 * b)
-            add(2 * b + 1, 2 * a)
-        for x in range(n):
-            self.adj[x].sort(key=lambda i: (self.target[i], i))
-        self.initial = tuple(self.capacity)
+            if a != b:
+                ends += ((2 * a + 1, 2 * b), (2 * b + 1, 2 * a))
+        self.target: list[int] = []
+        self.adj: list[list[int]] = [[] for _ in range(2 * g.vertex_count)]
+        self.source_side: Collection[int] | None = None
+        target, adj = self.target, self.adj
+        for x, y in ends:
+            adj[x].append(len(target))
+            adj[y].append(len(target) + 1)
+            target += (y, x)
+        # each list holds its arcs in rising order, so a stable sort by
+        # target leaves arcs to one node in that order
+        for arcs in adj:
+            arcs.sort(key=target.__getitem__)
+        self.initial = (1, 0) * len(ends)
+        self.capacity: list[int] = list(self.initial)
 
     def max_flow(self, u: int, v: int, cap: float = math.inf) -> int:
         """Reset all capacities, then push up to ``cap`` units from u to v.
@@ -576,11 +587,22 @@ def max_disjoint_paths(
 
 def _unique_pairs(g: RotationMap) -> dict[tuple[int, int], int]:
     """Every distance-2 pair u < v, in sorted order, with its smallest
-    common neighbour."""
-    by_pair: dict[tuple[int, int], int] = {}
-    for u, z, v in g.distance2_pairs():
-        by_pair.setdefault((u, v), z)
-    return by_pair
+    common neighbour: the pairs of :meth:`RotationMap.distance2_pairs`,
+    each once, met first from their smallest z as z walks upward.  A pair
+    is keyed ``u * V + v`` while it is collected, so that one sort of ints
+    puts the pairs in order."""
+    adj = g.adjacency_sets
+    n = g.vertex_count
+    by_key: dict[int, int] = {}
+    for z in range(n):
+        around = sorted(adj[z] - {z})
+        for i, u in enumerate(around):
+            near = adj[u]
+            base = u * n
+            for v in around[i + 1:]:
+                if v not in near:
+                    by_key.setdefault(base + v, z)
+    return {divmod(key, n): by_key[key] for key in sorted(by_key)}
 
 
 def _straight_pairs(g: PlaneGraph) -> dict[tuple[int, int], int]:
@@ -689,16 +711,6 @@ def _around(
     return tuple(nbr), tuple(corners)
 
 
-def _fallback(g: PlaneGraph, u: int, v: int) -> PathCertificate:
-    k, cert, _ = max_disjoint_paths(g, u, v)
-    if k < 4:
-        raise AssertionError(
-            f"only {k} disjoint paths between {u} and {v}; "
-            "input cannot be 4-connected"
-        )
-    return PathCertificate(u, v, cert.paths[:4])
-
-
 def _curve_rest(g: PlaneGraph, index: CurveIndex, d: int) -> Segment:
     """The rest of the curve through dart d, which leaves z: from d's far
     vertex all the way round to the far vertex of the opposite dart."""
@@ -787,8 +799,8 @@ def proof_paths(
     perimeter paths are slices of the face vertex tuples.  It costs
     O(face degree + log V) to build and to verify with
     :func:`verify_compact_certificate`; ``paths`` expands it.  The
-    bundle comes from the route every V-graph certification takes
-    (:func:`_proof_bundles`), where a verification failure swaps in
+    bundle comes from :func:`_proof_bundles`, the loop every
+    certification takes, where a verification failure swaps in
     flow-derived paths; this flags ``used_fallback``.  Pass
     ``validated=True`` to skip the V-graph check when the caller already
     did it.
@@ -815,7 +827,7 @@ def proof_paths(
         b = nbr[(su + 2) % 4]
         a = nbr[(su + 3) % 4] if nbr[(su + 1) % 4] == v else nbr[(su + 1) % 4]
     roles = {"z": z, "a": a, "b": b}
-    ((_, _, _, cert),), fallbacks = _proof_bundles(g, {(u, v): z})
+    ((_, _, _, cert),), fallbacks, _ = _proof_bundles(g, {(u, v): z})
     return ProofPathsResult(case, roles, cert, used_fallback=fallbacks > 0)
 
 
@@ -824,49 +836,84 @@ def _is_vgraph(g: RotationMap) -> bool:
 
 
 def _proof_bundles(
-    g: PlaneGraph, pairs: dict[tuple[int, int], int]
-) -> tuple[tuple[tuple[int, int, int, PathCertificate], ...], int]:
-    """Verified :func:`proof_paths` bundles for every pair of ``pairs``,
-    each with a common neighbour, on a V-graph g, and the fallback count;
-    the one route from "V-graph" to "4-connected".
+    g: RotationMap, pairs: dict[tuple[int, int], int], k: int = 4
+) -> tuple[tuple[tuple[int, int, int, PathCertificate], ...], int, Counterexample | None]:
+    """k verified disjoint paths for every pair of ``pairs``, each given
+    with a common neighbour z, in the order of ``pairs``: the one loop
+    behind :func:`certify_distance_two`, :func:`proof_paths` and the
+    V-graph route of :func:`vertex_connectivity`.
 
-    The pairs are taken in the order of their common neighbours, so that
-    z's neighbours and corner arcs are read once for all of its pairs;
-    the bundles come out in the order of ``pairs``.
+    At k = 4 on a :class:`PlaneGraph` with simple curves, a pair first
+    gets the :func:`proof_paths` bundle around its z (z's neighbours and
+    corner arcs are read once per z), kept if
+    :func:`verify_compact_certificate` accepts it.  Every other pair takes
+    flow paths, capped at k, from one :class:`_FlowNet` built for the first
+    such pair.  The first pair whose flow falls short of k stops the loop
+    and comes back as a :class:`Counterexample` with its verified cut,
+    after the certificates of the pairs before it.
+
+    A V-graph has four paths for every pair (module docstring), so there a
+    pair without a verified bundle is a counted fallback and a flow below
+    4 raises :class:`AssertionError`; whether g is one is asked only when
+    such a pair comes.  On any other map the fallback count stays 0.
+
+    Returns the certificates, the fallback count and the counterexample,
+    or None when every pair is certified.
     """
-    index = g.curve_index
-    keys, zs = list(pairs), list(pairs.values())
-    certs: list[PathCertificate | None] = [None] * len(keys)
+    index = None
+    if k == 4 and isinstance(g, PlaneGraph) and not g.self_crossings:
+        index = g.curve_index
+        arounds = [None] * g.vertex_count  # _around(g, index, z), on first use
+    certs: list[tuple[int, int, int, PathCertificate]] = []
+    net = None
+    vgraph = False
     fallbacks = 0
-    z_read = None
-    for i in sorted(range(len(keys)), key=zs.__getitem__):
-        u, v = keys[i]
-        if zs[i] != z_read:
-            z_read = zs[i]
-            around = _around(g, index, z_read)
-        try:
-            cert = PathCertificate(
-                u, v, pieces=_four_paths(g, index, z_read, around, around[0].index(u), v),
-                index=index)
-        except _ConstructionSurprise:
-            cert = None
-        if cert is None or not verify_compact_certificate(g, cert):
-            cert = _fallback(g, u, v)
+    for (u, v), z in pairs.items():
+        if index is not None:
+            around = arounds[z]
+            if around is None:
+                around = arounds[z] = _around(g, index, z)
+            try:
+                cert = PathCertificate(
+                    u, v, pieces=_four_paths(g, index, z, around, around[0].index(u), v),
+                    index=index)
+            except _ConstructionSurprise:
+                cert = None
+            if cert is not None and verify_compact_certificate(g, cert):
+                certs.append((u, z, v, cert))
+                continue
+        if net is None:
+            net = _FlowNet(g)
+            vgraph = index is not None and _is_vgraph(g)
+        flow = net.max_flow(u, v, k)
+        if flow < k:
+            if vgraph:
+                raise AssertionError(
+                    f"only {flow} disjoint paths between {u} and {v}; "
+                    "input cannot be 4-connected"
+                )
+            return tuple(certs), fallbacks, Counterexample(
+                u, v, flow, _extract_cut(net, g, u, v, flow))
+        certs.append((u, z, v, _trace_paths(net, g, u, v, k)))
+        if vgraph:
             fallbacks += 1
-        certs[i] = cert
-    return tuple((u, z, v, cert) for ((u, v), z), cert in zip(pairs.items(), certs)), fallbacks
+    return tuple(certs), fallbacks, None
 
 
 def certify_distance_two(g: RotationMap, k: int) -> Distance2Certification:
     """Certify k disjoint paths for every distance-2 pair.
 
     By the distance-2 reduction of Menger's criterion, success proves the
-    graph k-connected.  On V-graphs with k = 4 the constructive builder
-    supplies the certificates (falling back to flow when verification
-    demands it); otherwise one flow network serves every pair, each flow
-    stopping at k.  The first failing pair, if any, is returned as a
-    counterexample with its flow value and minimum cut.  ``k`` must be
-    positive: asking for zero paths per pair would certify anything.
+    graph k-connected.  The pairs go through :func:`_proof_bundles` in
+    sorted order: at k = 4 on every map with simple curves, V-graph or
+    not, a pair takes its verified constructive bundle, and flow paths
+    from one shared network, each flow stopping at k, serve the pairs that
+    no verified bundle covers and every pair at other k, on plain
+    rotation maps and on maps whose curves cross themselves.  Flow paths
+    count as fallbacks only on a V-graph.  The first pair whose flow falls
+    short of k, if any, is returned as a counterexample with its flow
+    value and minimum cut.  ``k`` must be positive: asking for zero paths
+    per pair would certify anything.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -875,16 +922,4 @@ def certify_distance_two(g: RotationMap, k: int) -> Distance2Certification:
     pairs = _unique_pairs(g)
     if not pairs:
         raise VacuousCertificationError("no distance-2 pairs; pairwise criterion is vacuous")
-    if k == 4 and _is_vgraph(g):
-        return Distance2Certification(k, len(pairs), *_proof_bundles(g, pairs), None)
-    certificates = []
-    net = _FlowNet(g)
-    for (u, v), z in pairs.items():
-        flow = net.max_flow(u, v, k)
-        if flow < k:
-            return Distance2Certification(
-                k, len(pairs), tuple(certificates), 0,
-                Counterexample(u, v, flow, _extract_cut(net, g, u, v, flow)),
-            )
-        certificates.append((u, z, v, _trace_paths(net, g, u, v, k)))
-    return Distance2Certification(k, len(pairs), tuple(certificates), 0, None)
+    return Distance2Certification(k, len(pairs), *_proof_bundles(g, pairs, k))

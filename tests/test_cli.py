@@ -125,6 +125,22 @@ class TestChecks:
         assert captured.out == ""
         assert captured.err == "not plane: faces 0 and 1 disagree across curve 1\n"
 
+    def test_disconnected_map_fails_the_property(self, capsys, tmp_path):
+        # two lenses far apart: every verb that needs a connected map says
+        # no with exit 1, and render draws the stored coordinates
+        path = tmp_path / "apart.arr"
+        path.write_text(write_arr(from_circles([(0, 0, 1), (1, 0, 1), (5, 0, 1), (6, 0, 1)])))
+        codes, errors = {}, {}
+        for verb in ("validate", "venn-check", "connectivity", "certify", "hamilton",
+                     "extend", "render"):
+            out = ["-o", str(tmp_path / "apart.svg")] if verb == "render" else []
+            codes[verb] = main([verb, *out, str(path)])
+            errors[verb] = capsys.readouterr().err
+        assert codes == {"validate": 1, "venn-check": 1, "connectivity": 1, "certify": 1,
+                         "hamilton": 1, "extend": 1, "render": 0}
+        for verb in ("venn-check", "certify", "extend"):
+            assert errors[verb].startswith("not connected: ")
+
     def test_connectivity(self, capsys, venn3_file, weave3_file):
         assert main(["connectivity", venn3_file]) == 0
         assert "connectivity: 4" in capsys.readouterr().out

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import random
 import warnings
 from collections import deque
@@ -28,7 +29,7 @@ from venngraph.generators import from_circles, gen_venn
 from venngraph.maps import PlaneGraph, RotationMap
 from venngraph.validate import validate
 
-from conftest import complete_rotation_map, three_cliques
+from conftest import complete_rotation_map, random_circle_families, three_cliques
 from test_arrio import random_plane_graph
 
 
@@ -506,6 +507,82 @@ class TestDistanceTwoCertification:
                 assert verify_certificate(g, cert)
 
 
+# five circles with connectivity 4 that are no V-graph: face 1 meets
+# curve 0 twice
+KAPPA4_NON_V = [(3.6, 0.8, 2.2), (1.3, 2.7, 2.3), (2.5, 3.2, 1.4), (0.0, 2.0, 1.8),
+                (0.7, 1.6, 1.3)]
+
+
+def flow_certification(g, k):
+    """The flow-only reference: every distance-2 pair in sorted order on
+    one network, each flow capped at k, up to the first pair short of k.
+    Returns the pair count and the counterexample (u, v, flow, cut size),
+    or None."""
+    pairs = sorted({(u, v) for u, _, v in g.distance2_pairs()})
+    net = connectivity._FlowNet(g)
+    for u, v in pairs:
+        flow = net.max_flow(u, v, k)
+        if flow < k:
+            cut = connectivity._extract_cut(net, g, u, v, flow)
+            return len(pairs), (u, v, flow, len(cut.cut))
+    return len(pairs), None
+
+
+class TestConstructFirstCertification:
+    """At k = 4 every map with simple curves takes verified bundles first
+    and flow only for the pairs they miss; the answers are the flow-only
+    reference's."""
+
+    def inputs(self):
+        rng = random.Random(7)
+        graphs = [g for _, g in random_circle_families(rng, 150)]
+        graphs += [random_plane_graph(rng) for _ in range(300)]
+        return [g for g in graphs if g.is_connected and g.distance2_pairs()]
+
+    def test_agrees_with_the_flow_reference(self):
+        constructed = 0
+        for g in self.inputs():
+            result = certify_distance_two(g, 4)
+            cx = result.counterexample
+            want_pairs, want_cx = flow_certification(g, 4)
+            assert result.pair_count == want_pairs
+            assert result.certified == (want_cx is None)
+            if cx is not None:
+                assert (cx.u, cx.v, cx.flow, len(cx.cut.cut)) == want_cx
+                assert verify_cut(g, cx.cut)
+            adj = g.adjacency_sets
+            for u, z, v, cert in result.certificates:
+                assert z == min(adj[u] & adj[v])
+                assert (cert.u, cert.v, cert.k) == (u, v, 4)
+                assert verify_certificate(g, cert)
+            if not validate(g).is_vgraph:
+                assert result.fallback_count == 0
+                constructed += sum(cert.index is not None for *_, cert in result.certificates)
+        assert constructed > 0
+
+    def test_construction_raises_only_its_surprise(self):
+        for g in self.inputs():
+            if g.self_crossings:
+                continue
+            index = g.curve_index
+            for (u, v), z in connectivity._unique_pairs(g).items():
+                around = connectivity._around(g, index, z)
+                try:
+                    connectivity._four_paths(g, index, z, around, around[0].index(u), v)
+                except connectivity._ConstructionSurprise:
+                    pass
+
+    def test_bundles_certify_a_family_without_unique_face_incidence(self):
+        g = from_circles(KAPPA4_NON_V)
+        assert validate(g).ufi_violations == ((1, 0, 2),) and g.vertex_count == 20
+        result = certify_distance_two(g, 4)
+        assert result.certified and result.pair_count == 65
+        assert result.fallback_count == 0
+        assert any(cert.index is g.curve_index for *_, cert in result.certificates)
+        for *_, cert in result.certificates:
+            assert verify_certificate(g, cert)
+
+
 @pytest.fixture(scope="module")
 def compact_corpus(venn_family):
     """V-graphs with their κ = 4 certifications: gen_venn(3..9), the
@@ -513,6 +590,36 @@ def compact_corpus(venn_family):
     graphs = [*(gen_venn(n) for n in range(3, 10)),
               *venn_family["graphs"].values(), *circle_vgraphs()]
     return [(g, certify_distance_two(g, 4)) for g in graphs]
+
+
+@pytest.fixture(scope="module")
+def mutant_corpus(compact_corpus):
+    """compact_corpus and the κ = 4 family without unique face incidence,
+    whose bundles rest on the compact verifier alone."""
+    g = from_circles(KAPPA4_NON_V)
+    return [*compact_corpus, (g, certify_distance_two(g, 4))]
+
+
+# every flow resets the network, so the round trips of one graph share one
+shared_net = functools.cache(connectivity._FlowNet)
+
+
+def assert_rejected(g, mutant):
+    """The compact verifier rejects ``mutant``, and the certification
+    loop, handed it as the bundle of a distance-2 pair, gives that pair
+    verified flow paths instead."""
+    assert not verify_compact_certificate(g, mutant)
+    u, v = mutant.u, mutant.v
+    adj = g.adjacency_sets
+    if v in adj[u]:
+        return  # no distance-2 pair to certify
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(connectivity, "_four_paths", lambda *args: mutant.pieces)
+        patch.setattr(connectivity, "_FlowNet", shared_net)
+        ((_, _, _, cert),), _, counterexample = connectivity._proof_bundles(
+            g, {(u, v): min(adj[u] & adj[v])})
+    assert counterexample is None and cert.index is None
+    assert cert.k == 4 and verify_certificate(g, cert)
 
 
 def with_path(cert, i, pieces):
@@ -529,9 +636,9 @@ def segments_of(cert):
 
 
 def sample(corpus, per_graph=60):
-    """The first certificates of every graph, with their graph."""
+    """The first compact certificates of every graph, with their graph."""
     return [(g, cert) for g, result in corpus
-            for *_, cert in result.certificates[:per_graph]]
+            for *_, cert in result.certificates[:per_graph] if cert.index is not None]
 
 
 class TestCompactCertificates:
@@ -597,40 +704,40 @@ class TestCompactCertificates:
         assert all(segments_of(cert) and "paths" not in vars(cert)
                    for *_, cert in result.certificates)
 
-    def test_shifted_segment_end_is_rejected(self, compact_corpus):
-        for g, cert in sample(compact_corpus):
+    def test_shifted_segment_end_is_rejected(self, mutant_corpus):
+        for g, cert in sample(mutant_corpus):
             for i, j, seg in segments_of(cert):
                 for delta in (-1, 1):
                     pieces = list(cert.pieces[i])
                     pieces[j] = seg._replace(end=seg.end + delta)
-                    assert not verify_compact_certificate(g, with_path(cert, i, pieces))
+                    assert_rejected(g, with_path(cert, i, pieces))
 
-    def test_flipped_direction_is_rejected(self, compact_corpus):
-        for g, cert in sample(compact_corpus):
+    def test_flipped_direction_is_rejected(self, mutant_corpus):
+        for g, cert in sample(mutant_corpus):
             for i, j, seg in segments_of(cert):
                 pieces = list(cert.pieces[i])
                 pieces[j] = seg._replace(step=-seg.step)
-                assert not verify_compact_certificate(g, with_path(cert, i, pieces))
+                assert_rejected(g, with_path(cert, i, pieces))
 
-    def test_step_other_than_one_is_rejected(self, compact_corpus):
-        for g, cert in sample(compact_corpus):
+    def test_step_other_than_one_is_rejected(self, mutant_corpus):
+        for g, cert in sample(mutant_corpus):
             for i, j, seg in segments_of(cert):
                 for step in (0, 2 * seg.step):
                     pieces = list(cert.pieces[i])
                     pieces[j] = seg._replace(step=step)
-                    assert not verify_compact_certificate(g, with_path(cert, i, pieces))
+                    assert_rejected(g, with_path(cert, i, pieces))
 
-    def test_wrong_start_vertex_is_rejected(self, compact_corpus):
-        for g, cert in sample(compact_corpus):
+    def test_wrong_start_vertex_is_rejected(self, mutant_corpus):
+        for g, cert in sample(mutant_corpus):
             for i, j, seg in segments_of(cert):
                 pieces = list(cert.pieces[i])
                 length = len(g.curve_index.curve_vertices[seg.curve])
                 pieces[j] = seg._replace(start=(seg.start + 1) % length)
-                assert not verify_compact_certificate(g, with_path(cert, i, pieces))
+                assert_rejected(g, with_path(cert, i, pieces))
 
-    def test_overlapping_segments_on_one_curve_are_rejected(self, compact_corpus):
+    def test_overlapping_segments_on_one_curve_are_rejected(self, mutant_corpus):
         checked = 0
-        for g, cert in sample(compact_corpus):
+        for g, cert in sample(mutant_corpus):
             (i, _, seg), *more = segments_of(cert)
             length = len(g.curve_index.curve_vertices[seg.curve])
             if more or (seg.end - seg.start) * seg.step % length < 3:
@@ -643,14 +750,14 @@ class TestCompactCertificates:
             folded = (Segment(seg.curve, seg.start, far, seg.step),
                       Segment(seg.curve, far, back, -seg.step),
                       Segment(seg.curve, back, seg.end, seg.step))
-            assert not verify_compact_certificate(g, with_path(cert, i, folded))
+            assert_rejected(g, with_path(cert, i, folded))
             checked += 1
         assert checked > 100
 
-    def test_segments_crossing_inside_both_are_rejected(self, compact_corpus):
+    def test_segments_crossing_inside_both_are_rejected(self, mutant_corpus):
         # c1 -> x -> c2 on one curve, round a face of x to a2, then
         # a2 -> x -> a1 on the other: the two segments meet only at x
-        for g, _ in compact_corpus[:6]:
+        for g, _ in [*mutant_corpus[:6], mutant_corpus[-1]]:
             index = g.curve_index
             for x in range(g.vertex_count):
                 a1, c1, a2, c2 = (g.twin(d) >> 2 for d in range(4 * x, 4 * x + 4))
@@ -661,10 +768,10 @@ class TestCompactCertificates:
                                 index.position[g.twin(4 * x)], index.step[4 * x])
                 cert = PathCertificate(c1, a1, pieces=((across, around, along),), index=index)
                 assert cert.paths[0].count(x) == 2
-                assert not verify_compact_certificate(g, cert)
+                assert_rejected(g, cert)
 
-    def test_explicit_steps_and_repeats_are_rejected(self, compact_corpus):
-        for g, cert in sample(compact_corpus, per_graph=10):
+    def test_explicit_steps_and_repeats_are_rejected(self, mutant_corpus):
+        for g, cert in sample(mutant_corpus, per_graph=10):
             direct, other = sorted(
                 (i for i, path in enumerate(cert.pieces)
                  if not any(isinstance(p, Segment) for p in path)),
@@ -672,10 +779,10 @@ class TestCompactCertificates:
             )[:2]
             # u and v are not adjacent
             jump = with_path(cert, direct, [(cert.u, cert.v)])
-            assert not verify_compact_certificate(g, jump)
+            assert_rejected(g, jump)
             # one short path, twice
             twice = with_path(cert, other, cert.pieces[direct])
-            assert not verify_compact_certificate(g, twice)
+            assert_rejected(g, twice)
 
     def test_same_segment_twice_is_rejected(self, compact_corpus):
         # case 1 puts u-z-v first; a second copy of the long segment in
