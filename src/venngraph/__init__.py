@@ -60,8 +60,6 @@ from .validate import (
     VennReport,
     check_general_position,
     check_ufi,
-    digon_faces,
-    is_independent_family,
     two_faces,
     validate,
     venn_check,

@@ -12,14 +12,20 @@ Fraysseix, Pach and Pollack, "How to draw a planar graph on a grid",
 places it on a (2N - 4) x (N - 2) grid of ints in linear time, N being
 the number of vertices plus faces.  Maps that fail one of those four
 preconditions are refused by name.  Nothing is assumed of the drawing
-itself: every triangle is checked with exact integer cross products
-before the centres are dropped, and vertex connectivity is computed
-only to explain a drawing that fails that check.
+itself: every triangle is checked with exact integer cross products,
+and vertex connectivity is computed only to explain a drawing that
+fails that check.
 
 Every edge becomes one ``<path>`` element coloured by its curve, so the
 number of path elements in the output equals the edge count.  Optional
-overlays add one ``hamilton``-classed element per cycle edge and one
-``cert``-classed polyline per certified path.
+overlays add one ``hamilton``-classed element per cycle edge, one
+``cert``-classed polyline per certified path, and one ``region-label``
+text per face.  An inner face is labelled at its centre on the grid,
+which the check proves inside it, and at the centroid of its corners
+with stored coordinates.  The outer face is labelled just below the
+lowest vertex, where no straight edge reaches; with stored coordinates
+it is the face whose corners turn counterclockwise, as face orbits keep
+their face on the right.
 """
 
 from __future__ import annotations
@@ -259,7 +265,9 @@ def _flat_or_folded_face(
 
 def grid_layout(g: PlaneGraph) -> dict[int, tuple[int, int]]:
     """An exact straight-line drawing of ``g`` on an integer grid, in
-    which every face is star-shaped from a point inside it.
+    which every face is star-shaped from a point inside it: vertex v at
+    key v, and the centre of each inner face f at key ``n + f``, n being
+    the vertex count.  The outer face alone has no key.
 
     Raises :class:`LayoutUnavailableError` naming the reason when ``g``
     is not connected, not plane, has a face that is not a simple cycle
@@ -279,7 +287,9 @@ def grid_layout(g: PlaneGraph) -> dict[int, tuple[int, int]]:
     whose boundary is the outer triangle drawn once round, so a point
     off the edges is covered by as many triangles as that triangle
     winds round it, once inside and never outside.  Dropping the
-    centres then leaves every face star-shaped from its centre.  A
+    centres then leaves every face star-shaped from its centre, and the
+    centre of an inner face, ringed by its own triangles, strictly
+    inside it; the outer face's centre lies above the drawing.  A
     triangulation with a canonical ordering always passes, so a failure
     here is a bug; it raises :class:`LayoutUnavailableError` too,
     naming the face and the graph's vertex connectivity, computed only
@@ -303,7 +313,8 @@ def grid_layout(g: PlaneGraph) -> dict[int, tuple[int, int]]:
         raise LayoutUnavailableError(
             f"grid layout draws face {face} flat or folded; "
             f"connectivity is {vertex_connectivity(g)[0]}")
-    return {v: (xs[v], ys[v]) for v in range(g.vertex_count)}
+    top = g.vertex_count + outer
+    return {v: (xs[v], ys[v]) for v in range(size) if v != top}
 
 
 def barycentric_layout(g: PlaneGraph) -> dict[int, tuple[float, float]]:
@@ -316,41 +327,27 @@ def barycentric_layout(g: PlaneGraph) -> dict[int, tuple[float, float]]:
     return {v: (float(x), float(y)) for v, (x, y) in grid_layout(g).items()}
 
 
-def _inside(corners: list[tuple[float, float]]) -> tuple[float, float]:
-    """A point strictly inside the simple polygon with these corners.
-
-    The lowest-leftmost corner v is convex.  When no other corner lies
-    in the triangle of v and its neighbours a and b, the triangle's
-    centroid is inside.  Otherwise take the corner q in that triangle
-    farthest from the line a b: no edge crosses the part of the triangle
-    beyond q's parallel to a b, so the midpoint of v and q is inside.
-    The turn tests are exact on the grid layout's integral coordinates.
-    """
-    k = len(corners)
-    i = min(range(k), key=corners.__getitem__)
-    a, v, b = corners[i - 1], corners[i], corners[(i + 1) % k]
-
-    def turn(p, q, r) -> float:
-        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-    sign = turn(a, v, b)
-    far, best = 0.0, None
-    for q in corners:
-        if q in (a, v, b) or min(sign * turn(a, v, q), sign * turn(v, b, q),
-                                 sign * turn(b, a, q)) < 0:
-            continue
-        if best is None or abs(turn(a, b, q)) > far:
-            far, best = abs(turn(a, b, q)), q
-    if best is None:
-        return (a[0] + v[0] + b[0]) / 3, (a[1] + v[1] + b[1]) / 3
-    return (v[0] + best[0]) / 2, (v[1] + best[1]) / 2
+def _stored_anchors(
+    g: PlaneGraph, pos: Mapping[int, tuple[float, float]]
+) -> list[tuple[float, float] | None]:
+    """The centroid of each face's distinct corners, and None for the
+    outer face: the one whose corners enclose the largest area
+    counterclockwise."""
+    anchors: list[tuple[float, float] | None] = []
+    areas = []
+    for boundary in g.faces:
+        corners = [pos[d >> 2] for d in boundary]
+        xs, ys = zip(*(pos[v] for v in {d >> 2 for d in boundary}))
+        anchors.append((sum(xs) / len(xs), sum(ys) / len(ys)))
+        areas.append(sum(x1 * y2 - x2 * y1
+                         for (x1, y1), (x2, y2) in zip(corners, corners[1:] + corners[:1])))
+    anchors[areas.index(max(areas))] = None
+    return anchors
 
 
-def _viewport(
-    pos: Mapping[int, tuple[float, float]], size: float, margin: float
-):
-    xs = [p[0] for p in pos.values()]
-    ys = [p[1] for p in pos.values()]
+def _viewport(points: Sequence[tuple[float, float]], size: float, margin: float):
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
     x0, y0 = min(xs), min(ys)
     span = max(max(xs) - x0, max(ys) - y0) or 1.0
     scale = (size - 2 * margin) / span
@@ -372,14 +369,14 @@ def render_svg(
 
     ``hamilton`` overlays a vertex cycle; ``cert`` overlays four certified
     paths; ``labels`` writes each region's membership vector in binary,
-    at the centroid of the face's corners when coordinates are stored and
-    at a point inside the face (:func:`_inside`) on a grid layout.  A map that is not plane raises
+    placed as the module docstring says.  A map that is not plane raises
     :class:`LayoutUnavailableError`, with stored coordinates or without.
     """
     if g.coords and not g.is_planar:
         raise LayoutUnavailableError("the map is not plane, so no coordinates draw it")
     pos = g.coords if g.coords else barycentric_layout(g)
-    to_screen = _viewport(pos, size, margin=40)
+    n = g.vertex_count
+    to_screen = _viewport([pos[v] for v in range(n)], size, margin=40)
     curve_of = g.curve_of
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -417,7 +414,7 @@ def render_svg(
                 f'fill="none" stroke="#111111" stroke-width="4" '
                 f'stroke-opacity="0.5" stroke-dasharray="{3 + 3 * i} 4"/>'
             )
-    for v in range(g.vertex_count):
+    for v in range(n):
         x, y = to_screen(pos[v])
         out.append(
             f'<circle class="vertex" cx="{x:.2f}" cy="{y:.2f}" r="3.5" '
@@ -430,13 +427,16 @@ def render_svg(
     if labels:
         report = venn_check(g)
         width = max(report.curve_count, 1)
-        for f, boundary in enumerate(g.faces):
-            if g.coords:
-                verts = {g.dart_vertex(d) for d in boundary}
-                cx = sum(to_screen(pos[v])[0] for v in verts) / len(verts)
-                cy = sum(to_screen(pos[v])[1] for v in verts) / len(verts)
-            else:  # grid faces are seldom convex
-                cx, cy = to_screen(_inside([pos[d >> 2] for d in boundary]))
+        if g.coords:
+            anchors = _stored_anchors(g, pos)
+        else:
+            anchors = [pos.get(n + f) for f in range(len(g.faces))]
+        # the outer label's baseline: 16 px under the lowest vertex, clear
+        # of its dot and inside the 40-px margin
+        low = min(range(n), key=lambda v: pos[v][::-1])
+        lx, ly = to_screen(pos[low])
+        for f, at in enumerate(anchors):
+            cx, cy = (lx, ly + 16) if at is None else to_screen(at)
             text = format(report.labels[f], f"0{width}b")
             out.append(
                 f'<text class="region-label" x="{cx:.2f}" y="{cy:.2f}" '

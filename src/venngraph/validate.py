@@ -135,12 +135,6 @@ def two_faces(g: PlaneGraph) -> tuple[int, ...]:
     return tuple(f for f in range(len(g.face_first)) if curves_at[f] == 2)
 
 
-def digon_faces(g: PlaneGraph) -> tuple[int, ...]:
-    """Faces with a two-edge boundary; diagnostic companion to two_faces."""
-    degree = Counter(g.face_of)
-    return tuple(f for f in range(len(g.face_first)) if degree[f] == 2)
-
-
 def venn_check(g: PlaneGraph, root_face: int = 0) -> VennReport:
     """Label every region with its curve-membership bit vector.
 
@@ -211,12 +205,6 @@ def venn_check(g: PlaneGraph, root_face: int = 0) -> VennReport:
 
 def _disconnected() -> DisconnectedError:
     return DisconnectedError("region labels need a connected arrangement")
-
-
-def is_independent_family(g: PlaneGraph) -> bool:
-    """Relaxed variant of the diagram check: every label occurs at least once."""
-    report = venn_check(g)
-    return report.distinct_labels == 1 << report.curve_count
 
 
 def validate(g: PlaneGraph) -> ValidationReport:

@@ -583,6 +583,29 @@ class TestConstructFirstCertification:
             assert verify_certificate(g, cert)
 
 
+class TestTheoremAsOracle:
+    """The paper's theorem on seeded circle families: a V-graph is
+    4-connected, with every distance-2 pair certified by its bundle, so a
+    connected family of three or more curves with a smaller cut breaks
+    unique face incidence."""
+
+    def test_vgraphs_certify_and_small_cuts_break_unique_face_incidence(self):
+        vgraphs = small_cuts = 0
+        for k, g in random_circle_families(random.Random(7), 150):
+            if k < 3 or not g.is_connected:
+                continue
+            report = validate(g)
+            kappa, cut = vertex_connectivity(g)
+            if report.is_vgraph:
+                result = certify_distance_two(g, 4)
+                assert kappa == 4 and result.certified and result.fallback_count == 0
+                vgraphs += 1
+            if kappa < 4:
+                assert report.ufi_violations and verify_cut(g, cut)
+                small_cuts += 1
+        assert vgraphs and small_cuts
+
+
 @pytest.fixture(scope="module")
 def compact_corpus(venn_family):
     """V-graphs with their κ = 4 certifications: gen_venn(3..9), the

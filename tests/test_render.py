@@ -8,7 +8,7 @@ import pytest
 
 from venngraph import render
 from venngraph.connectivity import proof_paths
-from venngraph.generators import from_circles, gen_venn, gen_weave
+from venngraph.generators import from_circles, gen_venn, gen_venn3, gen_weave
 from venngraph.hamilton import find_hamilton
 from venngraph.maps import PlaneGraph
 from venngraph.render import (
@@ -17,8 +17,9 @@ from venngraph.render import (
     grid_layout,
     render_svg,
 )
+from venngraph.validate import venn_check
 
-from test_connectivity import circle_vgraphs
+from test_connectivity import KAPPA4_NON_V, circle_vgraphs
 
 
 def without_coords(g: PlaneGraph) -> PlaneGraph:
@@ -54,6 +55,45 @@ def face_vertices(g: PlaneGraph, face: int) -> set[int]:
     return {d >> 2 for d in g.faces[face]}
 
 
+def drawn_regions(g: PlaneGraph) -> tuple[list[list[tuple[int, int]]], list[tuple[int, int]]]:
+    """The corner polygon of each face of g and the point of its region
+    label, read back from g's labelled SVG, where the labels come in
+    face order.  Coordinates are printed to 0.01 px and read as integers
+    in those units; the huge canvas keeps that rounding far below the
+    grid drawing's thinnest corners."""
+    svg = render_svg(g, labels=True, size=10 ** 7)
+
+    def units(x: str, y: str) -> tuple[int, int]:
+        return int(x.replace(".", "")), int(y.replace(".", ""))
+
+    corners = [units(*xy) for xy in
+               re.findall(r'<circle class="vertex" cx="([\d.]+)" cy="([\d.]+)"', svg)]
+    labels = re.findall(
+        r'<text class="region-label" x="([\d.]+)" y="([\d.]+)"[^>]*>([01]+)</text>', svg)
+    report = venn_check(g)
+    assert len(corners) == g.vertex_count
+    assert [text for _, _, text in labels] == [format(label, f"0{report.curve_count}b")
+                                               for label in report.labels]
+    polygons = [[corners[d >> 2] for d in boundary] for boundary in g.faces]
+    return polygons, [units(x, y) for x, y, _ in labels]
+
+
+def area2(poly: list[tuple[int, int]]) -> int:
+    """Twice the unsigned area of a polygon, exactly."""
+    return abs(sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1])))
+
+
+def holds(poly: list[tuple[int, int]], point: tuple[int, int]) -> bool:
+    """Whether the point is inside the polygon, by exact ray casting."""
+    x, y = point
+    crossings = 0
+    for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]):
+        if (y1 > y) != (y2 > y):
+            # the ray to the right meets the edge when the point is left of it
+            crossings += ((x2 - x1) * (y - y1) - (y2 - y1) * (x - x1) > 0) == (y2 > y1)
+    return crossings % 2 == 1
+
+
 def parallel_arcs() -> PlaneGraph:
     """Circle 0 crosses only circle 1, so its two arcs join the same two
     vertices; two more circles cut each arc of circle 1 so that every
@@ -82,6 +122,23 @@ class TestRenderSvg:
         labels = re.findall(r'class="region-label"[^>]*>([01]+)</text>', svg)
         assert len(labels) == len(venn3.faces)
         assert sorted(labels) == sorted(format(i, "03b") for i in range(8))
+
+    @pytest.mark.parametrize("g, inner", [
+        (gen_venn3(), False),
+        (from_circles(KAPPA4_NON_V), True),
+    ], ids=["venn3", "kappa4"])
+    def test_stored_coordinates_put_the_outer_label_outside_the_drawing(self, g, inner):
+        # straight chords between the circles' crossings draw no plane
+        # picture of these maps: some cut across faces, and gen_venn3's
+        # chords v2 v5 through v1 and v0 v2 through v4 draw two faces
+        # flat; so inner labels are checked only against their own
+        # polygons, and only on the κ = 4 family, whose faces all have area
+        polygons, points = drawn_regions(g)
+        outer = max(range(len(polygons)), key=lambda f: area2(polygons[f]))
+        assert not any(holds(poly, points[outer]) for poly in polygons)
+        if inner:
+            assert all(holds(poly, point) for f, (poly, point) in enumerate(zip(polygons, points))
+                       if f != outer)
 
     def test_hamilton_overlay_edge_count(self, venn4):
         cycle = find_hamilton(venn4)
@@ -130,7 +187,9 @@ class TestGridLayout:
             g = without_coords(gen_venn(n))
             pos = grid_layout(g)
             size = g.vertex_count + len(g.faces)
-            assert sorted(pos) == list(range(g.vertex_count))
+            # every vertex, and the centre of every face but the outer one
+            assert len(pos) == size - 1
+            assert set(range(g.vertex_count)) <= set(pos) <= set(range(size))
             assert all(type(c) is int for p in pos.values() for c in p)
             assert all(0 <= x <= 2 * size - 4 and 0 <= y <= size - 2 for x, y in pos.values())
 
@@ -138,9 +197,10 @@ class TestGridLayout:
         assert grid_layout(venn6) == grid_layout(PlaneGraph(venn6.vertex_count, venn6._twin))
 
     def test_every_face_of_venn5_works_as_the_outer_face(self, venn5):
-        for boundary in venn5.faces:
+        size = venn5.vertex_count + len(venn5.faces)
+        for f, boundary in enumerate(venn5.faces):
             hinted = PlaneGraph(venn5.vertex_count, venn5._twin, outer_dart=boundary[-1])
-            assert len(grid_layout(hinted)) == venn5.vertex_count
+            assert set(range(size)) - set(grid_layout(hinted)) == {venn5.vertex_count + f}
 
     def test_draws_exactly_the_circle_families_that_meet_its_preconditions(self):
         rng = random.Random(20)
@@ -174,29 +234,17 @@ class TestGridLayout:
         with pytest.raises(LayoutUnavailableError, match=reason):
             grid_layout(g)
 
-
     def test_region_labels_sit_inside_their_faces(self):
-        # by exact ray casting; the corners' centroid, the anchor for
-        # stored coordinates, falls outside many of these faces
-        def inside(point, poly):
-            x, y = map(Fraction, point)
-            crossings = 0
-            for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]):
-                if (y1 > y) != (y2 > y) and x < x1 + (y - y1) * Fraction(x2 - x1, y2 - y1):
-                    crossings += 1
-            return crossings % 2 == 1
+        # the outer face's polygon, the largest, holds the whole plane
+        # drawing: each inner label lies in it and its own face's polygon
+        # alone, and the outer label in none
+        for g in (*(gen_venn(n) for n in range(3, 9)), from_circles(KAPPA4_NON_V)):
+            polygons, points = drawn_regions(without_coords(g))
+            outer = max(range(len(polygons)), key=lambda f: area2(polygons[f]))
+            for f, point in enumerate(points):
+                held = {h for h, poly in enumerate(polygons) if holds(poly, point)}
+                assert held == (set() if f == outer else {f, outer}), (g.vertex_count, f)
 
-        centroid_outside = 0
-        for n in range(3, 8):
-            g = without_coords(gen_venn(n))
-            pos = grid_layout(g)
-            for boundary in g.faces:
-                poly = [pos[d >> 2] for d in boundary]
-                assert inside(render._inside(poly), poly)
-                centroid = (Fraction(sum(p[0] for p in poly), len(poly)),
-                            Fraction(sum(p[1] for p in poly), len(poly)))
-                centroid_outside += not inside(centroid, poly)
-        assert centroid_outside > 0
 
 class TestDrawingCertificate:
     def test_accepts_vgraph_layouts(self, venn_family):
@@ -204,7 +252,7 @@ class TestDrawingCertificate:
                   *venn_family["graphs"].values(), *circle_vgraphs()]
         for g in corpus:
             pos = barycentric_layout(without_coords(g))
-            assert len(pos) == g.vertex_count
+            assert len(pos) == g.vertex_count + len(g.faces) - 1
 
     def test_swapped_vertices_are_rejected(self, monkeypatch):
         g = gen_venn(6)
