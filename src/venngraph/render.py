@@ -22,10 +22,10 @@ overlays add one ``hamilton``-classed element per cycle edge, one
 ``cert``-classed polyline per certified path, and one ``region-label``
 text per face.  An inner face is labelled at its centre on the grid,
 which the check proves inside it, and at the centroid of its corners
-with stored coordinates.  The outer face is labelled just below the
-lowest vertex, where no straight edge reaches; with stored coordinates
-it is the face whose corners turn counterclockwise, as face orbits keep
-their face on the right.
+with stored coordinates.  The outer face is labelled at the middle of
+the bottom margin, below the lowest vertex, where no straight edge
+reaches; with stored coordinates it is the face the map's ``outer``
+hint names, else the one whose corners enclose the largest area.
 """
 
 from __future__ import annotations
@@ -331,17 +331,20 @@ def _stored_anchors(
     g: PlaneGraph, pos: Mapping[int, tuple[float, float]]
 ) -> list[tuple[float, float] | None]:
     """The centroid of each face's distinct corners, and None for the
-    outer face: the one whose corners enclose the largest area
-    counterclockwise."""
+    outer face: the hinted one, else the one whose corners enclose the
+    largest area, whichever way the coordinates turn."""
     anchors: list[tuple[float, float] | None] = []
     areas = []
     for boundary in g.faces:
         corners = [pos[d >> 2] for d in boundary]
         xs, ys = zip(*(pos[v] for v in {d >> 2 for d in boundary}))
         anchors.append((sum(xs) / len(xs), sum(ys) / len(ys)))
-        areas.append(sum(x1 * y2 - x2 * y1
-                         for (x1, y1), (x2, y2) in zip(corners, corners[1:] + corners[:1])))
-    anchors[areas.index(max(areas))] = None
+        areas.append(abs(sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2)
+                             in zip(corners, corners[1:] + corners[:1]))))
+    if g.outer_dart is not None:
+        anchors[g.face_of[g.outer_dart]] = None
+    else:
+        anchors[areas.index(max(areas))] = None
     return anchors
 
 
@@ -431,12 +434,10 @@ def render_svg(
             anchors = _stored_anchors(g, pos)
         else:
             anchors = [pos.get(n + f) for f in range(len(g.faces))]
-        # the outer label's baseline: 16 px under the lowest vertex, clear
-        # of its dot and inside the 40-px margin
-        low = min(range(n), key=lambda v: pos[v][::-1])
-        lx, ly = to_screen(pos[low])
+        # the outer label's baseline: in the bottom margin, below the
+        # lowest vertex and so below every straight edge
         for f, at in enumerate(anchors):
-            cx, cy = (lx, ly + 16) if at is None else to_screen(at)
+            cx, cy = (size / 2, size - 24) if at is None else to_screen(at)
             text = format(report.labels[f], f"0{width}b")
             out.append(
                 f'<text class="region-label" x="{cx:.2f}" y="{cy:.2f}" '

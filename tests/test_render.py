@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import random
 import re
-from fractions import Fraction
 
 import pytest
 
@@ -94,6 +93,18 @@ def holds(poly: list[tuple[int, int]], point: tuple[int, int]) -> bool:
     return crossings % 2 == 1
 
 
+def mirrored(g: PlaneGraph, hinted: bool = False) -> PlaneGraph:
+    """g with every stored y negated, and with the outer face named by
+    the ``outer`` hint when ``hinted``: the face whose corners enclose
+    the largest area."""
+    coords = {v: (x, -y) for v, (x, y) in g.coords.items()}
+    outer = None
+    if hinted:
+        polygons = [[coords[d >> 2] for d in boundary] for boundary in g.faces]
+        outer = g.faces[max(range(len(polygons)), key=lambda f: area2(polygons[f]))][0]
+    return PlaneGraph(g.vertex_count, g._twin, coords=coords, outer_dart=outer)
+
+
 def parallel_arcs() -> PlaneGraph:
     """Circle 0 crosses only circle 1, so its two arcs join the same two
     vertices; two more circles cut each arc of circle 1 so that every
@@ -126,13 +137,16 @@ class TestRenderSvg:
     @pytest.mark.parametrize("g, inner", [
         (gen_venn3(), False),
         (from_circles(KAPPA4_NON_V), True),
-    ], ids=["venn3", "kappa4"])
+        (mirrored(from_circles(KAPPA4_NON_V)), True),
+        (mirrored(from_circles(KAPPA4_NON_V), hinted=True), True),
+    ], ids=["venn3", "kappa4", "kappa4-mirrored", "kappa4-mirrored-hinted"])
     def test_stored_coordinates_put_the_outer_label_outside_the_drawing(self, g, inner):
         # straight chords between the circles' crossings draw no plane
         # picture of these maps: some cut across faces, and gen_venn3's
         # chords v2 v5 through v1 and v0 v2 through v4 draw two faces
         # flat; so inner labels are checked only against their own
-        # polygons, and only on the κ = 4 family, whose faces all have area
+        # polygons, and only on the κ = 4 family, whose faces all have
+        # area.  Mirrored coordinates turn every face the other way.
         polygons, points = drawn_regions(g)
         outer = max(range(len(polygons)), key=lambda f: area2(polygons[f]))
         assert not any(holds(poly, points[outer]) for poly in polygons)

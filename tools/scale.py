@@ -16,11 +16,10 @@ steps on.  For each map the sweep records:
 
 Run from the repository root::
 
-    python3 tools/scale.py                # all of it, about a minute
-    python3 tools/scale.py --max-n 10     # a quick partial sweep
+    python3 tools/scale.py
 
-It writes ``BENCH_scale.json`` beside ``tools/`` (or the ``-o`` path).
-Nothing gates on it: a change that claims speed names the layer, the n,
+It takes about a minute and writes ``BENCH_scale.json`` beside
+``tools/`` (or the ``-o`` path).  Nothing gates on it: a change that claims speed names the layer, the n,
 and the before and after from that file.
 """
 
@@ -79,17 +78,17 @@ def run_child(argv: list[str], stdout) -> dict:
             "exit": proc.returncode}
 
 
-def build_maps(tmp: Path, max_n: int) -> dict[int, tuple[str, Path]]:
+def build_maps(tmp: Path) -> dict[int, tuple[str, Path]]:
     """The swept maps as ARR files, each with the pipeline that made it."""
     maps = {}
-    for n in range(3, min(max_n, 12) + 1):
+    for n in range(3, 13):
         path = tmp / f"venn{n}.arr"
         with open(path, "w") as out:
             if run_child(cli("gen", "venn", str(n)), out)["exit"]:
                 raise SystemExit(f"gen venn {n} failed")
         maps[n] = (f"gen venn {n}", path)
-    source, path = maps.get(12, ("", None))
-    for n in range(13, min(max_n, 16) + 1):
+    source, path = maps[12]
+    for n in range(13, 17):
         step = tmp / f"venn{n}.arr"
         with open(step, "w") as out:
             if run_child(cli("extend", str(path)), out)["exit"]:
@@ -100,11 +99,11 @@ def build_maps(tmp: Path, max_n: int) -> dict[int, tuple[str, Path]]:
     return maps
 
 
-def sweep(max_n: int) -> dict:
+def sweep() -> dict:
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for n, (source, path) in build_maps(tmp, max_n).items():
+        for n, (source, path) in build_maps(tmp).items():
             text = path.read_text()
             start = time.perf_counter()
             g = parse_arr(text)
@@ -139,10 +138,9 @@ def sweep(max_n: int) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--max-n", type=int, default=16, help="largest curve count swept (3..16)")
     parser.add_argument("-o", "--out", type=Path, default=ROOT / "BENCH_scale.json")
     args = parser.parse_args(argv)
-    result = sweep(args.max_n)
+    result = sweep()
     # one line per map, so that a diff shows which n moved
     rows = ",\n  ".join(json.dumps(row) for row in result.pop("runs"))
     args.out.write_text(json.dumps(result)[:-1] + ', "runs": [\n  ' + rows + "\n]}\n")
