@@ -46,6 +46,7 @@ from .maps import (
     DisconnectedError,
     MapError,
     NonInvolutiveTwinError,
+    NotPlaneError,
     PlaneGraph,
     RotationMap,
     SelfCrossingCurveError,
@@ -54,7 +55,6 @@ from .maps import (
 from .render import LayoutUnavailableError, barycentric_layout, render_svg
 from .validate import (
     GeneralPositionReport,
-    InconsistentLabelingError,
     UfiViolation,
     ValidationReport,
     VennReport,

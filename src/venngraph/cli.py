@@ -3,15 +3,17 @@
 All verbs read an arrangement in ARR format from a file argument (or
 stdin when the argument is ``-`` or omitted) and write results to stdout.
 
-Exit codes: 0 the checked property holds or the artifact was produced;
-1 the property fails, which includes a disconnected map given to a verb
-that needs a connected one (``not connected:`` on stderr); 2 input or
-usage error (including a spent search budget); 3 a guaranteed result
-was contradicted (no Hamilton cycle in a certified 4-connected planar
-graph, or an unextendable diagram with five or fewer curves), which
-would be reportable news rather than a bug in the input; 141 (128 +
-SIGPIPE) the reader of stdout went away, as in
-``venngraph certify --verbose big.arr | head -1``, and nothing is printed.
+Exit codes, and the prefixes of the stderr lines that explain them: 0
+the checked property holds or the artifact was produced; 1 the property
+fails, or the map fails a precondition of the verb, named alike by every
+verb (``not plane``, ``not connected``, ``not a v-graph``, ``not a
+diagram``, ``layout``, ``vacuous``, ``no Hamilton cycle to overlay``);
+2 input or usage error (``input error`` with a line number, ``budget``,
+``error``); 3 a guaranteed result was contradicted, which would be news
+rather than a bug in the input (``contradiction``, ``unextendable``,
+exit 1 past five curves); 141 (128 + SIGPIPE) stdout's reader went away,
+as in ``venngraph certify --verbose big.arr | head -1``; nothing is
+printed.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import sys
 
 from . import arrio, generators
 from .connectivity import (
+    NotVGraphError,
     VacuousCertificationError,
     certify_distance_two,
     proof_paths,
@@ -30,9 +33,9 @@ from .connectivity import (
 )
 from .dual import DualNotHamiltonianError, NotVennError, dual, winkler_extend
 from .hamilton import DEFAULT_BUDGET, BudgetExceededError, find_hamilton
-from .maps import DisconnectedError, MapError, PlaneGraph
+from .maps import DisconnectedError, MapError, NotPlaneError, PlaneGraph
 from .render import LayoutUnavailableError, render_svg
-from .validate import InconsistentLabelingError, two_faces, validate, venn_check
+from .validate import two_faces, validate, venn_check
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAIL = 1
@@ -291,12 +294,14 @@ def main(argv: list[str] | None = None) -> int:
     except LayoutUnavailableError as exc:
         print(f"layout: {exc}", file=sys.stderr)
         return EXIT_PROPERTY_FAIL
-    except InconsistentLabelingError as exc:
-        # the region labels of a map that is not plane need not close up
+    except NotPlaneError as exc:
         print(f"not plane: {exc}", file=sys.stderr)
         return EXIT_PROPERTY_FAIL
     except DisconnectedError as exc:
         print(f"not connected: {exc}", file=sys.stderr)
+        return EXIT_PROPERTY_FAIL
+    except NotVGraphError as exc:
+        print(f"not a v-graph: {exc}", file=sys.stderr)
         return EXIT_PROPERTY_FAIL
     except (MapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -645,8 +645,6 @@ def vertex_connectivity(g: RotationMap) -> tuple[int, CutCertificate | None]:
     graphs, which no vertex set separates.
     """
     n = g.vertex_count
-    if n < 2:
-        raise ValueError("connectivity needs at least two vertices")
     comps = g.components
     if len(comps) > 1:
         side_a = frozenset(comps[0])

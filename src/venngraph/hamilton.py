@@ -143,8 +143,6 @@ def find_hamilton(
     distinct outcome from definitive exhaustion.
     """
     n = g.vertex_count
-    if n < 3:
-        raise ValueError("a cycle needs at least three vertices")
 
     # collapse parallel edges and drop loops, ordered by canonical dart
     edges: list[tuple[int, int]] = []

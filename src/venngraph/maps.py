@@ -69,6 +69,10 @@ class DisconnectedError(MapError):
     """Operation requires a connected graph."""
 
 
+class NotPlaneError(MapError):
+    """Operation requires a plane map: every component of genus zero."""
+
+
 def _orbit_table(succ: Sequence[int]) -> tuple[list[int], list[int]]:
     """The cycle id of every element of the permutation ``succ`` of its
     indices, cycles numbered in order of their smallest elements, and

@@ -10,8 +10,9 @@ Fraysseix, Pach and Pollack, "How to draw a planar graph on a grid",
 1990), and the shift method with Chrobak and Payne's relative offsets
 ("A linear-time algorithm for drawing a planar graph on a grid", 1995)
 places it on a (2N - 4) x (N - 2) grid of ints in linear time, N being
-the number of vertices plus faces.  Maps that fail one of those four
-preconditions are refused by name.  Nothing is assumed of the drawing
+the number of vertices plus faces.  A map that is not connected or not
+plane raises the error every verb raises for that; one that fails the
+other two preconditions is refused by name.  Nothing is assumed of the drawing
 itself: every triangle is checked with exact integer cross products,
 and vertex connectivity is computed only to explain a drawing that
 fails that check.
@@ -20,12 +21,13 @@ Every edge becomes one ``<path>`` element coloured by its curve, so the
 number of path elements in the output equals the edge count.  Optional
 overlays add one ``hamilton``-classed element per cycle edge, one
 ``cert``-classed polyline per certified path, and one ``region-label``
-text per face.  An inner face is labelled at its centre on the grid,
-which the check proves inside it, and at the centroid of its corners
-with stored coordinates.  The outer face is labelled at the middle of
-the bottom margin, below the lowest vertex, where no straight edge
-reaches; with stored coordinates it is the face the map's ``outer``
-hint names, else the one whose corners enclose the largest area.
+text per face: its membership vector, venn_check's label XOR the outer
+face's.  An inner face is labelled at its centre on the grid, which the
+check proves inside it, and at the centroid of its corners with stored
+coordinates.  The outer face is labelled at the middle of the bottom
+margin, below the lowest vertex, where no straight edge reaches; with
+stored coordinates it is the face the map's ``outer`` hint names, else
+the one whose corners enclose the largest area.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .connectivity import ProofPathsResult, vertex_connectivity
-from .maps import MapError, PlaneGraph
+from .maps import DisconnectedError, MapError, NotPlaneError, PlaneGraph
 from .validate import venn_check
 
 _PALETTE = [
@@ -46,16 +48,12 @@ _INTERIOR, _CONTOUR, _REMOVED, _NEW = 0, 1, 2, 3
 
 
 class LayoutUnavailableError(MapError):
-    """No coordinates, and the grid layout cannot draw the map."""
+    """No coordinates, and the grid layout cannot draw a connected plane map."""
 
 
 def _refusal(g: PlaneGraph) -> str | None:
-    """The first precondition of the grid layout that ``g`` fails, or
-    None when it meets all four."""
-    if not g.is_connected:
-        return "the map is not connected"
-    if not g.is_planar:
-        return "the map is not plane"
+    """The first precondition of the grid layout that the connected plane
+    map ``g`` fails, or None when it meets both."""
     vertex_of = g._vertex_of
     for f, boundary in enumerate(g.faces):
         if len(boundary) < 3 or len(set(map(vertex_of.__getitem__, boundary))) < len(boundary):
@@ -269,9 +267,10 @@ def grid_layout(g: PlaneGraph) -> dict[int, tuple[int, int]]:
     key v, and the centre of each inner face f at key ``n + f``, n being
     the vertex count.  The outer face alone has no key.
 
-    Raises :class:`LayoutUnavailableError` naming the reason when ``g``
-    is not connected, not plane, has a face that is not a simple cycle
-    of three or more corners, or has parallel edges.  Those are exactly
+    Raises :class:`DisconnectedError` or :class:`NotPlaneError` when
+    ``g`` is not connected or not plane, and :class:`LayoutUnavailableError`
+    naming the reason when it has a face that is not a simple cycle of
+    three or more corners, or parallel edges.  Those are exactly
     the maps whose centre triangulation (:func:`_centre_triangulation`)
     is a simple plane triangulation, with N = V + F vertices.  The
     outer face is the stored hint when present, otherwise the face with
@@ -295,6 +294,10 @@ def grid_layout(g: PlaneGraph) -> dict[int, tuple[int, int]]:
     naming the face and the graph's vertex connectivity, computed only
     then.
     """
+    if not g.is_connected:
+        raise DisconnectedError("the grid layout needs a connected map")
+    if not g.is_planar:
+        raise NotPlaneError("the grid layout needs a plane map")
     reason = _refusal(g)
     if reason is not None:
         raise LayoutUnavailableError(reason)
@@ -373,10 +376,10 @@ def render_svg(
     ``hamilton`` overlays a vertex cycle; ``cert`` overlays four certified
     paths; ``labels`` writes each region's membership vector in binary,
     placed as the module docstring says.  A map that is not plane raises
-    :class:`LayoutUnavailableError`, with stored coordinates or without.
+    :class:`NotPlaneError`, with stored coordinates or without.
     """
     if g.coords and not g.is_planar:
-        raise LayoutUnavailableError("the map is not plane, so no coordinates draw it")
+        raise NotPlaneError("no coordinates draw a map that is not plane")
     pos = g.coords if g.coords else barycentric_layout(g)
     n = g.vertex_count
     to_screen = _viewport([pos[v] for v in range(n)], size, margin=40)
@@ -434,11 +437,12 @@ def render_svg(
             anchors = _stored_anchors(g, pos)
         else:
             anchors = [pos.get(n + f) for f in range(len(g.faces))]
+        outer_label = report.labels[anchors.index(None)]
         # the outer label's baseline: in the bottom margin, below the
         # lowest vertex and so below every straight edge
         for f, at in enumerate(anchors):
             cx, cy = (size / 2, size - 24) if at is None else to_screen(at)
-            text = format(report.labels[f], f"0{width}b")
+            text = format(report.labels[f] ^ outer_label, f"0{width}b")
             out.append(
                 f'<text class="region-label" x="{cx:.2f}" y="{cy:.2f}" '
                 f'font-size="11" font-family="monospace" '

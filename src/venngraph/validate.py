@@ -34,6 +34,25 @@ a curve orbit visits vertex v twice exactly when
 
 So the self-crossing vertices and the vertices where one curve crosses
 itself are the same set, found in O(V).
+
+Region labels need the map to be plane, which this lemma backs.  Lemma:
+if :func:`venn_check`'s labels disagree across some edge, the map is not
+plane, whatever its connectivity.  Proof:
+
+- A disagreement closes a walk through the faces of the root face's
+  component, each step crossing one edge, whose crossings toggle a
+  nonzero set of curve bits.  Taken mod 2, the crossed edges form a
+  cycle of the dual: every face is entered as often as it is left.
+- If that component is plane, so is its dual, and the dual's cycles
+  over GF(2) are spanned by its face boundaries.  A face of the dual is
+  the walk round a single vertex v, which crosses the four edges at v,
+  a loop at v twice.
+- Darts 4v and 4v + 2 share a curve id, and so do 4v + 1 and 4v + 3
+  (the first lemma), so the walk round v crosses each curve at v twice
+  and toggles no bit.  Neither, then, does any sum of such walks.
+
+So a plane component labels consistently, and a disagreement proves its
+component, and with it the map, not plane.
 """
 
 from __future__ import annotations
@@ -44,11 +63,7 @@ from itertools import repeat
 from operator import xor
 from typing import NamedTuple
 
-from .maps import DisconnectedError, MapError, PlaneGraph
-
-
-class InconsistentLabelingError(MapError):
-    """Region labels do not close up around a cycle of faces."""
+from .maps import DisconnectedError, NotPlaneError, PlaneGraph
 
 
 class UfiViolation(NamedTuple):
@@ -149,9 +164,9 @@ def venn_check(g: PlaneGraph, root_face: int = 0) -> VennReport:
     otherwise, when at least 2^n - F labels are absent; every field costs
     O(F).  A map whose curve crosses itself is never a simple diagram.
 
-    The search reaches every face exactly when the map is connected, as
-    every vertex lies on a face; a disconnected map raises
-    :class:`DisconnectedError` before any disagreement is reported.
+    A disagreement proves the map not plane (the module docstring's
+    second lemma) and raises :class:`NotPlaneError`; else a disconnected
+    map, in which the search misses a face, raises :class:`DisconnectedError`.
     """
     n = len(g.curve_first)
     curve_of, face_next, first = g.curve_of, g.face_next, g.face_first
@@ -171,16 +186,14 @@ def venn_check(g: PlaneGraph, root_face: int = 0) -> VennReport:
                 labels[other] = lab
                 queue.append(other)
             elif seen != lab:
-                if not g.is_connected:
-                    raise _disconnected()
-                raise InconsistentLabelingError(
+                raise NotPlaneError(
                     f"faces {f} and {other} disagree across curve {curve_of[d]}"
                 )
             d = face_next[d]
             if d == d0:
                 break
     if len(queue) < len(first):
-        raise _disconnected()
+        raise DisconnectedError("region labels need a connected arrangement")
     counts = Counter(labels)
     top = max(counts.values())
     offset = min(lab for lab, c in counts.items() if c == top)
@@ -201,10 +214,6 @@ def venn_check(g: PlaneGraph, root_face: int = 0) -> VennReport:
         duplicated_labels=duplicated,
         is_simple_venn=is_simple,
     )
-
-
-def _disconnected() -> DisconnectedError:
-    return DisconnectedError("region labels need a connected arrangement")
 
 
 def validate(g: PlaneGraph) -> ValidationReport:

@@ -113,6 +113,11 @@ class TestChecks:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "not a diagram: 1 curves but 2 distinct labels over 3 regions\n"
+        # too small for a cycle or a separator, but an answer all the same
+        assert main(["hamilton", str(path)]) == 1
+        assert capsys.readouterr().out == "exhausted: no Hamilton cycle exists\n"
+        assert main(["connectivity", str(path)]) == 1
+        assert capsys.readouterr().out == "connectivity: 0\n"
 
     @pytest.mark.parametrize("verb", ["venn-check", "extend"])
     def test_map_that_is_not_plane_is_no_diagram(self, capsys, tmp_path, verb):
@@ -196,6 +201,12 @@ class TestChecks:
 
     def test_paths_bad_triple(self, capsys, venn3_file):
         assert main(["paths", "0", "0", "0", venn3_file]) == 2
+
+    def test_paths_on_a_map_that_is_not_a_vgraph_fails_the_property(self, capsys, weave3_file):
+        assert main(["paths", "0", "1", "2", weave3_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "not a v-graph: construction requires a valid V-graph\n"
 
     @pytest.mark.parametrize("verb", [["paths"], ["render", "--paths"]])
     @pytest.mark.parametrize(
@@ -366,13 +377,14 @@ class TestTransforms:
     @pytest.mark.parametrize("coords", ["", "coord 0 0.0 0.0\ncoord 1 1.0 0.0\n"],
                              ids=["layout", "stored-coordinates"])
     def test_render_refuses_a_map_that_is_not_plane(self, capsys, tmp_path, coords):
+        # the prefix venn-check and extend give the same map
         path = tmp_path / "not-plane.arr"
         path.write_text(NOT_PLANE + coords)
         assert not parse_arr(NOT_PLANE + coords).is_planar
         assert main(["render", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("layout: ")
+        assert captured.err.startswith("not plane: ")
 
     def test_render_partial_coordinates_is_an_input_error(self, capsys, tmp_path, venn3):
         lines = [l for l in write_arr(venn3).splitlines() if not l.startswith("coord 0 ")]

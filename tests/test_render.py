@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import re
 
@@ -9,7 +10,7 @@ from venngraph import render
 from venngraph.connectivity import proof_paths
 from venngraph.generators import from_circles, gen_venn, gen_venn3, gen_weave
 from venngraph.hamilton import find_hamilton
-from venngraph.maps import PlaneGraph
+from venngraph.maps import DisconnectedError, NotPlaneError, PlaneGraph
 from venngraph.render import (
     LayoutUnavailableError,
     barycentric_layout,
@@ -54,12 +55,14 @@ def face_vertices(g: PlaneGraph, face: int) -> set[int]:
     return {d >> 2 for d in g.faces[face]}
 
 
-def drawn_regions(g: PlaneGraph) -> tuple[list[list[tuple[int, int]]], list[tuple[int, int]]]:
-    """The corner polygon of each face of g and the point of its region
-    label, read back from g's labelled SVG, where the labels come in
-    face order.  Coordinates are printed to 0.01 px and read as integers
-    in those units; the huge canvas keeps that rounding far below the
-    grid drawing's thinnest corners."""
+def drawn_regions(
+    g: PlaneGraph,
+) -> tuple[list[list[tuple[int, int]]], list[tuple[int, int]], list[int]]:
+    """The corner polygon of each face of g, the point of its region
+    label and the label, read back from g's labelled SVG, where the
+    labels come in face order.  Coordinates are printed to 0.01 px and
+    read as integers in those units; the huge canvas keeps that rounding
+    far below the grid drawing's thinnest corners."""
     svg = render_svg(g, labels=True, size=10 ** 7)
 
     def units(x: str, y: str) -> tuple[int, int]:
@@ -71,10 +74,17 @@ def drawn_regions(g: PlaneGraph) -> tuple[list[list[tuple[int, int]]], list[tupl
         r'<text class="region-label" x="([\d.]+)" y="([\d.]+)"[^>]*>([01]+)</text>', svg)
     report = venn_check(g)
     assert len(corners) == g.vertex_count
-    assert [text for _, _, text in labels] == [format(label, f"0{report.curve_count}b")
-                                               for label in report.labels]
+    assert all(len(text) == report.curve_count for _, _, text in labels)
+    # rooted at one face: venn_check's labels, each XOR the same offset
+    rooted = [int(text, 2) for _, _, text in labels]
+    assert len({r ^ label for r, label in zip(rooted, report.labels)}) == 1
     polygons = [[corners[d >> 2] for d in boundary] for boundary in g.faces]
-    return polygons, [units(x, y) for x, y, _ in labels]
+    return polygons, [units(x, y) for x, y, _ in labels], rooted
+
+
+def region_labels(svg: str) -> list[str]:
+    """The region-label texts of an SVG, in face order."""
+    return re.findall(r'class="region-label"[^>]*>([01]+)</text>', svg)
 
 
 def area2(poly: list[tuple[int, int]]) -> int:
@@ -130,9 +140,18 @@ class TestRenderSvg:
 
     def test_labels_cover_every_region(self, venn3):
         svg = render_svg(venn3, labels=True)
-        labels = re.findall(r'class="region-label"[^>]*>([01]+)</text>', svg)
+        labels = region_labels(svg)
         assert len(labels) == len(venn3.faces)
         assert sorted(labels) == sorted(format(i, "03b") for i in range(8))
+        # labels are membership vectors: the three crossings within unit
+        # distance of the circles' common centre are the corners of the
+        # region inside all three circles, the other three those of the
+        # region outside them all
+        near = {v for v, (x, y) in venn3.coords.items()
+                if math.hypot(x - 0.5, y - math.sqrt(3) / 6) < 1}
+        corners = [{d >> 2 for d in boundary} for boundary in venn3.faces]
+        assert labels[corners.index(near)] == "111"
+        assert labels[corners.index(set(venn3.coords) - near)] == "000"
 
     @pytest.mark.parametrize("g, inner", [
         (gen_venn3(), False),
@@ -147,9 +166,10 @@ class TestRenderSvg:
         # flat; so inner labels are checked only against their own
         # polygons, and only on the κ = 4 family, whose faces all have
         # area.  Mirrored coordinates turn every face the other way.
-        polygons, points = drawn_regions(g)
+        polygons, points, labels = drawn_regions(g)
         outer = max(range(len(polygons)), key=lambda f: area2(polygons[f]))
         assert not any(holds(poly, points[outer]) for poly in polygons)
+        assert labels[outer] == 0
         if inner:
             assert all(holds(poly, point) for f, (poly, point) in enumerate(zip(polygons, points))
                        if f != outer)
@@ -173,7 +193,7 @@ class TestRenderSvg:
         # four parallel edges, met in the same rotation at both ends
         g = PlaneGraph(2, [4, 5, 6, 7, 0, 1, 2, 3], coords={0: (0.0, 0.0), 1: (1.0, 0.0)})
         assert not g.is_planar
-        with pytest.raises(LayoutUnavailableError, match="not plane"):
+        with pytest.raises(NotPlaneError, match="not plane"):
             render_svg(g)
         eight = PlaneGraph(1, [1, 0, 3, 2], coords={0: (0.0, 0.0)})
         assert eight.is_planar and render_svg(eight).count("<path") == 2
@@ -215,6 +235,8 @@ class TestGridLayout:
         for f, boundary in enumerate(venn5.faces):
             hinted = PlaneGraph(venn5.vertex_count, venn5._twin, outer_dart=boundary[-1])
             assert set(range(size)) - set(grid_layout(hinted)) == {venn5.vertex_count + f}
+            labels = region_labels(render_svg(hinted, labels=True))
+            assert labels[f] == "00000" and len(set(labels)) == 32
 
     def test_draws_exactly_the_circle_families_that_meet_its_preconditions(self):
         rng = random.Random(20)
@@ -239,13 +261,15 @@ class TestGridLayout:
                 drawn += 1
         assert drawn and refused
 
-    @pytest.mark.parametrize("g, reason", [
-        (PlaneGraph(2, [4, 5, 6, 7, 0, 1, 2, 3]), "the map is not plane"),
-        (gen_weave(3), r"face \d+ is not a simple cycle of 3 or more corners"),
-        (parallel_arcs(), "parallel edges join vertices 0 and 1"),
+    @pytest.mark.parametrize("g, error, reason", [
+        (PlaneGraph(2, [4, 5, 6, 7, 0, 1, 2, 3]), NotPlaneError,
+         "the grid layout needs a plane map"),
+        (gen_weave(3), LayoutUnavailableError,
+         r"face \d+ is not a simple cycle of 3 or more corners"),
+        (parallel_arcs(), LayoutUnavailableError, "parallel edges join vertices 0 and 1"),
     ], ids=["not-plane", "weave", "parallel-edges"])
-    def test_refusal_names_the_failed_precondition(self, g, reason):
-        with pytest.raises(LayoutUnavailableError, match=reason):
+    def test_refusal_names_the_failed_precondition(self, g, error, reason):
+        with pytest.raises(error, match=reason):
             grid_layout(g)
 
     def test_region_labels_sit_inside_their_faces(self):
@@ -253,8 +277,9 @@ class TestGridLayout:
         # drawing: each inner label lies in it and its own face's polygon
         # alone, and the outer label in none
         for g in (*(gen_venn(n) for n in range(3, 9)), from_circles(KAPPA4_NON_V)):
-            polygons, points = drawn_regions(without_coords(g))
+            polygons, points, labels = drawn_regions(without_coords(g))
             outer = max(range(len(polygons)), key=lambda f: area2(polygons[f]))
+            assert labels[outer] == 0
             for f, point in enumerate(points):
                 held = {h for h, poly in enumerate(polygons) if holds(poly, point)}
                 assert held == (set() if f == outer else {f, outer}), (g.vertex_count, f)
@@ -320,7 +345,7 @@ class TestDrawingCertificate:
     def test_disconnected_graph_has_no_layout(self, venn3):
         n = venn3.vertex_count
         twin = list(venn3._twin) + [t + 4 * n for t in venn3._twin]
-        with pytest.raises(LayoutUnavailableError, match="the map is not connected"):
+        with pytest.raises(DisconnectedError, match="needs a connected map"):
             barycentric_layout(PlaneGraph(2 * n, twin))
 
     def test_vgraphs_render_without_connectivity(self, monkeypatch, venn_family):

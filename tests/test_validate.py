@@ -11,13 +11,13 @@ from venngraph.arrio import parse_arr, write_arr
 from venngraph.generators import gen_venn
 from venngraph.maps import (
     DisconnectedError,
+    NotPlaneError,
     PlaneGraph,
     RotationMap,
     SelfCrossingCurveError,
 )
 from venngraph.validate import (
     GeneralPositionReport,
-    InconsistentLabelingError,
     UfiViolation,
     ValidationReport,
     VennReport,
@@ -59,6 +59,32 @@ def orbit_ids(succ, n: int) -> list[int]:
                 d = succ(d)
             count += 1
     return ids
+
+
+def random_pairing(rng: random.Random, n: int, nested: bool) -> PlaneGraph:
+    """A map on n vertices whose 4n darts are paired at random.
+
+    A nested pairing lays the darts out in a row, vertex by vertex and
+    each vertex's darts in reverse, and pairs them by a random
+    non-crossing matching; the arcs drawn above the row then draw the
+    map in the plane, so nested pairings are plane, and they reach the
+    larger n where uniform ones almost never are.
+    """
+    darts = [4 * (i >> 2) + 3 - (i & 3) for i in range(4 * n)]
+    twin = [0] * (4 * n)
+    if nested:
+        open_: list[int] = []
+        for i, d in enumerate(darts):
+            if open_ and (len(open_) == 4 * n - i or rng.random() < 0.5):
+                e = open_.pop()
+                twin[d], twin[e] = e, d
+            else:
+                open_.append(d)
+    else:
+        rng.shuffle(darts)
+        for a, b in zip(darts[::2], darts[1::2]):
+            twin[a], twin[b] = b, a
+    return PlaneGraph(n, twin)
 
 
 def reference_tables(g: PlaneGraph):
@@ -103,10 +129,9 @@ def reference_reports(g: PlaneGraph):
     gp = GeneralPositionReport(not revisits and planar, revisits, planar)
     report = ValidationReport(gp.ok, connected, curves, ufi,
                               gp.ok and connected and curves >= 3 and not ufi, gp)
-    if not connected:
-        return ufi, report, DisconnectedError
     # breadth-first from face 0, each face's darts in boundary order from
-    # its smallest one, as the venn_check docstring defines the labels
+    # its smallest one, as the venn_check docstring defines the labels; a
+    # disagreement proves the map not plane, whatever its connectivity
     boundary = {f: [] for f in range(faces)}
     for d in range(g.dart_count):
         if not boundary[face_of[d]]:
@@ -126,8 +151,10 @@ def reference_reports(g: PlaneGraph):
                 labels[other] = lab
                 queue.append(other)
             elif labels[other] != lab:
-                return ufi, report, InconsistentLabelingError(
+                return ufi, report, NotPlaneError(
                     f"faces {f} and {other} disagree across curve {curve_of[d]}")
+    if not connected:
+        return ufi, report, DisconnectedError
     counts = Counter(labels.values())
     offset = min(lab for lab, c in counts.items() if c == max(counts.values()))
     norm = tuple(labels[f] ^ offset for f in range(faces))
@@ -373,11 +400,29 @@ class TestVennCheck:
         assert verdict.ufi_violations and not verdict.is_vgraph
 
     def test_torus_labeling_is_inconsistent(self):
-        from venngraph.validate import InconsistentLabelingError
-
         g = PlaneGraph(1, [2, 3, 0, 1])
-        with pytest.raises(InconsistentLabelingError):
+        with pytest.raises(NotPlaneError):
             venn_check(g)
+
+    def test_labels_disagree_only_on_maps_that_are_not_plane(self):
+        # the module docstring's lemma, on random maps of 1..9 vertices
+        rng = random.Random(30)
+        plane = not_plane = 0
+        sizes = Counter()
+        while plane < 500:
+            n = rng.randint(1, 9)
+            g = random_pairing(rng, n, nested=rng.random() < 0.5)
+            try:
+                venn_check(g)
+            except NotPlaneError:
+                assert not g.is_planar
+                not_plane += 1
+            except DisconnectedError:
+                assert not g.is_connected
+            if g.is_connected and g.is_planar:
+                plane += 1
+                sizes[n] += 1
+        assert not_plane >= 100 and len(sizes) == 9
 
 
 class TestCrossImplications:
