@@ -4,7 +4,7 @@ Grammar::
 
     arrangement <V>
     v <id> <n0>.<s0> <n1>.<s1> <n2>.<s2> <n3>.<s3>
-    coord <id> <x> <y>          # optional: finite numbers, for all vertices or none
+    coord <id> <x> <y>          # optional: checked, then ignored
     outer <vertex>.<slot>       # optional, rendering hint only
 
 One ``v`` line per vertex, ids 0..V-1, listing the twin of each of the
@@ -12,8 +12,11 @@ vertex's four darts counterclockwise as ``vertex.slot``.  ``#`` starts a
 comment; blank lines are ignored.  Twin references must reciprocate:
 if dart (a, i) names (b, j) then (b, j) must name (a, i).
 
-Writing is canonical (vertices ascending, slots in order, coords after
-the rotation lines), so ``write(parse(write(g))) == write(g)``.
+``coord`` lines are accepted for files written by older versions: each
+must name a vertex once with finite numbers, for all vertices or none,
+and is then dropped, since a map holds no coordinates.  Writing is
+canonical (vertices ascending, slots in order, the ``outer`` hint
+last), so ``write(parse(write(g))) == write(g)``.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ def parse_arr(text: str) -> PlaneGraph:
     refs: list[int] = []
     row_at: dict[int, int] = {}
     row_line: dict[int, int] = {}
-    coords: dict[int, tuple[float, float]] = {}
+    coords: set[int] = set()  # the vertices with a coord line, checked and dropped
     outer: int | None = None
     last_line = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -108,7 +111,7 @@ def parse_arr(text: str) -> PlaneGraph:
                 raise ArrSyntaxError(lineno, "coordinates must be numbers") from None
             if not (isfinite(x) and isfinite(y)):
                 raise ArrSyntaxError(lineno, "coordinates must be finite numbers")
-            coords[vid] = (x, y)
+            coords.add(vid)
         elif directive == "outer":
             if len(tokens) != 2:
                 raise ArrSyntaxError(lineno, "expected 'outer <vertex>.<slot>'")
@@ -130,7 +133,7 @@ def parse_arr(text: str) -> PlaneGraph:
     twin = list(chain.from_iterable(
         refs[i:i + 4] for i in map(row_at.__getitem__, range(vertex_count))))
     try:
-        return PlaneGraph(vertex_count, twin, coords=coords or None, outer_dart=outer)
+        return PlaneGraph(vertex_count, twin, outer_dart=outer)
     except (SelfTwinError, NonInvolutiveTwinError) as exc:
         # the constructor names the first dart that fails its twin test
         d = exc.dart
@@ -149,10 +152,6 @@ def write_arr(g: PlaneGraph) -> str:
     refs = iter([f"{t >> 2}.{t & 3}" for t in g._twin])
     lines += [f"v {v} {a} {b} {c} {d}"
               for v, a, b, c, d in zip(range(g.vertex_count), refs, refs, refs, refs)]
-    if g.coords:
-        for v in sorted(g.coords):
-            x, y = g.coords[v]
-            lines.append(f"coord {v} {x!r} {y!r}")
     if g.outer_dart is not None:
         lines.append(f"outer {g.outer_dart >> 2}.{g.outer_dart & 3}")
     return "\n".join(lines) + "\n"

@@ -183,15 +183,12 @@ def _cmd_extend(args) -> int:
 def _cmd_gen(args) -> int:
     if args.kind == "venn3":
         g = generators.gen_venn3()
+    elif args.n is None:
+        need = "a curve count" if args.kind == "venn" else "a crossing parameter"
+        raise ValueError(f"gen {args.kind} needs {need}")
     elif args.kind == "venn":
-        if args.n is None:
-            print("gen venn needs a curve count", file=sys.stderr)
-            return EXIT_USAGE
         g = generators.gen_venn(args.n)
     else:
-        if args.n is None:
-            print("gen weave needs a crossing parameter", file=sys.stderr)
-            return EXIT_USAGE
         g = generators.gen_weave(args.n)
     sys.stdout.write(arrio.write_arr(g))
     return EXIT_OK

@@ -1,9 +1,10 @@
 """Reference arrangements: the 3-circle diagram, iterated extensions, weaves.
 
 All generators are deterministic; repeated calls return dart-identical
-graphs.  Geometry is used only in :func:`from_circles` to order crossings
-along each circle; the emitted object is purely combinatorial (plus
-coordinate metadata for rendering).
+graphs.  Geometry is used only in :func:`from_circles`, to order the
+crossings along each circle and round each crossing, and to name the
+unbounded region by the map's ``outer`` hint; the emitted map keeps no
+coordinates.
 """
 
 from __future__ import annotations
@@ -48,7 +49,9 @@ def from_circles(circles: Sequence[Circle]) -> PlaneGraph:
 
     Every circle must cross at least one other circle (an isolated circle
     has no darts and cannot be represented).  Tangencies, concentric pairs
-    and near-coincident crossing points are rejected.
+    and near-coincident crossing points are rejected.  Vertices are the
+    crossings of circle pairs i < j in order, each pair's two points
+    sorted, and ``outer_dart`` names the unbounded region.
     """
     points: list[tuple[float, float]] = []
     on_circle: dict[int, list[int]] = defaultdict(list)
@@ -99,6 +102,11 @@ def from_circles(circles: Sequence[Circle]) -> PlaneGraph:
         for s, (_, c, sense) in enumerate(dirs):
             slot_of[(vid, c, sense)] = s
 
+    # the unbounded region touches the circle that reaches furthest left
+    # at its leftmost point, angle pi, on the arc from its last crossing by
+    # angle to its first; the region lies right of that arc's
+    # counterclockwise dart, in the face ``face_of`` gives the dart
+    left = min(range(len(circles)), key=lambda c: circles[c][0] - circles[c][2])
     twin = [-1] * (4 * len(points))
     for c, vids in on_circle.items():
         cx, cy, _ = circles[c]
@@ -111,8 +119,9 @@ def from_circles(circles: Sequence[Circle]) -> PlaneGraph:
             dw = 4 * w + slot_of[(w, c, -1)]
             twin[dv] = dw
             twin[dw] = dv
-    coords = {vid: points[vid] for vid in range(len(points))}
-    return PlaneGraph(len(points), twin, coords=coords)
+        if c == left:
+            outer = dv  # leaves the last crossing in the ring
+    return PlaneGraph(len(points), twin, outer_dart=outer)
 
 
 def gen_venn3() -> PlaneGraph:

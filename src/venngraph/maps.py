@@ -32,8 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from math import isfinite
-from operator import eq, index, itemgetter, xor
+from operator import eq, itemgetter, xor
 from typing import Collection, Iterable, Mapping, Sequence
 
 
@@ -133,7 +132,8 @@ class RotationMap:
     """Immutable rotation system with arbitrary vertex degrees.
 
     Used directly for planar duals (whose vertices inherit the primal face
-    degrees); the 4-regular specialisation is :class:`PlaneGraph`.
+    degrees) and for drawings that bend edges at degree-2 midpoints; the
+    4-regular specialisation is :class:`PlaneGraph`.
     """
 
     def __init__(self, degrees: Sequence[int], twin: Sequence[int]):
@@ -354,48 +354,22 @@ class PlaneGraph(RotationMap):
     ``4 * v + s`` is vertex v's slot-s edge end, slots counterclockwise.
     Slots s and s+2 continue the same curve straight through the crossing.
 
-    Optional ``coords`` (vertex -> (x, y), for every vertex or none) and
-    ``outer_dart`` are rendering metadata only; no combinatorial operation
-    reads them.  Coordinates are stored as Python floats under int
-    vertex ids; a key that :func:`operator.index` refuses, or a
-    coordinate that does not convert to a finite float, raises
-    :class:`MapError`.
+    Optional ``outer_dart`` is rendering metadata only: the drawing
+    puts the face on its right outside.  No combinatorial operation
+    reads it.
     """
 
     def __init__(
         self,
         vertex_count: int,
         twin: Sequence[int],
-        coords: Mapping[int, tuple[float, float]] | None = None,
         outer_dart: int | None = None,
     ):
         if vertex_count < 1:
             raise BadSlotError("vertex_count must be at least 1")
         super().__init__((4,) * vertex_count, twin)
-        if coords is not None:
-            ids = []
-            for v in coords:
-                try:
-                    ids.append(index(v))
-                except TypeError:
-                    raise MapError(f"coordinate key {v!r} is not an int vertex id") from None
-            bad = [v for v in ids if not 0 <= v < vertex_count]
-            if bad:
-                raise BadSlotError(f"coordinates for unknown vertex {bad[0]}")
-            present = set(ids)
-            if ids and len(present) < vertex_count:
-                missing = next(v for v in range(vertex_count) if v not in present)
-                raise MapError(f"no coordinates for vertex {missing}; give all or none")
-            try:
-                coords = {v: (float(x), float(y)) for v, (x, y) in zip(ids, coords.values())}
-            except (TypeError, ValueError):
-                raise MapError("coordinates must be pairs of numbers") from None
-            bad = next((v for v, xy in coords.items() if not all(map(isfinite, xy))), None)
-            if bad is not None:
-                raise MapError(f"coordinates of vertex {bad} are not finite")
         if outer_dart is not None and not 0 <= outer_dart < 4 * vertex_count:
             raise BadSlotError(f"outer dart {outer_dart} out of range")
-        self.coords = coords or None
         self.outer_dart = outer_dart
 
     def curve_next(self, d: int) -> int:

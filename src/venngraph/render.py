@@ -1,41 +1,42 @@
-"""Straight-line SVG drawings of arrangements.
+"""Straight-line SVG drawings of arrangements, on an exact integer grid.
 
-Geometry comes from stored coordinates when present; otherwise from an
-exact integer grid drawing, :func:`grid_layout`.  Every face, the outer
-one included, gets a centre vertex joined to its corners.  When the map
-is connected and plane, its faces are simple cycles of three or more
-corners and it has no parallel edges, that centre triangulation is a
-simple plane triangulation, so it has a canonical ordering (de
-Fraysseix, Pach and Pollack, "How to draw a planar graph on a grid",
-1990), and the shift method with Chrobak and Payne's relative offsets
-("A linear-time algorithm for drawing a planar graph on a grid", 1995)
-places it on a (2N - 4) x (N - 2) grid of ints in linear time, N being
-the number of vertices plus faces.  A map that is not connected or not
-plane raises the error every verb raises for that; one that fails the
-other two preconditions is refused by name.  Nothing is assumed of the drawing
-itself: every triangle is checked with exact integer cross products,
-and vertex connectivity is computed only to explain a drawing that
-fails that check.
+The map is drawn by :func:`grid_layout`.  Each edge that shares both
+ends with another edge gets a degree-2 midpoint, which keeps the faces
+and their ids, and then every face, the outer one included, gets a
+centre vertex joined to its corners.  When the map is connected and
+plane and no face repeats a vertex or is a loop, that centre
+triangulation is a simple plane triangulation, so it has a canonical
+ordering (de Fraysseix, Pach and Pollack, "How to draw a planar graph
+on a grid", 1990), and the shift method with Chrobak and Payne's
+relative offsets ("A linear-time algorithm for drawing a planar graph
+on a grid", 1995) places it on a (2N - 4) x (N - 2) grid of ints in
+linear time, N being the number of vertices, midpoints and faces.  A
+map that is not connected or not plane raises the error every verb
+raises for that; a face that is no simple cycle is refused by name.
+Nothing is assumed of the drawing itself: every triangle is checked
+with exact integer cross products, and vertex connectivity is computed
+only to explain a drawing that fails that check.
 
-Every edge becomes one ``<path>`` element coloured by its curve, so the
-number of path elements in the output equals the edge count.  Optional
-overlays add one ``hamilton``-classed element per cycle edge, one
-``cert``-classed polyline per certified path, and one ``region-label``
-text per face: its membership vector, venn_check's label XOR the outer
-face's.  An inner face is labelled at its centre on the grid, which the
-check proves inside it, and at the centroid of its corners with stored
-coordinates.  The outer face is labelled at the middle of the bottom
-margin, below the lowest vertex, where no straight edge reaches; with
-stored coordinates it is the face the map's ``outer`` hint names, else
-the one whose corners enclose the largest area.
+Every edge becomes one ``<path>`` element coloured by its curve, bent
+at its midpoint if it has one, so the number of path elements equals
+the edge count.  Optional overlays add one ``hamilton``-classed element
+per cycle edge, one ``cert``-classed polyline per certified path, both
+following the drawn edges, and one ``region-label`` text per face: its
+membership vector, venn_check's label XOR the outer face's.  An inner
+face is labelled at its centre, which the check proves inside it; the
+outer face, the one the map's ``outer`` hint names, at the middle of
+the bottom margin, below every corner.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from collections import Counter
+from itertools import repeat
+from operator import eq
+from typing import Sequence
 
 from .connectivity import ProofPathsResult, vertex_connectivity
-from .maps import DisconnectedError, MapError, NotPlaneError, PlaneGraph
+from .maps import DisconnectedError, MapError, NotPlaneError, PlaneGraph, RotationMap
 from .validate import venn_check
 
 _PALETTE = [
@@ -48,30 +49,51 @@ _INTERIOR, _CONTOUR, _REMOVED, _NEW = 0, 1, 2, 3
 
 
 class LayoutUnavailableError(MapError):
-    """No coordinates, and the grid layout cannot draw a connected plane map."""
+    """The grid layout cannot draw a connected plane map."""
 
 
-def _refusal(g: PlaneGraph) -> str | None:
-    """The first precondition of the grid layout that the connected plane
-    map ``g`` fails, or None when it meets both."""
-    vertex_of = g._vertex_of
-    for f, boundary in enumerate(g.faces):
+def _split_edges(g: RotationMap) -> list[int]:
+    """The first dart of every edge that shares both end vertices with
+    another edge, ascending; none when ``adjacency_sets`` shows every
+    vertex with as many neighbours as darts."""
+    if all(map(eq, map(len, g.adjacency_sets), g._degrees)):
+        return []
+    vertex_of, twin = g._vertex_of, g._twin
+    edges = g.edges()
+    ends = [frozenset((vertex_of[d], vertex_of[twin[d]])) for d in edges]
+    count = Counter(ends)
+    return [d for d, key in zip(edges, ends) if count[key] > 1]
+
+
+def _with_midpoints(g: RotationMap, split: Sequence[int]) -> RotationMap:
+    """g with a degree-2 vertex n + i, n being g's vertex count, inside
+    the edge of dart ``split[i]``.  Its darts D + 2i and D + 2i + 1, D
+    being g's dart count, point back to the ends of that dart and its
+    twin.  Every other dart keeps its number, so each face keeps its
+    smallest dart and its id."""
+    size = g.dart_count
+    twin = [*g._twin, *repeat(0, 2 * len(split))]
+    for i, d in enumerate(split):
+        a, t = size + 2 * i, twin[d]
+        twin[d], twin[a], twin[t], twin[a + 1] = a, d, a + 1, t
+    return RotationMap((*g._degrees, *repeat(2, len(split))), twin)
+
+
+def _refusal(m: RotationMap) -> str | None:
+    """The face of the connected plane map ``m`` that is not a simple
+    cycle of three or more corners, named, or None when there is none."""
+    vertex_of = m._vertex_of
+    for f, boundary in enumerate(m.faces):
         if len(boundary) < 3 or len(set(map(vertex_of.__getitem__, boundary))) < len(boundary):
             return f"face {f} is not a simple cycle of 3 or more corners"
-    twin = g._twin
-    for v, around in enumerate(g.adjacency_sets):
-        if len(around) < 4:  # no loops once every face is simple
-            ends = [twin[d] >> 2 for d in g.darts_of(v)]
-            w = next(w for w in ends if ends.count(w) > 1)
-            return f"parallel edges join vertices {v} and {w}"
     return None
 
 
-def _centre_triangulation(g: PlaneGraph) -> tuple[list[int], list[int], list[int]]:
-    """Dart tables ``(head, nxt, back)`` of ``g`` with a centre vertex
+def _centre_triangulation(m: RotationMap) -> tuple[list[int], list[int], list[int]]:
+    """Dart tables ``(head, nxt, back)`` of ``m`` with a centre vertex
     ``n + f`` in every face f, joined to f's corners.
 
-    Dart d < D = 4n is g's own.  Dart D + b runs from b's vertex to the
+    Dart d < D is m's own.  Dart D + b runs from b's vertex to the
     centre of b's face, just before b in rotation; dart 2D + b is its
     reverse, from that centre to b's vertex.  ``head[t]`` is the vertex
     dart t points to, ``nxt[t]`` the next dart counterclockwise round
@@ -79,15 +101,16 @@ def _centre_triangulation(g: PlaneGraph) -> tuple[list[int], list[int], list[int
     rotation is its face's boundary backwards, and the triangle of dart
     d is d's tail, d's head and the centre of d's face, in that order.
     """
-    n, twin, vertex_of = g.vertex_count, g._twin, g._vertex_of
+    n, twin, vertex_of, offsets = m.vertex_count, m._twin, m._vertex_of, m._offsets
     size = len(twin)
-    rot = list(range(1, size + 1))  # the next dart counterclockwise in g
-    rot[3::4] = range(0, size, 4)
+    rot = list(range(1, size + 1))  # the next dart counterclockwise in m
     rot_back = list(range(-1, size - 1))
-    rot_back[0::4] = range(3, size, 4)
+    for base, end in zip(offsets, offsets[1:]):
+        rot[end - 1] = base
+        rot_back[base] = end - 1
     # the boundary dart before b: the twin of the dart before b in rotation
     face_prev = map(twin.__getitem__, rot_back)
-    head = [*map(vertex_of.__getitem__, twin), *[n + f for f in g.face_of], *vertex_of]
+    head = [*map(vertex_of.__getitem__, twin), *[n + f for f in m.face_of], *vertex_of]
     nxt = [*[size + d for d in rot], *range(size), *[2 * size + b for b in face_prev]]
     back = [*twin, *range(2 * size, 3 * size), *range(size, 2 * size)]
     return head, nxt, back
@@ -242,7 +265,7 @@ def _shift(
 
 
 def _flat_or_folded_face(
-    g: PlaneGraph, outer: int, xs: list[int], ys: list[int]
+    m: RotationMap, outer: int, xs: list[int], ys: list[int]
 ) -> int | None:
     """The face of the first triangle of the centre triangulation that is
     drawn flat or turned the wrong way, or None when there is none.
@@ -251,9 +274,9 @@ def _flat_or_folded_face(
     face.  Every one must turn clockwise, and the outer triangle, that
     of dart ``outer``, counterclockwise, by exact integer cross products.
     """
-    n = g.vertex_count
-    for d, (t, f) in enumerate(zip(g._twin, g.face_of)):
-        a, b, c = d >> 2, t >> 2, n + f
+    n, vertex_of = m.vertex_count, m._vertex_of
+    for d, (t, f) in enumerate(zip(m._twin, m.face_of)):
+        a, b, c = vertex_of[d], vertex_of[t], n + f
         ax, ay = xs[a], ys[a]
         turn = (xs[b] - ax) * (ys[c] - ay) - (ys[b] - ay) * (xs[c] - ax)
         if (turn if d == outer else -turn) <= 0:
@@ -263,16 +286,19 @@ def _flat_or_folded_face(
 
 def grid_layout(g: PlaneGraph) -> dict[int, tuple[int, int]]:
     """An exact straight-line drawing of ``g`` on an integer grid, in
-    which every face is star-shaped from a point inside it: vertex v at
-    key v, and the centre of each inner face f at key ``n + f``, n being
-    the vertex count.  The outer face alone has no key.
+    which every face is star-shaped from a point inside it.  With n
+    vertices and k edges that share both ends with another edge
+    (:func:`_split_edges`), vertex v is at key v, the midpoint bending
+    the i-th of those edges at key n + i, and the centre of each inner
+    face f at key n + k + f.  The outer face alone has no key.
 
     Raises :class:`DisconnectedError` or :class:`NotPlaneError` when
     ``g`` is not connected or not plane, and :class:`LayoutUnavailableError`
-    naming the reason when it has a face that is not a simple cycle of
-    three or more corners, or parallel edges.  Those are exactly
+    naming the first face that, midpoints included
+    (:func:`_with_midpoints`), is not a simple cycle of three or more
+    corners: one that repeats a vertex or is a loop.  Those are exactly
     the maps whose centre triangulation (:func:`_centre_triangulation`)
-    is a simple plane triangulation, with N = V + F vertices.  The
+    is a simple plane triangulation, with N = n + k + F vertices.  The
     outer face is the stored hint when present, otherwise the face with
     the longest boundary (lowest id on ties), and its first dart, from
     v1 to v2, is the base of the canonical ordering
@@ -298,25 +324,27 @@ def grid_layout(g: PlaneGraph) -> dict[int, tuple[int, int]]:
         raise DisconnectedError("the grid layout needs a connected map")
     if not g.is_planar:
         raise NotPlaneError("the grid layout needs a plane map")
-    reason = _refusal(g)
+    split = _split_edges(g)
+    m = _with_midpoints(g, split) if split else g
+    reason = _refusal(m)
     if reason is not None:
         raise LayoutUnavailableError(reason)
-    faces = g.faces
+    faces = m.faces
     if g.outer_dart is not None:
-        outer = g.face_of[g.outer_dart]
+        outer = m.face_of[g.outer_dart]
     else:
         outer = max(range(len(faces)), key=lambda f: len(faces[f]))
-    e = g.face_first[outer]
-    size = g.vertex_count + len(faces)
-    head, nxt, back = _centre_triangulation(g)
+    e = m.face_first[outer]
+    size = m.vertex_count + len(faces)
+    head, nxt, back = _centre_triangulation(m)
     picked, rows = _canonical_order(head, nxt, back, e, size)
-    xs, ys = _shift(size, picked, rows, e >> 2, head[e])
-    face = _flat_or_folded_face(g, e, xs, ys)
+    xs, ys = _shift(size, picked, rows, m._vertex_of[e], head[e])
+    face = _flat_or_folded_face(m, e, xs, ys)
     if face is not None:
         raise LayoutUnavailableError(
             f"grid layout draws face {face} flat or folded; "
             f"connectivity is {vertex_connectivity(g)[0]}")
-    top = g.vertex_count + outer
+    top = m.vertex_count + outer
     return {v: (xs[v], ys[v]) for v in range(size) if v != top}
 
 
@@ -328,27 +356,6 @@ def barycentric_layout(g: PlaneGraph) -> dict[int, tuple[float, float]]:
     for its callers: ``perfbench/spans.py`` times the layout under it.
     """
     return {v: (float(x), float(y)) for v, (x, y) in grid_layout(g).items()}
-
-
-def _stored_anchors(
-    g: PlaneGraph, pos: Mapping[int, tuple[float, float]]
-) -> list[tuple[float, float] | None]:
-    """The centroid of each face's distinct corners, and None for the
-    outer face: the hinted one, else the one whose corners enclose the
-    largest area, whichever way the coordinates turn."""
-    anchors: list[tuple[float, float] | None] = []
-    areas = []
-    for boundary in g.faces:
-        corners = [pos[d >> 2] for d in boundary]
-        xs, ys = zip(*(pos[v] for v in {d >> 2 for d in boundary}))
-        anchors.append((sum(xs) / len(xs), sum(ys) / len(ys)))
-        areas.append(abs(sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2)
-                             in zip(corners, corners[1:] + corners[:1]))))
-    if g.outer_dart is not None:
-        anchors[g.face_of[g.outer_dart]] = None
-    else:
-        anchors[areas.index(max(areas))] = None
-    return anchors
 
 
 def _viewport(points: Sequence[tuple[float, float]], size: float, margin: float):
@@ -371,18 +378,30 @@ def render_svg(
     cert: ProofPathsResult | None = None,
     size: int = 760,
 ) -> str:
-    """An SVG 1.1 document for the arrangement.
+    """An SVG 1.1 document for the arrangement, drawn by :func:`grid_layout`.
 
     ``hamilton`` overlays a vertex cycle; ``cert`` overlays four certified
     paths; ``labels`` writes each region's membership vector in binary,
-    placed as the module docstring says.  A map that is not plane raises
-    :class:`NotPlaneError`, with stored coordinates or without.
+    placed as the module docstring says.
     """
-    if g.coords and not g.is_planar:
-        raise NotPlaneError("no coordinates draw a map that is not plane")
-    pos = g.coords if g.coords else barycentric_layout(g)
+    pos = barycentric_layout(g)
     n = g.vertex_count
-    to_screen = _viewport([pos[v] for v in range(n)], size, margin=40)
+    split = _split_edges(g)
+    corners = n + len(split)
+    to_screen = _viewport([pos[v] for v in range(corners)], size, margin=40)
+    vertex_of, twin = g._vertex_of, g._twin
+    bend = dict(zip(split, range(n, corners)))
+    # the overlays follow the first edge that joins two vertices
+    via = {}
+    for d in reversed(split):
+        a, b = vertex_of[d], vertex_of[twin[d]]
+        via[a, b] = via[b, a] = bend[d]
+
+    def drawn(a: int, b: int) -> list[tuple[float, float]]:
+        """The screen points of the drawn edge from a to b, ends included."""
+        mid = via.get((a, b))
+        return [to_screen(pos[v]) for v in ((a, b) if mid is None else (a, mid, b))]
+
     curve_of = g.curve_of
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -390,31 +409,34 @@ def render_svg(
         f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
     ]
     for d in g.edges():
-        a, b = g.edge_endpoints(d)
-        x1, y1 = to_screen(pos[a])
-        x2, y2 = to_screen(pos[b])
+        x1, y1 = to_screen(pos[vertex_of[d]])
+        x2, y2 = to_screen(pos[vertex_of[twin[d]]])
+        mid = bend.get(d)
+        bent = "" if mid is None else "{:.2f} {:.2f} L ".format(*to_screen(pos[mid]))
         color = _PALETTE[curve_of[d] % len(_PALETTE)]
         out.append(
             f'<path class="edge curve-{curve_of[d]}" '
-            f'd="M {x1:.2f} {y1:.2f} L {x2:.2f} {y2:.2f}" '
+            f'd="M {x1:.2f} {y1:.2f} L {bent}{x2:.2f} {y2:.2f}" '
             f'stroke="{color}" stroke-width="2" fill="none"/>'
         )
     if hamilton is not None:
         order = list(hamilton)
-        for i, a in enumerate(order):
-            b = order[(i + 1) % len(order)]
-            x1, y1 = to_screen(pos[a])
-            x2, y2 = to_screen(pos[b])
-            out.append(
-                f'<line class="hamilton" x1="{x1:.2f}" y1="{y1:.2f}" '
-                f'x2="{x2:.2f}" y2="{y2:.2f}" '
-                f'stroke="#f1c40f" stroke-width="5" stroke-opacity="0.55"/>'
-            )
+        style = 'stroke="#f1c40f" stroke-width="5" stroke-opacity="0.55"'
+        for a, b in zip(order, order[1:] + order[:1]):
+            points = drawn(a, b)
+            if len(points) == 2:
+                (x1, y1), (x2, y2) = points
+                out.append(f'<line class="hamilton" x1="{x1:.2f}" y1="{y1:.2f}" '
+                           f'x2="{x2:.2f}" y2="{y2:.2f}" {style}/>')
+            else:
+                pts = " ".join("{:.2f},{:.2f}".format(*p) for p in points)
+                out.append(f'<polyline class="hamilton" points="{pts}" fill="none" {style}/>')
     if cert is not None:
         for i, path in enumerate(cert.paths):
-            pts = " ".join(
-                "{:.2f},{:.2f}".format(*to_screen(pos[v])) for v in path
-            )
+            points = [to_screen(pos[path[0]])]
+            for a, b in zip(path, path[1:]):
+                points += drawn(a, b)[1:]
+            pts = " ".join("{:.2f},{:.2f}".format(*p) for p in points)
             out.append(
                 f'<polyline class="cert cert-path-{i}" points="{pts}" '
                 f'fill="none" stroke="#111111" stroke-width="4" '
@@ -433,13 +455,10 @@ def render_svg(
     if labels:
         report = venn_check(g)
         width = max(report.curve_count, 1)
-        if g.coords:
-            anchors = _stored_anchors(g, pos)
-        else:
-            anchors = [pos.get(n + f) for f in range(len(g.faces))]
+        anchors = [pos.get(corners + f) for f in range(len(g.face_first))]
         outer_label = report.labels[anchors.index(None)]
         # the outer label's baseline: in the bottom margin, below the
-        # lowest vertex and so below every straight edge
+        # lowest corner and so below every straight segment
         for f, at in enumerate(anchors):
             cx, cy = (size / 2, size - 24) if at is None else to_screen(at)
             text = format(report.labels[f] ^ outer_label, f"0{width}b")

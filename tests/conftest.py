@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from venngraph.generators import from_circles, gen_venn3, gen_weave
+from venngraph.generators import _circle_pair_points, from_circles, gen_venn3, gen_weave
 from venngraph.dual import winkler_extend
 from venngraph.maps import PlaneGraph, RotationMap
 
@@ -47,19 +47,24 @@ def weaves():
     return {k: gen_weave(k) for k in range(2, 7)}
 
 
+# gen_venn3's circles
+VENN3_CIRCLES = [(0.0, 0.0, 1.0), (1.0, 0.0, 1.0), (0.5, math.sqrt(3.0) / 2.0, 1.0)]
+# three circles overlapping pairwise with no common region
+FLOWER_CIRCLES = [(0.0, 0.0, 0.55), (1.0, 0.0, 0.55), (0.5, math.sqrt(3.0) / 2.0, 0.55)]
+# two circles crossing twice: the smallest valid arrangement
+LENS_CIRCLES = [(-0.4, 0.0, 1.0), (0.4, 0.0, 1.0)]
+
+
 @pytest.fixture(scope="session")
 def flower():
     """Three circles overlapping pairwise with no common region."""
-    r = 0.55
-    return from_circles(
-        [(0.0, 0.0, r), (1.0, 0.0, r), (0.5, math.sqrt(3.0) / 2.0, r)]
-    )
+    return from_circles(FLOWER_CIRCLES)
 
 
 @pytest.fixture(scope="session")
 def lens():
     """Two circles crossing twice: the smallest valid arrangement."""
-    return from_circles([(-0.4, 0.0, 1.0), (0.4, 0.0, 1.0)])
+    return from_circles(LENS_CIRCLES)
 
 
 def figure_eight() -> PlaneGraph:
@@ -73,19 +78,38 @@ def circle_chain(n: int) -> PlaneGraph:
     return from_circles([(1.5 * i, 0, 1) for i in range(n)])
 
 
-def random_circle_families(rng, count: int) -> list[tuple[int, PlaneGraph]]:
+def random_circle_lists(rng, count: int) -> list[tuple[list[tuple[float, float, float]], PlaneGraph]]:
     """``count`` families of 2..6 random circles that ``from_circles``
-    accepts, each with its number of circles."""
+    accepts, each with its map."""
     out = []
     while len(out) < count:
         k = rng.randint(2, 6)
         circles = [(rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0), rng.uniform(0.5, 2.0))
                    for _ in range(k)]
         try:
-            out.append((k, from_circles(circles)))
+            out.append((circles, from_circles(circles)))
         except ValueError:
             continue  # tangent, concentric or isolated circles
     return out
+
+
+def random_circle_families(rng, count: int) -> list[tuple[int, PlaneGraph]]:
+    """The maps of :func:`random_circle_lists`, each with its number of
+    circles."""
+    return [(len(circles), g) for circles, g in random_circle_lists(rng, count)]
+
+
+def crossing_points(circles) -> list[tuple[float, float]]:
+    """The crossings of a circle family, recomputed from the circles in
+    ``from_circles``' vertex order: pairs i < j, each pair's two points
+    sorted."""
+    return [p for a, b in combinations(circles, 2) for p in sorted(_circle_pair_points(a, b))]
+
+
+def with_coord_lines(text: str, points) -> str:
+    """ARR text with a ``coord`` line per point appended, as older
+    versions wrote them."""
+    return text + "".join(f"coord {v} {x!r} {y!r}\n" for v, (x, y) in enumerate(points))
 
 
 def rotation_map_from_edges(n: int, edges) -> RotationMap:

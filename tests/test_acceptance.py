@@ -163,7 +163,7 @@ def test_criterion_8_structural_invariants(venn_family, weaves, flower, lens):
         g = random_plane_graph(rng)
         back = parse_arr(write_arr(g))
         assert back._twin == g._twin
-        assert back.coords == g.coords
+        assert back.outer_dart == g.outer_dart
         assert sorted(d for boundary in back.faces for d in boundary) == list(
             range(back.dart_count)
         )

@@ -1,8 +1,6 @@
 from __future__ import annotations
 
 import random
-from decimal import Decimal
-from fractions import Fraction
 
 import pytest
 
@@ -25,7 +23,13 @@ from venngraph.generators import gen_venn
 from venngraph.maps import MapError, PlaneGraph
 from venngraph.validate import validate
 
-from conftest import random_circle_families
+from conftest import (
+    VENN3_CIRCLES,
+    crossing_points,
+    random_circle_families,
+    random_circle_lists,
+    with_coord_lines,
+)
 
 
 def random_plane_graph(rng: random.Random) -> PlaneGraph:
@@ -40,18 +44,15 @@ def random_plane_graph(rng: random.Random) -> PlaneGraph:
     for i in range(0, len(darts), 2):
         a, b = darts[i], darts[i + 1]
         twin[a], twin[b] = b, a
-    coords = None
-    if rng.random() < 0.5:
-        coords = {v: (rng.uniform(-5, 5), rng.uniform(-5, 5)) for v in range(n)}
     outer = rng.randrange(4 * n) if rng.random() < 0.3 else None
-    return PlaneGraph(n, twin, coords=coords, outer_dart=outer)
+    return PlaneGraph(n, twin, outer_dart=outer)
 
 
 class TestRoundTrip:
     def test_venn3_identity(self, venn3):
         g = parse_arr(write_arr(venn3))
         assert g._twin == venn3._twin
-        assert g.coords == venn3.coords
+        assert g.outer_dart == venn3.outer_dart is not None
 
     def test_write_is_canonical(self, venn3):
         text = write_arr(venn3)
@@ -61,8 +62,17 @@ class TestRoundTrip:
         lines = write_arr(venn3).splitlines()
         assert lines[0] == "arrangement 6"
         assert sum(1 for l in lines if l.startswith("v ")) == 6
-        assert sum(1 for l in lines if l.startswith("coord ")) == 6
-        assert len(lines) == 13
+        assert lines[7] == "outer 2.0"
+        assert len(lines) == 8
+
+    def test_coord_lines_are_checked_then_dropped(self, venn3):
+        # files written by older versions carry the crossings' coordinates
+        text = write_arr(venn3)
+        old = with_coord_lines(text, crossing_points(VENN3_CIRCLES))
+        assert old.count("\ncoord ") == 6
+        g = parse_arr(old)
+        assert g._twin == venn3._twin and g.outer_dart == venn3.outer_dart
+        assert write_arr(g) == text
 
     def test_weave_parallel_edges_survive(self, weaves):
         w = weaves[2]
@@ -84,29 +94,8 @@ class TestRoundTrip:
         tabbed = "\n".join("\t" + "\t \t".join(line.split()) + "\t#\tnote"
                            for line in text.splitlines()) + "\n\t\n"
         back = parse_arr(tabbed)
-        assert back._twin == venn3._twin and back.coords == venn3.coords
+        assert back._twin == venn3._twin and back.outer_dart == venn3.outer_dart
 
-
-    def test_numpy_scalar_coordinates_round_trip(self, venn3):
-        np = pytest.importorskip("numpy")
-        coords = {v: (np.float64(x), np.float32(y)) for v, (x, y) in venn3.coords.items()}
-        g = PlaneGraph(venn3.vertex_count, venn3._twin, coords=coords)
-        text = write_arr(g)
-        assert "np." not in text
-        back = parse_arr(text)
-        assert back.coords == g.coords == {v: (float(x), float(y))
-                                           for v, (x, y) in coords.items()}
-
-
-    def test_fraction_and_decimal_coordinates_round_trip(self, venn3):
-        # the scalar conversion the numpy test covers, with no numpy
-        coords = {v: (Fraction(x), Decimal(y)) for v, (x, y) in venn3.coords.items()}
-        g = PlaneGraph(venn3.vertex_count, venn3._twin, coords=coords)
-        text = write_arr(g)
-        assert "Fraction" not in text and "Decimal" not in text
-        back = parse_arr(text)
-        assert back.coords == g.coords == {v: (float(x), float(y))
-                                           for v, (x, y) in coords.items()}
 
 class TestErrors:
     def test_out_of_range_vertex(self):
@@ -239,7 +228,8 @@ class TestErrors:
         assert str(err.value) == f"line {line}: {message}"
 
     def test_partial_coordinates_report_last_line(self, venn3):
-        lines = [l for l in write_arr(venn3).splitlines() if not l.startswith("coord 0 ")]
+        text = with_coord_lines(write_arr(venn3), crossing_points(VENN3_CIRCLES))
+        lines = [l for l in text.splitlines() if not l.startswith("coord 0 ")]
         with pytest.raises(ArrSemanticError, match="vertex 0") as err:
             parse_arr("\n".join(lines) + "\n")
         assert err.value.line == len(lines)
@@ -252,7 +242,6 @@ class TestRandomizedRoundTrips:
             g = random_plane_graph(rng)
             back = parse_arr(write_arr(g))
             assert back._twin == g._twin
-            assert back.coords == g.coords
             assert back.outer_dart == g.outer_dart
 
 
@@ -281,7 +270,8 @@ class TestGeneratedInputs:
 
     def test_parse_then_validate_is_total(self):
         rng = random.Random(5)
-        texts = [write_arr(g) for _, g in random_circle_families(rng, 40)]
+        texts = [with_coord_lines(write_arr(g), crossing_points(circles))
+                 for circles, g in random_circle_lists(rng, 40)]
         texts += [write_arr(random_plane_graph(rng)) for _ in range(300)]
         outcomes = {}
         for text in texts + [corrupted(t, rng) for t in texts for _ in range(3)]:

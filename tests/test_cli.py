@@ -14,7 +14,14 @@ from venngraph.generators import from_circles, gen_venn, gen_weave
 from venngraph.hamilton import verify_cycle
 from venngraph.maps import PlaneGraph
 
-from conftest import circle_chain, complete_rotation_map, figure_eight
+from conftest import (
+    VENN3_CIRCLES,
+    circle_chain,
+    complete_rotation_map,
+    crossing_points,
+    figure_eight,
+    with_coord_lines,
+)
 
 VENN6 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "venn6.arr"
 
@@ -62,10 +69,11 @@ class TestGen:
 
     def test_gen_missing_parameter(self, capsys):
         assert main(["gen", "venn"]) == 2
+        assert capsys.readouterr().err == "error: gen venn needs a curve count\n"
 
     def test_gen_weave_missing_parameter(self, capsys):
         assert main(["gen", "weave"]) == 2
-        assert "gen weave needs a crossing parameter" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: gen weave needs a crossing parameter\n"
 
     def test_gen_bad_parameter(self, capsys):
         assert main(["gen", "weave", "1"]) == 2
@@ -132,7 +140,7 @@ class TestChecks:
 
     def test_disconnected_map_fails_the_property(self, capsys, tmp_path):
         # two lenses far apart: every verb that needs a connected map says
-        # no with exit 1, and render draws the stored coordinates
+        # no with exit 1, render included
         path = tmp_path / "apart.arr"
         path.write_text(write_arr(from_circles([(0, 0, 1), (1, 0, 1), (5, 0, 1), (6, 0, 1)])))
         codes, errors = {}, {}
@@ -142,8 +150,8 @@ class TestChecks:
             codes[verb] = main([verb, *out, str(path)])
             errors[verb] = capsys.readouterr().err
         assert codes == {"validate": 1, "venn-check": 1, "connectivity": 1, "certify": 1,
-                         "hamilton": 1, "extend": 1, "render": 0}
-        for verb in ("venn-check", "certify", "extend"):
+                         "hamilton": 1, "extend": 1, "render": 1}
+        for verb in ("venn-check", "certify", "extend", "render"):
             assert errors[verb].startswith("not connected: ")
 
     def test_connectivity(self, capsys, venn3_file, weave3_file):
@@ -353,8 +361,13 @@ class TestTransforms:
         assert svg.count('class="hamilton"') == 6
         assert svg.count('class="cert cert-path-') == 4
 
-    def test_render_weave_layout_fails(self, capsys, weave3_file):
-        assert main(["render", weave3_file]) == 1
+    def test_render_weave_draws(self, capsys, weave3_file):
+        # every edge of a weave has a parallel partner and bends at a
+        # midpoint, so each lens is drawn with area and gets its label
+        assert main(["render", "--labels", weave3_file]) == 0
+        svg = capsys.readouterr().out
+        assert svg.count("<path") == 12
+        assert svg.count('class="region-label"') == 8
 
     def test_render_one_vertex_layout_fails(self, capsys, tmp_path):
         # a figure eight whose outer hint is one of its loop faces
@@ -367,12 +380,15 @@ class TestTransforms:
                             captured.err)
 
     def test_render_self_crossing_curve_with_coordinates(self, capsys, tmp_path):
-        # curve ids need no simple curves, so a figure eight with stored
-        # coordinates draws its two loops
+        # coord lines are dropped, so a figure eight gets the grid's
+        # answer: its loop faces have no drawing
         path = tmp_path / "eight.arr"
         path.write_text("arrangement 1\nv 0 0.1 0.0 0.3 0.2\ncoord 0 0.0 0.0\n")
-        assert main(["render", str(path)]) == 0
-        assert capsys.readouterr().out.count("<path") == 2
+        assert main(["render", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"layout: face \d+ is not a simple cycle of 3 or more corners\n",
+                            captured.err)
 
     @pytest.mark.parametrize("coords", ["", "coord 0 0.0 0.0\ncoord 1 1.0 0.0\n"],
                              ids=["layout", "stored-coordinates"])
@@ -387,7 +403,8 @@ class TestTransforms:
         assert captured.err.startswith("not plane: ")
 
     def test_render_partial_coordinates_is_an_input_error(self, capsys, tmp_path, venn3):
-        lines = [l for l in write_arr(venn3).splitlines() if not l.startswith("coord 0 ")]
+        text = with_coord_lines(write_arr(venn3), crossing_points(VENN3_CIRCLES))
+        lines = [l for l in text.splitlines() if not l.startswith("coord 0 ")]
         path = tmp_path / "partial.arr"
         path.write_text("\n".join(lines) + "\n")
         assert main(["render", str(path)]) == 2

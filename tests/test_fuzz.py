@@ -1,8 +1,9 @@
 """The CLI's exit-code contract, fuzzed in process.
 
 Every case is an ARR text: a small arrangement, the same with one or two
-twin pairs swapped (with and without its stored coordinates), or its
-text with one line or one token mutated.  Each case goes through every
+twin pairs swapped (with and without the ``coord`` lines older versions
+wrote for circle families), or its text with one line or one token
+mutated.  Each case goes through every
 verb, and the outcome must keep the contract that the ``cli`` module
 docstring states.  The theorem is the oracle: a map that ``validate``
 accepts is a V-graph, so it is 4-connected and certifies with no
@@ -22,8 +23,20 @@ from venngraph.cli import main
 from venngraph.generators import from_circles
 from venngraph.maps import PlaneGraph
 
-from conftest import figure_eight
+from conftest import (
+    FLOWER_CIRCLES,
+    LENS_CIRCLES,
+    VENN3_CIRCLES,
+    crossing_points,
+    figure_eight,
+    with_coord_lines,
+)
 from test_connectivity import KAPPA4_NON_V
+
+APART = [(0, 0, 1), (1, 0, 1), (5, 0, 1), (6, 0, 1)]
+# the circles of each source drawn from circles, for its coord lines
+CIRCLES = {"venn3": VENN3_CIRCLES, "lens": LENS_CIRCLES, "flower": FLOWER_CIRCLES,
+           "kappa4": KAPPA4_NON_V, "apart": APART}
 
 # the stderr prefixes of a property failure, as the cli docstring lists them
 PROPERTY_PREFIXES = ("not plane: ", "not connected: ", "not a v-graph: ", "not a diagram: ",
@@ -41,12 +54,12 @@ def sources(venn_family, weaves, lens, flower) -> dict[str, PlaneGraph]:
         "lens": lens,
         "flower": flower,
         "kappa4": from_circles(KAPPA4_NON_V),
-        "apart": from_circles([(0, 0, 1), (1, 0, 1), (5, 0, 1), (6, 0, 1)]),
+        "apart": from_circles(APART),
         "eight": figure_eight(),
     }
 
 
-def twin_swapped(rng: random.Random, g: PlaneGraph, swaps: int, coords: bool) -> PlaneGraph:
+def twin_swapped(rng: random.Random, g: PlaneGraph, swaps: int) -> PlaneGraph:
     """g with ``swaps`` random pairs of edges a-ta, b-tb rejoined as a-b,
     ta-tb."""
     twin = list(g._twin)
@@ -55,7 +68,7 @@ def twin_swapped(rng: random.Random, g: PlaneGraph, swaps: int, coords: bool) ->
         b = rng.choice([d for d in range(len(twin)) if d not in (a, twin[a])])
         ta, tb = twin[a], twin[b]
         twin[a], twin[b], twin[ta], twin[tb] = b, a, tb, ta
-    return PlaneGraph(g.vertex_count, twin, coords=g.coords if coords else None)
+    return PlaneGraph(g.vertex_count, twin)
 
 
 def mutated(rng: random.Random, text: str) -> str:
@@ -82,18 +95,19 @@ def mutated(rng: random.Random, text: str) -> str:
 
 
 def corpus(sources: dict[str, PlaneGraph], seed: int = 30) -> list[tuple[str, str]]:
-    """(name, ARR text) cases: each source as it is, with and without
-    stored coordinates, then its twin swaps and text mutations."""
+    """(name, ARR text) cases: each source as it is, with and without the
+    coord lines of its circles, then its twin swaps and text mutations."""
     rng = random.Random(seed)
     cases = []
     for name, g in sources.items():
-        for coords in (True, False) if g.coords else (False,):
+        points = crossing_points(CIRCLES[name]) if name in CIRCLES else ()
+        for coords in (points, ()) if points else ((),):
             tag = f"{name}{'' if coords else '-bare'}"
-            cases.append((tag, write_arr(twin_swapped(rng, g, 0, coords))))
+            cases.append((tag, with_coord_lines(write_arr(twin_swapped(rng, g, 0)), coords)))
             for i in range(5):
-                swaps = 1 + i % 2
-                cases.append((f"{tag}-swap{i}", write_arr(twin_swapped(rng, g, swaps, coords))))
-        text = write_arr(g)
+                swapped = twin_swapped(rng, g, 1 + i % 2)
+                cases.append((f"{tag}-swap{i}", with_coord_lines(write_arr(swapped), coords)))
+        text = with_coord_lines(write_arr(g), points)
         cases += [(f"{name}-mutant{i}", mutated(rng, text)) for i in range(6)]
     return cases
 

@@ -20,7 +20,13 @@ from venngraph.generators import (
 )
 from venngraph.validate import check_ufi, validate, venn_check
 
-from conftest import random_circle_families
+from conftest import (
+    VENN3_CIRCLES,
+    crossing_points,
+    random_circle_families,
+    random_circle_lists,
+    with_coord_lines,
+)
 
 
 class TestVenn3:
@@ -29,9 +35,12 @@ class TestVenn3:
         assert (g.vertex_count, g.edge_count, len(g.faces)) == (6, 12, 8)
 
     def test_is_vgraph_with_coordinates(self):
+        # the text older versions wrote, with the crossings' coordinates,
+        # parses to the same V-graph
         g = gen_venn3()
         assert validate(g).is_vgraph
-        assert g.coords is not None and len(g.coords) == 6
+        old = parse_arr(with_coord_lines(write_arr(g), crossing_points(VENN3_CIRCLES)))
+        assert old._twin == g._twin and old.outer_dart == g.outer_dart
 
     def test_deterministic(self):
         assert gen_venn3()._twin == gen_venn3()._twin
@@ -127,6 +136,15 @@ class TestFromCircles:
         assert report.is_general_position
         assert report.is_connected
         assert g.euler_characteristic == 2
+
+    def test_outer_hint_names_the_unbounded_region(self):
+        # no corner of the hinted face lies strictly inside a circle, by
+        # the crossings recomputed from the circles
+        for circles, g in random_circle_lists(random.Random(7), 600):
+            points = crossing_points(circles)
+            for d in g.faces[g.face_of[g.outer_dart]]:
+                x, y = points[d >> 2]
+                assert all(math.hypot(x - cx, y - cy) > r - 1e-9 for cx, cy, r in circles)
 
     def test_euler_and_curve_count_on_random_families(self):
         # connected plane maps, whose curves recovered from the twin

@@ -7,13 +7,12 @@ import pytest
 
 from venngraph.maps import (
     BadSlotError,
-    MapError,
     NonInvolutiveTwinError,
     PlaneGraph,
     RotationMap,
     SelfTwinError,
 )
-from venngraph.arrio import parse_arr, write_arr
+from venngraph.arrio import ArrSyntaxError, parse_arr, write_arr
 from venngraph.generators import gen_venn3, gen_weave
 
 from conftest import figure_eight
@@ -127,43 +126,29 @@ class TestBuild:
         assert not g.is_planar
 
     def test_coords_and_outer_validation(self):
+        # a map holds no coordinates; the outer hint is checked
         w = gen_weave(2)
-        with pytest.raises(BadSlotError):
-            PlaneGraph(4, w._twin, coords={9: (0.0, 0.0)})
+        with pytest.raises(TypeError):
+            PlaneGraph(4, w._twin, coords={0: (0.0, 0.0)})
         with pytest.raises(BadSlotError):
             PlaneGraph(4, w._twin, outer_dart=16)
-        with pytest.raises(MapError, match="vertex 1"):
-            PlaneGraph(4, w._twin, coords={0: (0.0, 0.0), 2: (1.0, 0.0)})
+        assert not hasattr(PlaneGraph(4, w._twin, outer_dart=15), "coords")
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_coordinates_are_refused(self, bad):
-        w = gen_weave(2)
-        coords = {v: (float(v), 0.0) for v in range(4)}
-        coords[2] = (0.0, bad)
-        with pytest.raises(MapError, match="coordinates of vertex 2 are not finite"):
-            PlaneGraph(4, w._twin, coords=coords)
-        coords[2] = ("east", 0.0)
-        with pytest.raises(MapError, match="coordinates must be pairs of numbers"):
-            PlaneGraph(4, w._twin, coords=coords)
-
-    def test_coordinates_are_stored_as_python_floats(self):
-        w = gen_weave(2)
-        g = PlaneGraph(4, w._twin, coords={v: (v, True) for v in range(4)})
-        assert g.coords == {v: (float(v), 1.0) for v in range(4)}
-        assert all(type(c) is float for xy in g.coords.values() for c in xy)
+        # coordinates are read only from ARR text, which refuses these at
+        # their line although it drops the finite ones
+        text = write_arr(gen_weave(2)) + "".join(f"coord {v} {v}.0 0.0\n" for v in range(4))
+        assert parse_arr(text)._twin == gen_weave(2)._twin
+        with pytest.raises(ArrSyntaxError, match="line 8: coordinates must be finite"):
+            parse_arr(text.replace("coord 2 2.0 0.0", f"coord 2 0.0 {bad}"))
 
     def test_coordinate_keys_are_int_vertex_ids(self):
-        # 0.0 would be written as "coord 0.0 ...", which parse_arr refuses
-        g = gen_venn3()
-        rest = {v: xy for v, xy in g.coords.items() if v > 1}
-        with pytest.raises(MapError, match="coordinate key 0.0 is not an int vertex id"):
-            PlaneGraph(g.vertex_count, g._twin,
-                       coords={0.0: g.coords[0], 1: g.coords[1], **rest})
-        shown = PlaneGraph(g.vertex_count, g._twin,
-                           coords={0: g.coords[0], True: g.coords[1], **rest})
-        assert [type(v) for v in shown.coords] == [int] * g.vertex_count
-        assert "coord 1 " in write_arr(shown)
-        assert parse_arr(write_arr(shown)).coords == g.coords
+        # a coord line names its vertex by a decimal id, so "0.0" is refused
+        text = write_arr(gen_venn3()) + "".join(f"coord {v} 0.5 0.5\n" for v in range(6))
+        assert parse_arr(text).vertex_count == 6
+        with pytest.raises(ArrSyntaxError, match="line 9: expected 'coord <id> <x> <y>'"):
+            parse_arr(text.replace("coord 0 ", "coord 0.0 "))
 
 
 class TestPlanarity:

@@ -10,6 +10,8 @@ steps on.  For each map the sweep records:
   venngraph.cli`` process, its exit code, and its peak resident set
   size, read from the child's own resource usage as ``os.wait4``
   returns it (the accounting ``RUSAGE_CHILDREN`` sums);
+- as ``build``, the same record for the last process of the pipeline
+  that made the map: ``gen venn N``, or the last ``extend``;
 - per layer: the ``perf_counter`` seconds of one call, each on a map
   parsed afresh, so that no layer is charged or credited for the tables
   another one cached.
@@ -78,24 +80,27 @@ def run_child(argv: list[str], stdout) -> dict:
             "exit": proc.returncode}
 
 
-def build_maps(tmp: Path) -> dict[int, tuple[str, Path]]:
-    """The swept maps as ARR files, each with the pipeline that made it."""
+def build_maps(tmp: Path) -> dict[int, tuple[str, Path, dict]]:
+    """The swept maps as ARR files, each with the pipeline that made it
+    and the record of that pipeline's last process."""
     maps = {}
     for n in range(3, 13):
         path = tmp / f"venn{n}.arr"
         with open(path, "w") as out:
-            if run_child(cli("gen", "venn", str(n)), out)["exit"]:
-                raise SystemExit(f"gen venn {n} failed")
-        maps[n] = (f"gen venn {n}", path)
-    source, path = maps[12]
+            built = run_child(cli("gen", "venn", str(n)), out)
+        if built["exit"]:
+            raise SystemExit(f"gen venn {n} failed")
+        maps[n] = (f"gen venn {n}", path, built)
+    source, path, _ = maps[12]
     for n in range(13, 17):
         step = tmp / f"venn{n}.arr"
         with open(step, "w") as out:
-            if run_child(cli("extend", str(path)), out)["exit"]:
-                raise SystemExit(f"extend to {n} curves failed")
+            built = run_child(cli("extend", str(path)), out)
+        if built["exit"]:
+            raise SystemExit(f"extend to {n} curves failed")
         source, path = f"{source} | extend", step
         if n in (14, 16):
-            maps[n] = (source, path)
+            maps[n] = (source, path, built)
     return maps
 
 
@@ -103,12 +108,13 @@ def sweep() -> dict:
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for n, (source, path) in build_maps(tmp).items():
+        for n, (source, path, built) in build_maps(tmp).items():
             text = path.read_text()
             start = time.perf_counter()
             g = parse_arr(text)
             layers = {"parse_arr": round(time.perf_counter() - start, 6)}
-            row = {"n": n, "source": source, "vertices": g.vertex_count, "cli": {}}
+            row = {"n": n, "source": source, "vertices": g.vertex_count, "build": built,
+                   "cli": {}}
             del g
             for verb in VERBS:
                 args = [verb, str(path)]
