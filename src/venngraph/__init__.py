@@ -9,6 +9,7 @@ dual.
 from .arrio import (
     ArrSemanticError,
     ArrSyntaxError,
+    PathNames,
     format_cut_certificate,
     format_path_certificate,
     parse_arr,
@@ -18,6 +19,7 @@ from .connectivity import (
     Counterexample,
     CutCertificate,
     Distance2Certification,
+    NotAVertexError,
     NotDistanceTwoError,
     NotVGraphError,
     PathCertificate,

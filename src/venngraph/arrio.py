@@ -24,7 +24,7 @@ from __future__ import annotations
 from itertools import accumulate, chain
 from math import isfinite
 
-from .connectivity import CutCertificate, PathCertificate, Piece, Segment
+from .connectivity import CutCertificate, NotAVertexError, PathCertificate, Piece, Segment
 from .maps import CurveIndex, NonInvolutiveTwinError, PlaneGraph, SelfTwinError
 
 
@@ -160,14 +160,16 @@ def write_arr(g: PlaneGraph) -> str:
 class PathNames:
     """Vertex names for printing the paths of one graph's certificates.
 
-    ``vertex[v]`` is ``str(v)``.  A curve :class:`Segment` prints as one
+    ``vertex[v]`` is ``str(v)`` for v in 0..V-1 only, so a run through
+    any other number raises :class:`NotAVertexError` rather than printing
+    the name it would alias.  A curve :class:`Segment` prints as one
     slice of its curve's names joined in its direction, or two slices
     when it wraps round the curve; each curve is joined once per
     direction, the first time a segment on it is printed.
     """
 
     def __init__(self, g: PlaneGraph):
-        self.vertex = [str(v) for v in range(g.vertex_count)]
+        self.vertex = {v: str(v) for v in range(g.vertex_count)}
         self._index: CurveIndex | None = None
         self._joined: dict[tuple[int, bool], tuple[str, list[int]]] = {}
 
@@ -212,20 +214,19 @@ class PathNames:
                 piece = piece.vertices(index)
             run = piece[1:] if piece and piece[0] == last else piece
             if run:
-                parts.append(" ".join(map(self.vertex.__getitem__, run)))
+                try:
+                    parts.append(" ".join(map(self.vertex.__getitem__, run)))
+                except KeyError as e:
+                    raise NotAVertexError(f"path vertex {e.args[0]} is not a vertex") from None
                 last = run[-1]
         return " ".join(parts)
 
 
-def format_path_certificate(cert: PathCertificate, names: PathNames | None = None) -> str:
-    """One 'path:' line per disjoint path.  A compact certificate is
-    printed without keeping any expansion.  ``names`` is the graph's
+def format_path_certificate(cert: PathCertificate, names: PathNames) -> str:
+    """One 'path:' line per disjoint path, named by the graph's
     :class:`PathNames`, built once by a caller that prints many
-    certificates; without it every path is expanded and named in turn."""
-    if names is None:
-        return "".join(
-            "path: " + " ".join(map(str, path)) + "\n" for path in cert.iter_paths()
-        )
+    certificates; a compact certificate is printed without keeping any
+    expansion."""
     return "".join("path: " + names.path(cert.index, path) + "\n" for path in cert.pieces)
 
 

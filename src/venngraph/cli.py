@@ -63,9 +63,9 @@ def _cmd_validate(args) -> int:
     gp = report.general_position
     print(f"general-position: {'ok' if report.is_general_position else 'fail'}")
     if gp.self_crossings:
-        # a curve revisits exactly the vertices where it crosses itself
+        # one curve-id test finds the vertices where a curve crosses
+        # itself, which are those it revisits (validate docstring)
         print("self-crossing-at:", *gp.self_crossings)
-        print("same-curve-at:", *gp.self_crossings)
     print(f"planar: {'yes' if gp.is_planar else 'no'}")
     print(f"connected: {'yes' if report.is_connected else 'no'}")
     print(f"curves: {report.curve_count}")
@@ -134,7 +134,7 @@ def _cmd_paths(args) -> int:
     print(f"case: {result.case}")
     print(f"z: {result.roles['z']} a: {result.roles['a']} b: {result.roles['b']}")
     print(f"fallback: {'yes' if result.used_fallback else 'no'}")
-    sys.stdout.write(arrio.format_path_certificate(result.certificate))
+    sys.stdout.write(arrio.format_path_certificate(result.certificate, arrio.PathNames(g)))
     return EXIT_OK
 
 

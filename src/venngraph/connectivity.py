@@ -22,15 +22,18 @@ it works for most pairs.  Every constructed bundle is verified after the
 fact, and a pair whose bundle fails takes flow paths instead, so the
 output is always a sound certificate.
 
-A constructed bundle is held compactly and verified without being
-expanded.  Each path is a tuple of pieces, every piece starting at the
-vertex where the one before it (or u) ended: an explicit vertex run, or
-a curve segment (curve, start position, end position, step +-1) over
-the positions of :attr:`~venngraph.maps.PlaneGraph.curve_index`.  The
-long path of a bundle is one segment or two, and the perimeter paths
-are runs sliced out of face boundaries, so a bundle has O(face degree)
-numbers however long its paths are.  The verifier checks explicit steps
-against the adjacency sets.  What it assumes of the curves holds on
+Every certificate is held as pieces and verified without being
+expanded, by one verifier, :func:`verify_certificate`.  Each path is a
+tuple of pieces, every piece starting at the vertex where the one before
+it (or u) ended: an explicit vertex run, or a curve segment (curve,
+start position, end position, step +-1) over the positions of
+:attr:`~venngraph.maps.PlaneGraph.curve_index`.  A flow path is one
+run.  The long path of a constructed bundle is one segment or two, and
+the perimeter paths are runs sliced out of face boundaries, so a bundle
+has O(face degree) numbers however long its paths are.  The verifier
+checks explicit steps against the adjacency sets, which every
+:class:`~venngraph.maps.RotationMap` has, and reads the curve index only
+for a certificate with segments.  What it assumes of the curves holds on
 every map that has a ``curve_index``, V-graph or not:
 
 - consecutive vertices of a segment are adjacent, because a curve is an
@@ -121,6 +124,10 @@ class SameVertexError(MapError):
     """Disjoint paths need two distinct endpoints."""
 
 
+class NotAVertexError(MapError):
+    """A vertex number outside 0..V-1 of the map it is used with."""
+
+
 class NotDistanceTwoError(MapError):
     """Proof-path construction needs u, v non-adjacent with common neighbour z."""
 
@@ -166,8 +173,8 @@ class PathCertificate:
     passes ``pieces`` and the ``index`` of its segments instead (given
     both, the vertex tuples come first).  ``paths`` expands every path to
     its vertex tuple on first access and keeps it, while
-    :meth:`iter_paths` expands them one at a time and keeps nothing;
-    equality and hashing compare ``u``, ``v`` and ``paths``.
+    :meth:`iter_paths` expands them one at a time and keeps nothing.
+    Certificates compare by identity.
     """
 
     u: int
@@ -202,14 +209,6 @@ class PathCertificate:
     @property
     def k(self) -> int:
         return len(self.pieces)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PathCertificate):
-            return NotImplemented
-        return (self.u, self.v, self.paths) == (other.u, other.v, other.paths)
-
-    def __hash__(self) -> int:
-        return hash((self.u, self.v, self.paths))
 
 
 @dataclass(frozen=True)
@@ -253,29 +252,11 @@ class Distance2Certification:
         return self.counterexample is None
 
 
-def verify_certificate(g: RotationMap, cert: PathCertificate) -> bool:
-    """Every path simple, in the graph, u to v; pairwise internally disjoint."""
-    adj = g.adjacency_sets
-    interior_seen: set[int] = set()
-    for path in cert.paths:
-        if len(path) < 2 or path[0] != cert.u or path[-1] != cert.v:
-            return False
-        if len(set(path)) != len(path):
-            return False
-        for a, b in zip(path, path[1:]):
-            if b not in adj[a]:
-                return False
-        inner = set(path[1:-1])
-        if inner & interior_seen:
-            return False
-        interior_seen |= inner
-    return True
-
-
 def _expand(index: CurveIndex | None, path: tuple[Piece, ...]) -> tuple[int, ...]:
     """One compact path as a vertex tuple.  A piece that starts where the
     one before it ended shares that vertex; any other piece is appended
-    whole, so a broken junction stays visible to :func:`verify_certificate`."""
+    whole, so a junction that :func:`verify_certificate` rejects stays
+    broken in the expansion."""
     out: list[int] = []
     for piece in path:
         if type(piece) is Segment:
@@ -324,25 +305,27 @@ def _segments_meet(g: PlaneGraph, index: CurveIndex, s: Segment, t: Segment) -> 
     return False
 
 
-def verify_compact_certificate(g: PlaneGraph, cert: PathCertificate) -> bool:
-    """The checks of :func:`verify_certificate` on a compact certificate,
-    without expanding it; see the module docstring for the argument,
-    which holds on every map with simple curves, V-graph or not.
+def verify_certificate(g: RotationMap, cert: PathCertificate) -> bool:
+    """Every path simple, in the graph, from u to v, every piece starting
+    where the one before it ended; u and v distinct vertices of g; the
+    paths pairwise internally disjoint.  Checked without expanding any
+    segment; see the module docstring for the argument, which holds on
+    every map with simple curves, V-graph or not.
 
-    Reads only ``g``'s adjacency sets, curve ids and
-    :attr:`PlaneGraph.curve_index` besides the certificate's own numbers,
-    so it raises :class:`~venngraph.maps.SelfCrossingCurveError` where
-    that index does.  A certificate with segments must carry that same
-    index, from which its ``paths`` expand.
+    Reads only ``g``'s adjacency sets and the certificate's own numbers
+    until it meets a :class:`Segment`, so a certificate of vertex runs,
+    such as flow paths, verifies on any :class:`RotationMap`.  A segment
+    is accepted only on a :class:`PlaneGraph` without
+    :attr:`~venngraph.maps.PlaneGraph.self_crossings`, from a certificate
+    that carries that graph's own :attr:`PlaneGraph.curve_index`, from
+    which its ``paths`` expand.
     """
-    index = g.curve_index
     adj = g.adjacency_sets
-    curves = index.curve_vertices
     n = g.vertex_count
     u, v = cert.u, cert.v
     if u == v or not (0 <= u < n and 0 <= v < n):
         return False
-    own_index = cert.index is index
+    index = None               # g.curve_index, read at the first segment
     points: list[int] = []     # every path's vertices after u, one per junction
     explicit: list[int] = [u, v]
     segments: list[Segment] = []
@@ -350,8 +333,14 @@ def verify_compact_certificate(g: PlaneGraph, cert: PathCertificate) -> bool:
         at = u
         for piece in path:
             if type(piece) is Segment:
+                if index is None:
+                    if (not isinstance(g, PlaneGraph) or g.self_crossings
+                            or cert.index is not g.curve_index):
+                        return False
+                    index = cert.index
+                    curves = index.curve_vertices
                 c, start, end, step = piece
-                if not own_index or not 0 <= c < len(curves):
+                if not 0 <= c < len(curves):
                     return False
                 cycle = curves[c]
                 if (not (0 <= start < len(cycle) and 0 <= end < len(cycle))
@@ -378,6 +367,8 @@ def verify_compact_certificate(g: PlaneGraph, cert: PathCertificate) -> bool:
     seen = set(points)
     if len(seen) != len(points) or u in seen or v in seen:
         return False
+    if index is None:
+        return True            # vertex runs only: every check is done
     curve_of, position = g.curve_of, index.position
     # offsets along a segment from its start, modulo its curve's length:
     # position p lies strictly inside iff 0 < offset(p) < offset(end)
@@ -413,9 +404,13 @@ def verify_compact_certificate(g: PlaneGraph, cert: PathCertificate) -> bool:
 
 
 def verify_cut(g: RotationMap, cert: CutCertificate) -> bool:
-    """Sides nonempty, disjoint from the cut, and unreachable from each other."""
+    """Sides nonempty, disjoint from the cut, and unreachable from each
+    other; every vertex named in 0..V-1."""
     a, b = cert.sides
     if not a or not b or a & b or (a | b) & cert.cut:
+        return False
+    named = a | b | cert.cut
+    if min(named) < 0 or max(named) >= g.vertex_count:
         return False
     return not (g.reachable(a, cert.cut) & b)
 
@@ -582,27 +577,20 @@ def max_disjoint_paths(
     """
     if u == v:
         raise SameVertexError(f"u = v = {u}")
+    if not (0 <= u < g.vertex_count and 0 <= v < g.vertex_count):
+        raise NotAVertexError(f"u = {u}, v = {v}: not both in 0..{g.vertex_count - 1}")
     return _witnesses(_FlowNet(g), g, u, v)
 
 
 def _unique_pairs(g: RotationMap) -> dict[tuple[int, int], int]:
     """Every distance-2 pair u < v, in sorted order, with its smallest
     common neighbour: the pairs of :meth:`RotationMap.distance2_pairs`,
-    each once, met first from their smallest z as z walks upward.  A pair
-    is keyed ``u * V + v`` while it is collected, so that one sort of ints
-    puts the pairs in order."""
-    adj = g.adjacency_sets
-    n = g.vertex_count
-    by_key: dict[int, int] = {}
-    for z in range(n):
-        around = sorted(adj[z] - {z})
-        for i, u in enumerate(around):
-            near = adj[u]
-            base = u * n
-            for v in around[i + 1:]:
-                if v not in near:
-                    by_key.setdefault(base + v, z)
-    return {divmod(key, n): by_key[key] for key in sorted(by_key)}
+    each once, kept from their first triple, as the triples come sorted
+    by u, v, then z."""
+    pairs: dict[tuple[int, int], int] = {}
+    for u, z, v in g.distance2_pairs():
+        pairs.setdefault((u, v), z)
+    return pairs
 
 
 def _straight_pairs(g: PlaneGraph) -> dict[tuple[int, int], int]:
@@ -796,9 +784,9 @@ def proof_paths(
     one curve :class:`Segment` in case 1 and one or two in case 2, and the
     perimeter paths are slices of the face vertex tuples.  It costs
     O(face degree + log V) to build and to verify with
-    :func:`verify_compact_certificate`; ``paths`` expands it.  The
-    bundle comes from :func:`_proof_bundles`, the loop every
-    certification takes, where a verification failure swaps in
+    :func:`verify_certificate`, which checks flow paths too; ``paths``
+    expands it.  The bundle comes from :func:`_proof_bundles`, the loop
+    every certification takes, where a verification failure swaps in
     flow-derived paths; this flags ``used_fallback``.  Pass
     ``validated=True`` to skip the V-graph check when the caller already
     did it.
@@ -843,12 +831,12 @@ def _proof_bundles(
 
     At k = 4 on a :class:`PlaneGraph` with simple curves, a pair first
     gets the :func:`proof_paths` bundle around its z (z's neighbours and
-    corner arcs are read once per z), kept if
-    :func:`verify_compact_certificate` accepts it.  Every other pair takes
-    flow paths, capped at k, from one :class:`_FlowNet` built for the first
-    such pair.  The first pair whose flow falls short of k stops the loop
-    and comes back as a :class:`Counterexample` with its verified cut,
-    after the certificates of the pairs before it.
+    corner arcs are read once per z), kept if :func:`verify_certificate`
+    accepts it.  Every other pair takes flow paths, capped at k, from one
+    :class:`_FlowNet` built for the first such pair; :func:`_trace_paths`
+    checks them with the same verifier.  The first pair whose flow falls
+    short of k stops the loop and comes back as a :class:`Counterexample`
+    with its verified cut, after the certificates of the pairs before it.
 
     A V-graph has four paths for every pair (module docstring), so there a
     pair without a verified bundle is a counted fallback and a flow below
@@ -877,7 +865,7 @@ def _proof_bundles(
                     index=index)
             except _ConstructionSurprise:
                 cert = None
-            if cert is not None and verify_compact_certificate(g, cert):
+            if cert is not None and verify_certificate(g, cert):
                 certs.append((u, z, v, cert))
                 continue
         if net is None:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, combinations, repeat
 from operator import eq, itemgetter, xor
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -331,20 +331,25 @@ class RotationMap:
     # -- distance-2 structure --------------------------------------------
 
     def distance2_pairs(self) -> tuple[tuple[int, int, int], ...]:
-        """All (u, z, v) with u < v non-adjacent and z adjacent to both.
+        """All (u, z, v) with u < v non-adjacent and z adjacent to both,
+        sorted by u, then v, then z.
 
-        Each unordered pair {u, v} appears once per witnessing z.
+        Each unordered pair {u, v} appears once per witnessing z.  A
+        triple is keyed ``(u * V + v) * V + z`` while it is collected, so
+        that one sort of ints puts the triples in order.
         """
         adj = self.adjacency_sets
-        out = []
-        for z in range(self.vertex_count):
-            around = sorted(adj[z] - {z})
-            for i, u in enumerate(around):
-                for v in around[i + 1:]:
-                    if v not in adj[u]:
-                        out.append((u, z, v))
-        out.sort(key=lambda t: (t[0], t[2], t[1]))
-        return tuple(out)
+        n = self.vertex_count
+        keys = []
+        for z in range(n):
+            # a loop at z leaves z in adj[z], but z neighbours every u
+            # there, so it never makes a pair
+            for u, v in combinations(sorted(adj[z]), 2):
+                if v not in adj[u]:
+                    keys.append((u * n + v) * n + z)
+        keys.sort()
+        nn = n * n
+        return tuple([(key // nn, key % n, key // n % n) for key in keys])
 
 
 class PlaneGraph(RotationMap):

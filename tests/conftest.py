@@ -67,6 +67,31 @@ def lens():
     return from_circles(LENS_CIRCLES)
 
 
+def reference_verify(g: RotationMap, cert) -> bool:
+    """The reference that ``verify_certificate`` is tested against: expand
+    every path to its vertex tuple and check it naively.  u and v are
+    vertices of g; every path is simple and runs from u to v along edges
+    of g; no two paths share an inner vertex."""
+    n = g.vertex_count
+    if not (0 <= cert.u < n and 0 <= cert.v < n):
+        return False
+    adj = g.adjacency_sets
+    interior_seen: set[int] = set()
+    for path in cert.iter_paths():
+        if len(path) < 2 or path[0] != cert.u or path[-1] != cert.v:
+            return False
+        if len(set(path)) != len(path):
+            return False
+        for a, b in zip(path, path[1:]):
+            if b not in adj[a]:
+                return False
+        inner = set(path[1:-1])
+        if inner & interior_seen:
+            return False
+        interior_seen |= inner
+    return True
+
+
 def figure_eight() -> PlaneGraph:
     """One curve crossing itself at a single vertex."""
     return PlaneGraph(1, [1, 0, 3, 2])

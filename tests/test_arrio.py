@@ -15,6 +15,7 @@ from venngraph.arrio import (
 )
 from venngraph.connectivity import (
     CutCertificate,
+    NotAVertexError,
     PathCertificate,
     Segment,
     certify_distance_two,
@@ -296,12 +297,15 @@ class TestGeneratedInputs:
 class TestCertificateBlocks:
     def test_path_lines(self):
         cert = PathCertificate(0, 5, ((0, 2, 5), (0, 3, 1, 5)))
-        assert format_path_certificate(cert) == "path: 0 2 5\npath: 0 3 1 5\n"
+        names = PathNames(gen_venn(3))
+        assert format_path_certificate(cert, names) == "path: 0 2 5\npath: 0 3 1 5\n"
 
     def test_compact_certificates_print_without_keeping_expansions(self):
         for n in range(3, 9):
-            for _, _, _, cert in certify_distance_two(gen_venn(n), 4).certificates:
-                text = format_path_certificate(cert)
+            g = gen_venn(n)
+            names = PathNames(g)
+            for _, _, _, cert in certify_distance_two(g, 4).certificates:
+                text = format_path_certificate(cert, names)
                 assert "paths" not in vars(cert)
                 assert text == "".join(
                     "path: " + " ".join(map(str, path)) + "\n" for path in cert.paths
@@ -352,6 +356,15 @@ class TestCertificateBlocks:
                          PathCertificate(0, 1, pieces=(pieces,), index=other)):
                 want = "path: " + " ".join(map(str, cert.paths[0])) + "\n"
                 assert format_path_certificate(cert, names) == want
+
+    def test_vertices_outside_the_graph_are_not_named(self):
+        # -1 would otherwise print as vertex V - 1's name
+        g = gen_venn(3)
+        names = PathNames(g)
+        for x in (-1, g.vertex_count):
+            cert = PathCertificate(0, 5, ((0, x, 5),))
+            with pytest.raises(NotAVertexError):
+                format_path_certificate(cert, names)
 
     def test_cut_line_sorted(self):
         cert = CutCertificate(frozenset({4, 1, 2}), (frozenset({0}), frozenset({5})))

@@ -255,7 +255,7 @@ class TestValidateOutput:
         ]),
         # the only input whose report names self-crossings
         ("figure-eight", 1, [
-            "general-position: fail", "self-crossing-at: 0", "same-curve-at: 0",
+            "general-position: fail", "self-crossing-at: 0",
             "planar: yes", "connected: yes", "curves: 1",
             "ufi: 1 violations", "  face 0 meets curve 0 2 times",
             "two-faces: none", "v-graph: no",

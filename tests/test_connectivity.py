@@ -10,9 +10,11 @@ import pytest
 
 from venngraph import connectivity
 from venngraph.connectivity import (
+    CutCertificate,
     NotDistanceTwoError,
     NotVGraphError,
     PathCertificate,
+    NotAVertexError,
     SameVertexError,
     Segment,
     VacuousCertificationError,
@@ -20,7 +22,6 @@ from venngraph.connectivity import (
     max_disjoint_paths,
     proof_paths,
     verify_certificate,
-    verify_compact_certificate,
     verify_cut,
     vertex_connectivity,
 )
@@ -29,7 +30,12 @@ from venngraph.generators import from_circles, gen_venn
 from venngraph.maps import PlaneGraph, RotationMap
 from venngraph.validate import validate
 
-from conftest import complete_rotation_map, random_circle_families, three_cliques
+from conftest import (
+    complete_rotation_map,
+    random_circle_families,
+    reference_verify,
+    three_cliques,
+)
 from test_arrio import random_plane_graph
 
 
@@ -140,6 +146,12 @@ class TestMaxDisjointPaths:
     def test_same_vertex_rejected(self, venn3):
         with pytest.raises(SameVertexError):
             max_disjoint_paths(venn3, 2, 2)
+
+    def test_vertices_outside_the_map_are_rejected(self, venn4):
+        n = venn4.vertex_count
+        for u, v in ((-1, 3), (3, n), (3, -14)):
+            with pytest.raises(NotAVertexError):
+                max_disjoint_paths(venn4, u, v)
 
     def test_adjacent_pair_counts_parallel_edges(self, weaves):
         # consecutive weave crossings share two parallel edges; the ring
@@ -276,6 +288,7 @@ class TestVertexConnectivity:
             assert bundles.certified and bundles.fallback_count == 0
             for u, z, v, cert in bundles.certificates:
                 assert cert.k == 4 and verify_certificate(g, cert)
+                assert reference_verify(g, cert)
             # a plain rotation map is not a PlaneGraph, so it takes the flow route
             plain = RotationMap((4,) * g.vertex_count, g._twin)
             flow_kappa, flow_cut = vertex_connectivity(plain)
@@ -428,8 +441,9 @@ class TestProofPaths:
             assert calls == [{(u, v): z}]
 
     def test_rejected_bundle_falls_back_to_flow_paths(self, monkeypatch, venn4):
-        monkeypatch.setattr(connectivity, "verify_compact_certificate",
-                            lambda g, cert: False)
+        # flow paths go through the same verifier, so only bundles fail
+        monkeypatch.setattr(connectivity, "verify_certificate",
+                            lambda g, cert: cert.index is None and verify_certificate(g, cert))
         for u, z, v in venn4.distance2_pairs():
             result = proof_paths(venn4, u, z, v, validated=True)
             assert result.used_fallback
@@ -444,16 +458,17 @@ class TestDistanceTwoCertification:
         assert result.fallback_count == 0
         for u, z, v, cert in result.certificates:
             assert cert.k == 4
-            assert verify_certificate(venn4, cert)
+            assert verify_certificate(venn4, cert) and reference_verify(venn4, cert)
 
     def test_rejected_bundles_fall_back_to_counted_flow_paths(self, monkeypatch, venn5):
         # every third bundle fails verification and every seventh pair
         # cannot be built; each is replaced by flow paths and counted
-        real_verify, real_build = (connectivity.verify_compact_certificate,
-                                   connectivity._four_paths)
+        real_verify, real_build = connectivity.verify_certificate, connectivity._four_paths
         checked, built = [], []
 
         def verify(g, cert):
+            if cert.index is None:
+                return real_verify(g, cert)  # flow paths
             checked.append((cert.u, cert.v))
             return len(checked) % 3 != 0 and real_verify(g, cert)
 
@@ -463,7 +478,7 @@ class TestDistanceTwoCertification:
                 raise connectivity._ConstructionSurprise("test")
             return real_build(g, index, z, around, su, v)
 
-        monkeypatch.setattr(connectivity, "verify_compact_certificate", verify)
+        monkeypatch.setattr(connectivity, "verify_certificate", verify)
         monkeypatch.setattr(connectivity, "_four_paths", build)
         result = certify_distance_two(venn5, 4)
         flow = [cert for *_, cert in result.certificates if cert.index is None]
@@ -471,7 +486,7 @@ class TestDistanceTwoCertification:
         assert result.fallback_count == len(flow) == len(checked) // 3 + len(built) // 7
         for u, z, v, cert in result.certificates:
             assert (cert.u, cert.v, cert.k) == (u, v, 4)
-            assert verify_certificate(venn5, cert)
+            assert verify_certificate(venn5, cert) and reference_verify(venn5, cert)
 
     def test_weave_counterexample_at_three(self, weaves):
         result = certify_distance_two(weaves[3], 3)
@@ -504,7 +519,7 @@ class TestDistanceTwoCertification:
             for u, z, v, cert in result.certificates:
                 assert (cert.u, cert.v) == (u, v)
                 assert cert.k == k
-                assert verify_certificate(g, cert)
+                assert verify_certificate(g, cert) and reference_verify(g, cert)
 
 
 # five circles with connectivity 4 that are no V-graph: face 1 meets
@@ -554,7 +569,7 @@ class TestConstructFirstCertification:
             for u, z, v, cert in result.certificates:
                 assert z == min(adj[u] & adj[v])
                 assert (cert.u, cert.v, cert.k) == (u, v, 4)
-                assert verify_certificate(g, cert)
+                assert verify_certificate(g, cert) and reference_verify(g, cert)
             if not validate(g).is_vgraph:
                 assert result.fallback_count == 0
                 constructed += sum(cert.index is not None for *_, cert in result.certificates)
@@ -580,7 +595,7 @@ class TestConstructFirstCertification:
         assert result.fallback_count == 0
         assert any(cert.index is g.curve_index for *_, cert in result.certificates)
         for *_, cert in result.certificates:
-            assert verify_certificate(g, cert)
+            assert verify_certificate(g, cert) and reference_verify(g, cert)
 
 
 class TestTheoremAsOracle:
@@ -628,10 +643,10 @@ shared_net = functools.cache(connectivity._FlowNet)
 
 
 def assert_rejected(g, mutant):
-    """The compact verifier rejects ``mutant``, and the certification
+    """The verifier rejects ``mutant``, and the certification
     loop, handed it as the bundle of a distance-2 pair, gives that pair
     verified flow paths instead."""
-    assert not verify_compact_certificate(g, mutant)
+    assert not verify_certificate(g, mutant)
     u, v = mutant.u, mutant.v
     adj = g.adjacency_sets
     if v in adj[u]:
@@ -688,10 +703,10 @@ class TestCompactCertificates:
             assert result.certified and result.fallback_count == 0
             for *_, cert in result.certificates:
                 assert cert.k == 4
-                assert verify_compact_certificate(g, cert)
+                assert verify_certificate(g, cert)
                 # the long path is one segment or two
                 assert 1 <= len(segments_of(cert)) <= 2
-                assert verify_certificate(g, cert)
+                assert reference_verify(g, cert)
 
     def test_bundles_are_those_of_proof_paths(self, compact_corpus):
         # the bundles built a common neighbour at a time are the pieces
@@ -757,6 +772,9 @@ class TestCompactCertificates:
                 length = len(g.curve_index.curve_vertices[seg.curve])
                 pieces[j] = seg._replace(start=(seg.start + 1) % length)
                 assert_rejected(g, with_path(cert, i, pieces))
+                # the right vertex, named by a negative index
+                pieces[j] = seg._replace(start=seg.start - length)
+                assert not verify_certificate(g, with_path(cert, i, pieces))
 
     def test_overlapping_segments_on_one_curve_are_rejected(self, mutant_corpus):
         checked = 0
@@ -769,7 +787,7 @@ class TestCompactCertificates:
             back = (far - seg.step) % length
             split = (Segment(seg.curve, seg.start, far, seg.step),
                      Segment(seg.curve, far, seg.end, seg.step))
-            assert verify_compact_certificate(g, with_path(cert, i, split))
+            assert verify_certificate(g, with_path(cert, i, split))
             folded = (Segment(seg.curve, seg.start, far, seg.step),
                       Segment(seg.curve, far, back, -seg.step),
                       Segment(seg.curve, back, seg.end, seg.step))
@@ -818,11 +836,11 @@ class TestCompactCertificates:
                 continue
             assert len(cert.pieces[0][0]) == 3
             twice = with_path(cert, 0, (seg,))
+            assert not reference_verify(g, twice)
             assert not verify_certificate(g, twice)
-            assert not verify_compact_certificate(g, twice)
             other_way = with_path(cert, 0, (seg._replace(step=-seg.step),))
             assert other_way.paths[0] == cert.paths[0]
-            assert verify_compact_certificate(g, other_way)
+            assert verify_certificate(g, other_way)
             checked += 1
         assert checked > 100
 
@@ -831,14 +849,15 @@ class TestCompactCertificates:
         _, flow_cert, _ = max_disjoint_paths(venn4, u, v)
         cert = PathCertificate(u, v, flow_cert.paths)
         assert cert.index is None and cert.paths == flow_cert.paths
-        assert verify_compact_certificate(venn4, cert)
+        assert verify_certificate(venn4, cert)
         twice = PathCertificate(u, v, flow_cert.paths[:1] * 2)
-        assert not verify_compact_certificate(venn4, twice)
-        # pieces that do not meet expand whole, and are rejected
+        assert not verify_certificate(venn4, twice)
+        # pieces that do not meet expand whole, which the reference
+        # accepts; the verifier rejects the broken junction
         path = flow_cert.paths[0]
         gap = PathCertificate(u, v, pieces=((path[:2], path[2:]),))
-        assert gap.paths == (path,)
-        assert not verify_compact_certificate(venn4, gap)
+        assert gap.paths == (path,) and reference_verify(venn4, gap)
+        assert not verify_certificate(venn4, gap)
 
     def test_index_of_another_graph_is_rejected(self, compact_corpus):
         g, result = compact_corpus[2]
@@ -846,8 +865,8 @@ class TestCompactCertificates:
         other = gen_venn(5)
         assert other.curve_index == g.curve_index and other.curve_index is not g.curve_index
         foreign = PathCertificate(cert.u, cert.v, pieces=cert.pieces, index=other.curve_index)
-        assert verify_compact_certificate(g, cert)
-        assert not verify_compact_certificate(g, foreign)
+        assert verify_certificate(g, cert)
+        assert not verify_certificate(g, foreign)
 
     def test_segments_on_curves_that_never_cross(self):
         # the outer circles are disjoint and both cross the middle one
@@ -859,5 +878,103 @@ class TestCompactCertificates:
                   (Segment(1, 0, 1, 1),))
         cert = PathCertificate(0, 2, pieces=pieces, index=index)
         assert cert.paths == ((0, 1, 3, 2), (0, 2))
+        assert reference_verify(g, cert)
         assert verify_certificate(g, cert)
-        assert verify_compact_certificate(g, cert)
+
+
+def mutants(g, cert, rng):
+    """Seeded mutants of ``cert``: u or v set to -1 or V (with the runs
+    that start or end there), a run vertex swapped with the next one or
+    replaced by any of -1..V, a run truncated.  Shifted and flipped
+    segments are the rejection tests' of TestCompactCertificates."""
+    n = g.vertex_count
+    out = []
+    for x in (-1, n):
+        starts = tuple(((x,) + path[0][1:],) + path[1:] if type(path[0]) is tuple else path
+                       for path in cert.pieces)
+        ends = tuple(path[:-1] + (path[-1][:-1] + (x,),) if type(path[-1]) is tuple else path
+                     for path in cert.pieces)
+        out.append(PathCertificate(x, cert.v, pieces=starts, index=cert.index))
+        out.append(PathCertificate(cert.u, x, pieces=ends, index=cert.index))
+    for i, path in enumerate(cert.pieces):
+        for j, piece in enumerate(path):
+            def swap(new):
+                return with_path(cert, i, path[:j] + (new,) + path[j + 1:])
+            if type(piece) is tuple and len(piece) >= 2:
+                a = rng.randrange(len(piece) - 1)
+                run = list(piece)
+                run[a], run[a + 1] = run[a + 1], run[a]
+                out.append(swap(tuple(run)))
+                run = list(piece)
+                run[rng.randrange(len(run))] = rng.randrange(-1, n + 1)
+                out.append(swap(tuple(run)))
+                out.append(swap(piece[:-1]))
+    return out
+
+
+class TestOneVerifier:
+    """``verify_certificate`` checks flow paths and compact bundles alike,
+    and never accepts what the expanded-path reference rejects."""
+
+    def test_sound_against_the_reference(self, mutant_corpus):
+        # mutants are made of the first bundles of each graph, the family
+        # without unique face incidence included, and of flow paths
+        rng = random.Random(33)
+        g = gen_venn(4)
+        pool = [*sample(mutant_corpus),
+                *((g, cert) for *_, cert in certify_distance_two(g, 3).certificates)]
+        accepted = rejected = 0
+        for g, cert in pool:
+            assert verify_certificate(g, cert) and reference_verify(g, cert)
+            for mutant in mutants(g, cert, rng):
+                if verify_certificate(g, mutant):
+                    assert reference_verify(g, mutant)
+                    accepted += 1
+                else:
+                    rejected += 1
+        assert rejected > 1000 and accepted > 0
+
+    def test_flow_paths_verify_on_any_rotation_map(self):
+        rng = random.Random(3)
+        crossed = next(g for g in iter(lambda: random_plane_graph(rng), None)
+                       if g.self_crossings and g.is_connected and g.distance2_pairs())
+        for g in (dual(gen_venn(4)), crossed):
+            for u, _, v in g.distance2_pairs()[:20]:
+                k, cert, _ = max_disjoint_paths(g, u, v)
+                assert cert.k == k and verify_certificate(g, cert)
+                assert reference_verify(g, cert)
+
+    def test_segments_need_a_map_with_simple_curves(self):
+        g = gen_venn(4)
+        result = certify_distance_two(g, 4)
+        cert = result.certificates[0][3]
+        assert segments_of(cert) and verify_certificate(g, cert)
+        assert not verify_certificate(RotationMap((4,) * g.vertex_count, g._twin), cert)
+        rng = random.Random(3)
+        crossed = next(h for h in iter(lambda: random_plane_graph(rng), None)
+                       if h.self_crossings and h.vertex_count >= 2)
+        bent = PathCertificate(0, 1, pieces=((Segment(0, 0, 0, 1),),), index=g.curve_index)
+        assert not verify_certificate(crossed, bent)
+
+    def test_paths_from_minus_one_are_rejected(self):
+        # -1 indexes vertex V - 1 in every table, so only a range check
+        # tells the two apart
+        g = gen_venn(4)
+        last = g.vertex_count - 1
+        v = next(x for x in range(last) if x not in g.adjacency_sets[last])
+        _, cert, _ = max_disjoint_paths(g, last, v)
+        moved = PathCertificate(-1, v, tuple((-1,) + path[1:] for path in cert.paths))
+        assert verify_certificate(g, cert)
+        assert not verify_certificate(g, moved)
+        assert not reference_verify(g, moved)
+
+
+class TestVerifyCut:
+    def test_vertices_outside_the_map_are_rejected(self):
+        g = gen_venn(4)
+        n = g.vertex_count
+        assert g.is_connected
+        for cut, a, b in (((), (-1,), (n - 1,)), ((), (0,), (n,)), ((), (n,), (0,)),
+                          ((n,), (0,), (1,))):
+            cert = CutCertificate(frozenset(cut), (frozenset(a), frozenset(b)))
+            assert verify_cut(g, cert) is False
