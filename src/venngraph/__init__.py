@@ -35,7 +35,7 @@ from .connectivity import (
 )
 # ``dual`` the function stays in ``venngraph.dual``: re-exported here it
 # would shadow the submodule of the same name.
-from .dual import DualGraph, DualNotHamiltonianError, NotVennError, winkler_extend
+from .dual import DualNotHamiltonianError, NotVennError, winkler_extend
 from .generators import from_circles, gen_venn, gen_venn3, gen_weave
 from .hamilton import (
     BudgetExceededError,

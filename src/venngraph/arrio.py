@@ -165,7 +165,8 @@ class PathNames:
     the name it would alias.  A curve :class:`Segment` prints as one
     slice of its curve's names joined in its direction, or two slices
     when it wraps round the curve; each curve is joined once per
-    direction, the first time a segment on it is printed.
+    direction, the first time a segment on it is printed.  A segment
+    outside its index raises :class:`ValueError` instead.
     """
 
     def __init__(self, g: PlaneGraph):
@@ -196,22 +197,23 @@ class PathNames:
         for piece in pieces:
             if type(piece) is Segment:
                 c, start, end, step = piece
-                cycle = index.curve_vertices[c]
+                curves = index.curve_vertices
+                cycle = curves[c] if 0 <= c < len(curves) else ()
                 length = len(cycle)
-                if 0 <= start < length and 0 <= end < length:
-                    first, last_before = cycle[start], last
-                    last = cycle[end]
-                    joined, starts = self._curve(index, c, step == 1)
-                    a, b = (start, end) if step == 1 else (length - 1 - start, length - 1 - end)
-                    if first == last_before:
-                        if a == b:
-                            continue
-                        a = (a + 1) % length
-                    stop = starts[b + 1] - 1
-                    parts.append(joined[starts[a]:stop] if a <= b
-                                 else joined[starts[a]:] + " " + joined[:stop])
-                    continue
-                piece = piece.vertices(index)
+                if not (0 <= start < length and 0 <= end < length):
+                    raise ValueError(f"{piece} lies outside its curve index")
+                first, last_before = cycle[start], last
+                last = cycle[end]
+                joined, starts = self._curve(index, c, step == 1)
+                a, b = (start, end) if step == 1 else (length - 1 - start, length - 1 - end)
+                if first == last_before:
+                    if a == b:
+                        continue
+                    a = (a + 1) % length
+                stop = starts[b + 1] - 1
+                parts.append(joined[starts[a]:stop] if a <= b
+                             else joined[starts[a]:] + " " + joined[:stop])
+                continue
             run = piece[1:] if piece and piece[0] == last else piece
             if run:
                 try:

@@ -22,6 +22,7 @@ import argparse
 import functools
 import os
 import sys
+from itertools import chain
 
 from . import arrio, generators
 from .connectivity import (
@@ -160,8 +161,10 @@ def _cmd_dual(args) -> int:
     g = _read_graph(args.input)
     d = dual(g)
     print(f"dual {d.vertex_count} {d.edge_count}")
-    for dd, pe in sorted(d.crossing_edges().items()):
+    crossed = list(chain.from_iterable(g.faces))
+    for dd in d.edges():
         a, b = d.edge_endpoints(dd)
+        pe = g.edge_of(crossed[dd])
         print(f"edge {a} {b} via {pe >> 2}.{pe & 3}")
     return EXIT_OK
 

@@ -116,16 +116,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Collection, Iterator, NamedTuple, Union
 
-from .maps import CurveIndex, DisconnectedError, MapError, PlaneGraph, RotationMap
+from .maps import CurveIndex, DisconnectedError, MapError, NotAVertexError, PlaneGraph, RotationMap
 from .validate import validate
 
 
 class SameVertexError(MapError):
     """Disjoint paths need two distinct endpoints."""
-
-
-class NotAVertexError(MapError):
-    """A vertex number outside 0..V-1 of the map it is used with."""
 
 
 class NotDistanceTwoError(MapError):

@@ -1,12 +1,14 @@
 """Planar duals and extension of a diagram by one new curve.
 
 The dual has one vertex per face; its rotation at a face follows that
-face's boundary order, so every dual dart corresponds to exactly one
-primal dart (the crossing map).  A Hamilton cycle in the dual visits every
-region once, and threading a new closed curve along it - entering and
-leaving each region through one crossing apiece - turns an n-curve diagram
-realising all 2^n regions into an (n+1)-curve diagram realising all
-2^(n+1).
+face's boundary order, so every dual dart crosses exactly one primal
+dart.  A Hamilton cycle in the dual visits every region once, and
+threading a new closed curve along it - entering and leaving each
+region through one crossing apiece - turns an n-curve diagram realising
+all 2^n regions into an (n+1)-curve diagram realising all 2^(n+1).
+Whether a face order is such a cycle, and which primal edge each step
+crosses, is read off the primal face table alone; the dual is built
+only when a cycle has to be searched for.
 
 The cycle is read off the diagram rather than searched for.  A curve C
 with 2^(n-1) edges is *removable*: it splits every region of the other
@@ -28,8 +30,9 @@ from __future__ import annotations
 
 import warnings
 from itertools import chain
+from typing import Sequence
 
-from .hamilton import find_hamilton, verify_cycle
+from .hamilton import find_hamilton
 from .maps import MapError, PlaneGraph, RotationMap
 from .validate import venn_check
 
@@ -52,46 +55,16 @@ class DualNotHamiltonianError(MapError):
         self.curve_count = curve_count
 
 
-class DualGraph(RotationMap):
-    """Rotation system over the faces of a primal plane graph.
-
-    Vertex degrees equal primal face boundary lengths, so the degree-4
-    constraint of :class:`PlaneGraph` is relaxed; the rotation-system
-    algebra (twin involution, face orbits) is unchanged.  ``primal_dart``
-    and ``dual_dart`` expose the crossing bijection between dual and
-    primal darts (and hence between dual and primal edges).
-    """
-
-    def __init__(self, primal: PlaneGraph):
-        boundaries = primal.faces
-        to_primal = list(chain.from_iterable(boundaries))
-        to_dual = [-1] * primal.dart_count
-        for dd, pd in enumerate(to_primal):
-            to_dual[pd] = dd
-        super().__init__(
-            list(map(len, boundaries)),
-            list(map(to_dual.__getitem__, map(primal._twin.__getitem__, to_primal))),
-        )
-        self.primal = primal
-        self._to_primal = tuple(to_primal)
-        self._to_dual = tuple(to_dual)
-
-    def primal_dart(self, dual_dart: int) -> int:
-        return self._to_primal[dual_dart]
-
-    def dual_dart(self, primal_dart: int) -> int:
-        return self._to_dual[primal_dart]
-
-    def crossing_edges(self) -> dict[int, int]:
-        """Canonical dual edge dart -> canonical primal edge dart."""
-        return {
-            d: self.primal.edge_of(self._to_primal[d]) for d in self.edges()
-        }
-
-
-def dual(g: PlaneGraph) -> DualGraph:
-    """The planar dual as a rotation system, with the crossing map attached."""
-    return DualGraph(g)
+def dual(g: PlaneGraph) -> RotationMap:
+    """The planar dual as a rotation system: one vertex per face of g,
+    with one dart per dart of its boundary.  Dual dart i crosses the
+    i-th dart of :attr:`~venngraph.maps.RotationMap.faces`, read face
+    after face, so the rotation at a face follows its boundary."""
+    to_primal = list(chain.from_iterable(g.faces))
+    to_dual = [0] * len(to_primal)
+    for i, x in enumerate(to_primal):
+        to_dual[x] = i
+    return RotationMap(list(map(len, g.faces)), [to_dual[g._twin[x]] for x in to_primal])
 
 
 def prism_order(g: PlaneGraph, c: int) -> list[int]:
@@ -101,7 +74,7 @@ def prism_order(g: PlaneGraph, c: int) -> list[int]:
 
     This is a Hamilton cycle of the dual exactly when the curve is
     removable in a simple Venn diagram (2^(n-1) edges); otherwise faces
-    repeat or are missed, which :func:`verify_cycle` reports.
+    repeat or are missed, which :func:`_crossed_edges` reports.
     """
     face_of, darts = g.face_of, g.curves[c]
     right = [face_of[x] for x in darts]
@@ -109,23 +82,46 @@ def prism_order(g: PlaneGraph, c: int) -> list[int]:
     return right + left[::-1]
 
 
+def _crossed_edges(g: PlaneGraph, order: Sequence[int]) -> list[int] | None:
+    """Per face of ``order``, the lowest primal edge it shares with the
+    next face round the cycle, read off :attr:`~venngraph.maps.RotationMap.faces`.
+
+    None unless ``order`` is a Hamilton cycle of the dual: every face
+    exactly once, each sharing an edge with the next, the test that
+    :func:`~venngraph.hamilton.verify_cycle` makes on ``dual(g)``.
+    """
+    faces, face_of, twin = g.faces, g.face_of, g._twin
+    nf = len(faces)
+    if len(order) != nf or set(order) != set(range(nf)):
+        return None
+    chosen = []
+    for i, f in enumerate(order):
+        after = order[(i + 1) % nf]
+        shared = [min(x, twin[x]) for x in faces[f] if face_of[twin[x]] == after]
+        if not shared:
+            return None
+        chosen.append(min(shared))
+    return chosen
+
+
 def winkler_extend(g: PlaneGraph, budget: int | None = None) -> PlaneGraph:
     """Add one curve along a Hamilton cycle of the dual.
 
     The cycle runs around the highest-id removable curve (one with
     2^(n-1) edges; see the module docstring for why it is a Hamilton
-    cycle) and is always checked with :func:`verify_cycle`.  When no curve
-    is removable or the check fails, a :class:`RuntimeWarning` is issued
-    and :func:`find_hamilton` searches the dual within ``budget``
-    instead; :class:`DualNotHamiltonianError` is raised if it proves no
-    cycle exists.
+    cycle) and is always checked on the primal faces by
+    :func:`_crossed_edges`.  When no curve is removable or the check
+    fails, a :class:`RuntimeWarning` is issued and :func:`find_hamilton`
+    searches :func:`dual` within ``budget`` instead;
+    :class:`DualNotHamiltonianError` is raised if it proves no cycle
+    exists.
 
     For each consecutive pair of regions on the cycle, the lowest shared
-    primal edge, read off the dual that gave the cycle, is subdivided by
-    a new crossing; consecutive crossings are joined by a new edge
-    through the region they flank.  The chain of new edges is the added
-    curve: it crosses each chosen edge transversally and splits every
-    old region in two.  The output is re-validated before it is returned.
+    primal edge is subdivided by a new crossing; consecutive crossings
+    are joined by a new edge through the region they flank.  The chain
+    of new edges is the added curve: it crosses each chosen edge
+    transversally and splits every old region in two.  The output is
+    re-validated before it is returned.
     """
     report = venn_check(g)
     if not report.is_simple_venn:
@@ -133,12 +129,12 @@ def winkler_extend(g: PlaneGraph, budget: int | None = None) -> PlaneGraph:
             f"{report.curve_count} curves but {report.distinct_labels} distinct "
             f"labels over {report.face_count} regions"
         )
-    d = dual(g)
     half = 1 << (report.curve_count - 1)
     curves = g.curves
     c = next((c for c in reversed(range(len(curves))) if len(curves[c]) == half), None)
     order = None if c is None else prism_order(g, c)
-    if order is None or not verify_cycle(d, order):
+    chosen = None if order is None else _crossed_edges(g, order)
+    if chosen is None:
         warnings.warn(
             f"no removable curve yields a dual Hamilton cycle of this "
             f"{report.curve_count}-curve diagram; searching the dual instead",
@@ -146,21 +142,14 @@ def winkler_extend(g: PlaneGraph, budget: int | None = None) -> PlaneGraph:
             stacklevel=2,
         )
         kwargs = {} if budget is None else {"budget": budget}
-        cycle = find_hamilton(d, **kwargs)
+        cycle = find_hamilton(dual(g), **kwargs)
         if cycle is None:
             raise DualNotHamiltonianError(report.curve_count)
-        order = cycle.order
+        order = cycle.order    # verified by the search, so never refused
+        chosen = _crossed_edges(g, order)
     nf = len(order)
     v0 = g.vertex_count
-
-    # the lowest primal edge under the dual darts from each region to the next
-    face_of, twin_of, to_primal = g.face_of, g._twin, d._to_primal
-    chosen = []
-    for i, f in enumerate(order):
-        after = order[(i + 1) % nf]
-        darts = d.darts_of(f)
-        chosen.append(min(min(x, twin_of[x]) for x in to_primal[darts.start:darts.stop]
-                          if face_of[twin_of[x]] == after))
+    face_of = g.face_of
 
     twin = list(g._twin) + [-1] * (4 * nf)
     side: dict[tuple[int, int], int] = {}  # (step, flanking face) -> new dart

@@ -72,6 +72,10 @@ class NotPlaneError(MapError):
     """Operation requires a plane map: every component of genus zero."""
 
 
+class NotAVertexError(MapError):
+    """A vertex number outside 0..V-1 of the map it is used with."""
+
+
 def _orbit_table(succ: Sequence[int]) -> tuple[list[int], list[int]]:
     """The cycle id of every element of the permutation ``succ`` of its
     indices, cycles numbered in order of their smallest elements, and
@@ -284,7 +288,8 @@ class RotationMap:
         """Vertices reachable from ``sources`` without entering ``blocked``.
 
         Sources are included even when blocked; the search never passes
-        through a blocked vertex.
+        through a blocked vertex.  A source outside 0..V-1 raises
+        :class:`NotAVertexError`; such blocked numbers are ignored.
         """
         n = self.vertex_count
         seen = [False] * n
@@ -293,6 +298,8 @@ class RotationMap:
                 seen[x] = True
         found = list(sources)
         for x in found:
+            if not 0 <= x < n:
+                raise NotAVertexError(f"source {x} is not in 0..{n - 1}")
             seen[x] = True
         return frozenset(self._reach(found, seen))
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -331,8 +332,8 @@ class TestCertificateBlocks:
 
     def test_sliced_names_follow_the_junction_rule(self):
         # a piece repeats the vertex before it only when it does not
-        # start there; one-vertex, out-of-range and foreign-index
-        # segments print as their expansions do
+        # start there; one-vertex and foreign-index segments print as
+        # their expansions do
         g = gen_venn(4)
         index = g.curve_index
         cycle = index.curve_vertices[0]
@@ -341,7 +342,7 @@ class TestCertificateBlocks:
             (Segment(0, 0, last, 1), Segment(0, last, last, -1), (cycle[last], cycle[0])),
             ((cycle[2], cycle[1]), Segment(0, 1, 3, -1), Segment(0, 3, 3, 1)),
             (Segment(0, 2, 2, 1), Segment(0, 2, 1, 1), (cycle[0],)),
-            ((cycle[3],), Segment(0, 0, 1, 1), Segment(0, 1, last + 4, -1)),
+            ((cycle[3],), Segment(0, 0, 1, 1), Segment(0, 1, last, -1)),
             (Segment(1, 1, 0, -1), (), Segment(1, 0, 0, 2)),
         ]
         names = PathNames(g)
@@ -364,6 +365,18 @@ class TestCertificateBlocks:
         for x in (-1, g.vertex_count):
             cert = PathCertificate(0, 5, ((0, x, 5),))
             with pytest.raises(NotAVertexError):
+                format_path_certificate(cert, names)
+
+    def test_segments_outside_the_index_are_not_named(self):
+        # each would otherwise print a slice of some curve, or nothing
+        g = gen_venn(4)
+        index = g.curve_index
+        curves = len(index.curve_vertices)
+        names = PathNames(g)
+        for segment in (Segment(0, -3, 2, 1), Segment(0, 1, 99, 1),
+                        Segment(-1, 0, 1, 1), Segment(curves, 0, 1, 1)):
+            cert = PathCertificate(0, 1, pieces=((segment,),), index=index)
+            with pytest.raises(ValueError, match=re.escape(repr(segment))):
                 format_path_certificate(cert, names)
 
     def test_cut_line_sorted(self):

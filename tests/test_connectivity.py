@@ -750,6 +750,21 @@ class TestCompactCertificates:
                     pieces[j] = seg._replace(end=seg.end + delta)
                     assert_rejected(g, with_path(cert, i, pieces))
 
+    def test_curve_ids_outside_the_index_are_rejected(self):
+        # c - C indexes curve c in every table, so only a range check
+        # tells the two apart
+        g = gen_venn(5)
+        count = len(g.curves)
+        bundles = [cert for *_, cert in certify_distance_two(g, 4).certificates
+                   if cert.index is not None]
+        assert len(bundles) > 100
+        for cert in bundles:
+            i, j, seg = segments_of(cert)[0]
+            for c in (seg.curve - count, seg.curve + count):
+                pieces = list(cert.pieces[i])
+                pieces[j] = seg._replace(curve=c)
+                assert not verify_certificate(g, with_path(cert, i, pieces))
+
     def test_flipped_direction_is_rejected(self, mutant_corpus):
         for g, cert in sample(mutant_corpus):
             for i, j, seg in segments_of(cert):
@@ -970,6 +985,17 @@ class TestOneVerifier:
 
 
 class TestVerifyCut:
+    def test_sides_must_be_nonempty_and_apart_from_the_cut(self, venn4):
+        v = next(x for x in range(1, venn4.vertex_count) if x not in venn4.adjacency_sets[0])
+        _, _, cert = max_disjoint_paths(venn4, 0, v)
+        assert verify_cut(venn4, cert)
+        a, b = cert.sides
+        s = min(cert.cut)
+        for sides in ((frozenset(), b), (a, frozenset()),   # an empty side
+                      (a, b | {min(a)}),                   # sides overlap
+                      (a, b | {s}), (a | {s}, b)):         # a side meets the cut
+            assert verify_cut(venn4, CutCertificate(cert.cut, sides)) is False
+
     def test_vertices_outside_the_map_are_rejected(self):
         g = gen_venn(4)
         n = g.vertex_count

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import random
+from itertools import chain
+
 import pytest
 
 from venngraph import dual as dual_module
-from venngraph.dual import NotVennError, dual, prism_order, winkler_extend
+from venngraph.dual import NotVennError, _crossed_edges, dual, prism_order, winkler_extend
 from venngraph.generators import gen_venn
 from venngraph.hamilton import verify_cycle
 from venngraph.maps import PlaneGraph
@@ -51,13 +54,16 @@ class TestDual:
 
     def test_crossing_map_is_a_bijection(self, venn4):
         d = dual(venn4)
-        crossing = d.crossing_edges()
-        assert len(crossing) == d.edge_count
-        assert sorted(crossing.values()) == sorted(venn4.edges())
-        # dart-level correspondence respects twins
+        # dual dart i crosses the i-th dart of the face boundaries
+        crossed = list(chain.from_iterable(venn4.faces))
+        assert sorted(crossed) == list(range(venn4.dart_count))
+        via = [venn4.edge_of(crossed[dd]) for dd in d.edges()]
+        assert len(via) == d.edge_count
+        assert sorted(via) == sorted(venn4.edges())
+        # dart-level correspondence respects twins and faces
         for dd in range(d.dart_count):
-            assert d.dual_dart(d.primal_dart(dd)) == dd
-            assert d.primal_dart(d.twin(dd)) == venn4.twin(d.primal_dart(dd))
+            assert crossed[d.twin(dd)] == venn4.twin(crossed[dd])
+            assert d.dart_vertex(dd) == venn4.face_of[crossed[dd]]
 
     def test_dual_is_planar_and_connected(self, venn4, weaves):
         for g in (venn4, weaves[2]):
@@ -97,6 +103,14 @@ class TestWinklerExtend:
                  if len(g.curves[c]) == 2 ** (n - 1))
         assert crossed_edges(g, winkler_extend(g)) == lowest_shared_edges(
             g, prism_order(g, c))
+
+    def test_chain_builds_no_dual(self, monkeypatch):
+        def no_dual(g):
+            raise AssertionError("the dual was built")
+
+        monkeypatch.setattr("venngraph.dual.dual", no_dual)
+        report = venn_check(gen_venn(10))
+        assert report.is_simple_venn and report.curve_count == 10
 
     def test_new_curve_crosses_every_region_once(self, venn3):
         g4 = winkler_extend(venn3)
@@ -170,3 +184,39 @@ class TestRemovableCurve:
         assert crossed_edges(venn4, g5) == lowest_shared_edges(venn4, cycles[0].order)
         report = venn_check(g5)
         assert report.is_simple_venn and report.curve_count == 5
+
+
+def mutated_orders(order: list[int], rng: random.Random) -> list[list[int]]:
+    """The order itself and, drawn with ``rng``, one order per way of
+    breaking or keeping a cycle: two entries swapped, a rotation, the
+    reversal, one entry dropped, one entry written over another, one
+    out of range."""
+    n = len(order)
+    i, j = rng.sample(range(n), 2)
+    swapped = list(order)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    k = rng.randrange(1, n)
+    out_of_range = list(order)
+    out_of_range[i] = rng.choice((-1, n))
+    return [list(order), swapped, order[k:] + order[:k], order[::-1],
+            order[:i] + order[i + 1:], order[:j] + [order[i]] + order[j + 1:],
+            out_of_range]
+
+
+class TestCrossedEdges:
+    def test_agrees_with_verify_cycle_on_the_dual(self):
+        rng = random.Random(20261020)
+        counts = [0, 0]
+        for n in range(3, 8):
+            g = gen_venn(n)
+            d = dual(g)
+            for c in range(n):
+                for _ in range(9):
+                    for order in mutated_orders(prism_order(g, c), rng):
+                        chosen = _crossed_edges(g, order)
+                        assert (chosen is not None) == verify_cycle(d, order), (n, c, order)
+                        counts[chosen is not None] += 1
+                        if chosen is not None:
+                            assert chosen == lowest_shared_edges(g, order)
+        # both verdicts are exercised, over every curve's prism order
+        assert sum(counts) == 7 * 9 * 25 and min(counts) > 100

@@ -236,6 +236,12 @@ class TestVerifyCycle:
         w = weaves[3]
         assert verify_cycle(w, list(range(6)))
 
+    def test_vertex_outside_the_map_fails(self, venn3):
+        # V in place of a vertex keeps the order's length and distinctness
+        order = list(find_hamilton(venn3).order)
+        for x in (venn3.vertex_count, -1):
+            assert verify_cycle(venn3, [x] + order[1:]) is False
+
 
 class TestBruteForceAgreement:
     def test_small_corpus(self, venn3, weaves, flower, lens):

@@ -8,12 +8,13 @@ import pytest
 from venngraph.maps import (
     BadSlotError,
     NonInvolutiveTwinError,
+    NotAVertexError,
     PlaneGraph,
     RotationMap,
     SelfTwinError,
 )
 from venngraph.arrio import ArrSyntaxError, parse_arr, write_arr
-from venngraph.generators import gen_venn3, gen_weave
+from venngraph.generators import gen_venn, gen_venn3, gen_weave
 
 from conftest import figure_eight
 from test_arrio import random_plane_graph
@@ -166,6 +167,23 @@ class TestPlanarity:
         planar_split = kinds[True, True, False]
         single_torus = kinds[False, False, True]
         assert mixed > 100 and planar_split > 100 and single_torus > 100
+
+
+class TestReachable:
+    def test_sources_outside_the_map_are_not_vertices(self):
+        # -1 would otherwise come back as a vertex, and V as an IndexError
+        import venngraph
+
+        assert venngraph.NotAVertexError is NotAVertexError
+        g = gen_venn(4)
+        n = g.vertex_count
+        for x in (-1, n):
+            with pytest.raises(NotAVertexError, match=f"source {x} "):
+                g.reachable([x])
+            with pytest.raises(NotAVertexError):
+                g.reachable([0, x])
+        # blocked numbers outside the map are ignored, as before
+        assert g.reachable([0], blocked=[-1, n]) == frozenset(range(n))
 
 
 class TestPermutationAlgebra:
