@@ -64,12 +64,16 @@ a vertex only at an end of one or at a vertex inside both:
   interval.
 
 One loop, :func:`_proof_bundles`, certifies a set of pairs on every
-map.  It takes them in order; at k = 4 on a map with simple curves, each
-pair first gets the :func:`proof_paths` bundle around its common
-neighbour z (z's four neighbours and four corner arcs are read once per
-z), and a pair whose bundle cannot be built or fails verification takes
-flow paths from one network shared by the call.  On a V-graph such a
-pair is a counted fallback; on any other map it is simply the flow route.
+map, streaming their certificates in order.  At k = 4 on a map with
+simple curves, each pair first gets the :func:`proof_paths` bundle
+around its common neighbour z (z's four neighbours and four corner arcs
+are read once per z), and a pair whose bundle cannot be built or fails
+verification takes flow paths from one network shared by the call.  On a
+V-graph such a pair is a counted fallback; on any other map it is simply
+the flow route.  A pair with only f < k paths comes first as a
+counterexample with its verified cut, then with its f paths, and k drops
+to f: so one pass from the minimum degree certifies both bounds of
+connectivity on any map.
 
 On V-graphs the construction alone settles connectivity, with no flow,
 and it needs only the straight-through pairs: the two far ends
@@ -149,6 +153,8 @@ class Segment(NamedTuple):
 
     def vertices(self, index: CurveIndex) -> tuple[int, ...]:
         """The segment's vertices in its order, read off ``index``."""
+        if self.step not in (1, -1):
+            raise ValueError(f"{self} steps by neither 1 nor -1")
         cycle = index.curve_vertices[self.curve]
         lo, hi = (self.start, self.end) if self.step == 1 else (self.end, self.start)
         run = cycle[lo:hi + 1] if lo <= hi else cycle[lo:] + cycle[:hi + 1]
@@ -551,22 +557,10 @@ def _extract_cut(net: _FlowNet, g: RotationMap, u: int, v: int, k: int) -> CutCe
     return cert
 
 
-def _witnesses(
-    net: _FlowNet, g: RotationMap, u: int, v: int
-) -> tuple[int, PathCertificate, CutCertificate | None]:
-    """Maximum flow between u and v on ``net``, with verified witnesses."""
-    k = net.max_flow(u, v)
-    cert = _trace_paths(net, g, u, v, k)
-    cut = None
-    if v not in g.adjacency_sets[u]:
-        cut = _extract_cut(net, g, u, v, k)
-    return k, cert, cut
-
-
 def max_disjoint_paths(
     g: RotationMap, u: int, v: int
 ) -> tuple[int, PathCertificate, CutCertificate | None]:
-    """Maximum internally disjoint u,v-paths, with path and cut witnesses.
+    """Maximum internally disjoint u,v-paths, with verified witnesses.
 
     The cut certificate is returned only for non-adjacent pairs; adjacent
     vertices cannot be separated by vertex removal.
@@ -575,7 +569,10 @@ def max_disjoint_paths(
         raise SameVertexError(f"u = v = {u}")
     if not (0 <= u < g.vertex_count and 0 <= v < g.vertex_count):
         raise NotAVertexError(f"u = {u}, v = {v}: not both in 0..{g.vertex_count - 1}")
-    return _witnesses(_FlowNet(g), g, u, v)
+    net = _FlowNet(g)
+    k = net.max_flow(u, v)
+    cut = None if v in g.adjacency_sets[u] else _extract_cut(net, g, u, v, k)
+    return k, _trace_paths(net, g, u, v, k), cut
 
 
 def _unique_pairs(g: RotationMap) -> dict[tuple[int, int], int]:
@@ -609,24 +606,24 @@ def vertex_connectivity(g: RotationMap) -> tuple[int, CutCertificate | None]:
     Connectivity is the minimum path count over the distance-2 pairs
     alone: each vertex of a minimum separator S has neighbours on two
     sides of S, and two of them form a distance-2 pair that S separates.
-    It is also at most the minimum degree.
+    It is also at most the minimum simple degree δ: the neighbours of a
+    vertex s of that degree are a cut with sides ``{s}`` and the rest.
+    Both bounds come from the stream of :func:`_proof_bundles`, read
+    item by item and kept by no one.
 
     On a V-graph (a :class:`PlaneGraph` that ``validate`` accepts) the
     answer is 4 with no flow at all.  Verified :func:`proof_paths`
     bundles for the straight-through pairs alone give the lower bound,
     by the lemma in the module docstring: about 2V pairs, each one curve
-    segment and three short paths.  The four neighbours of a
-    minimum-degree vertex s, a cut verified with sides ``{s}`` and the
-    rest, give the upper bound.  V-graphs are simple and 4-regular (see
-    the module docstring), so that cut has size 4.  Should it fail, a
-    :class:`RuntimeWarning` precedes the flow route over every
-    distance-2 pair.
+    segment and three short paths.  V-graphs are simple and 4-regular
+    (see the module docstring), so the verified cut around s has size 4.
+    Should it fail, a :class:`RuntimeWarning` precedes the route below.
 
-    Otherwise one flow network serves every pair, each pair's flow stops
-    at the best count so far, starting from the minimum degree, and only
-    the pair that sets the answer is traced into verified paths and a
-    verified cut.  Returns ``(vertex_count - 1, None)`` for complete
-    graphs, which no vertex set separates.
+    On any other map every distance-2 pair is certified from k = δ; each
+    counterexample lowers k to its flow, and the last one's verified cut
+    is the upper bound, or with none the verified cut around s.  Returns
+    ``(vertex_count - 1, None)`` for complete graphs, which no vertex set
+    separates.
     """
     n = g.vertex_count
     comps = g.components
@@ -637,35 +634,31 @@ def vertex_connectivity(g: RotationMap) -> tuple[int, CutCertificate | None]:
     adj = g.adjacency_sets
     s = min(range(n), key=lambda v: (len(adj[v] - {v}), v))
     around = adj[s] - {s}
-    best = len(around)
+    kappa = len(around)
+    cut = CutCertificate(around, (frozenset((s,)), frozenset(range(n)) - around - {s}))
     if _is_vgraph(g):
-        _proof_bundles(g, _straight_pairs(g))
-        cut = CutCertificate(
-            around, (frozenset((s,)), frozenset(range(n)) - around - {s})
-        )
-        if best == 4 and verify_cut(g, cut):
+        deque(_proof_bundles(g, _straight_pairs(g)), maxlen=0)
+        if kappa == 4 and verify_cut(g, cut):
             return 4, cut
         warnings.warn(
             f"the neighbours of vertex {s} do not give a verified 4-cut of "
-            f"this V-graph (minimum degree {best}); using flow instead",
+            f"this V-graph (minimum degree {kappa}); certifying every "
+            "distance-2 pair instead",
             RuntimeWarning,
             stacklevel=2,
         )
     pairs = _unique_pairs(g)
     if not pairs:
         return n - 1, None
-    # s has a distance-2 partner, as the graph is connected and not
-    # complete; s's neighbours separate the two, so they have <= best paths
-    witness = next(p for p in pairs if s in p)
-    net = _FlowNet(g)
-    for u, v in pairs:
-        k = net.max_flow(u, v, best)
-        if k < best:
-            best, witness = k, (u, v)
-    k, _, cut = _witnesses(net, g, *witness)
-    if k != best:
-        raise AssertionError(f"witness pair has flow {k}, expected {best}")
-    return best, cut
+    low = None
+    for _, _, _, cert, _ in _proof_bundles(g, pairs, kappa):
+        if type(cert) is Counterexample:
+            low = cert
+    if low is not None:
+        return low.flow, low.cut
+    if not verify_cut(g, cut):
+        raise AssertionError(f"the neighbours of vertex {s} do not separate it")
+    return kappa, cut
 
 
 # ---------------------------------------------------------------------------
@@ -781,9 +774,10 @@ def proof_paths(
     perimeter paths are slices of the face vertex tuples.  It costs
     O(face degree + log V) to build and to verify with
     :func:`verify_certificate`, which checks flow paths too; ``paths``
-    expands it.  The bundle comes from :func:`_proof_bundles`, the loop
-    every certification takes, where a verification failure swaps in
-    flow-derived paths; this flags ``used_fallback``.  Pass
+    expands it.  The bundle is the one item that :func:`_proof_bundles`,
+    the loop every certification takes, yields for the pair; there a
+    verification failure swaps in flow-derived paths, which flags
+    ``used_fallback``.  Pass
     ``validated=True`` to skip the V-graph check when the caller already
     did it.
     """
@@ -809,8 +803,8 @@ def proof_paths(
         b = nbr[(su + 2) % 4]
         a = nbr[(su + 3) % 4] if nbr[(su + 1) % 4] == v else nbr[(su + 1) % 4]
     roles = {"z": z, "a": a, "b": b}
-    ((_, _, _, cert),), fallbacks, _ = _proof_bundles(g, {(u, v): z})
-    return ProofPathsResult(case, roles, cert, used_fallback=fallbacks > 0)
+    _, _, _, cert, fallback = next(_proof_bundles(g, {(u, v): z}))
+    return ProofPathsResult(case, roles, cert, used_fallback=fallback)
 
 
 def _is_vgraph(g: RotationMap) -> bool:
@@ -819,37 +813,34 @@ def _is_vgraph(g: RotationMap) -> bool:
 
 def _proof_bundles(
     g: RotationMap, pairs: dict[tuple[int, int], int], k: int = 4
-) -> tuple[tuple[tuple[int, int, int, PathCertificate], ...], int, Counterexample | None]:
+) -> Iterator[tuple[int, int, int, PathCertificate | Counterexample, bool]]:
     """k verified disjoint paths for every pair of ``pairs``, each given
-    with a common neighbour z, in the order of ``pairs``: the one loop
-    behind :func:`certify_distance_two`, :func:`proof_paths` and the
-    V-graph route of :func:`vertex_connectivity`.
+    with a common neighbour z, yielded in the order of ``pairs`` as
+    ``(u, z, v, certificate, fallback)``: the one loop behind
+    :func:`certify_distance_two`, :func:`proof_paths` and
+    :func:`vertex_connectivity`.  It keeps no certificate.
 
     At k = 4 on a :class:`PlaneGraph` with simple curves, a pair first
     gets the :func:`proof_paths` bundle around its z (z's neighbours and
     corner arcs are read once per z), kept if :func:`verify_certificate`
     accepts it.  Every other pair takes flow paths, capped at k, from one
     :class:`_FlowNet` built for the first such pair; :func:`_trace_paths`
-    checks them with the same verifier.  The first pair whose flow falls
-    short of k stops the loop and comes back as a :class:`Counterexample`
-    with its verified cut, after the certificates of the pairs before it.
+    checks them with the same verifier.  A pair whose flow f falls short
+    of k first comes with a :class:`Counterexample` holding its verified
+    cut; then k drops to f, leaving the construction for good, and the
+    pair comes again with its f traced paths.
 
     A V-graph has four paths for every pair (module docstring), so there a
-    pair without a verified bundle is a counted fallback and a flow below
-    4 raises :class:`AssertionError`; whether g is one is asked only when
-    such a pair comes.  On any other map the fallback count stays 0.
-
-    Returns the certificates, the fallback count and the counterexample,
-    or None when every pair is certified.
+    pair without a verified bundle is a fallback, flagged ``True``, and a
+    flow below 4 raises :class:`AssertionError`; whether g is one is asked
+    only when such a pair comes.  On any other map the flag stays False.
     """
     index = None
     if k == 4 and isinstance(g, PlaneGraph) and not g.self_crossings:
         index = g.curve_index
         arounds = [None] * g.vertex_count  # _around(g, index, z), on first use
-    certs: list[tuple[int, int, int, PathCertificate]] = []
     net = None
     vgraph = False
-    fallbacks = 0
     for (u, v), z in pairs.items():
         if index is not None:
             around = arounds[z]
@@ -862,7 +853,7 @@ def _proof_bundles(
             except _ConstructionSurprise:
                 cert = None
             if cert is not None and verify_certificate(g, cert):
-                certs.append((u, z, v, cert))
+                yield u, z, v, cert, False
                 continue
         if net is None:
             net = _FlowNet(g)
@@ -874,12 +865,9 @@ def _proof_bundles(
                     f"only {flow} disjoint paths between {u} and {v}; "
                     "input cannot be 4-connected"
                 )
-            return tuple(certs), fallbacks, Counterexample(
-                u, v, flow, _extract_cut(net, g, u, v, flow))
-        certs.append((u, z, v, _trace_paths(net, g, u, v, k)))
-        if vgraph:
-            fallbacks += 1
-    return tuple(certs), fallbacks, None
+            yield u, z, v, Counterexample(u, v, flow, _extract_cut(net, g, u, v, flow)), False
+            k, index = flow, None
+        yield u, z, v, _trace_paths(net, g, u, v, k), vgraph
 
 
 def certify_distance_two(g: RotationMap, k: int) -> Distance2Certification:
@@ -892,10 +880,11 @@ def certify_distance_two(g: RotationMap, k: int) -> Distance2Certification:
     from one shared network, each flow stopping at k, serve the pairs that
     no verified bundle covers and every pair at other k, on plain
     rotation maps and on maps whose curves cross themselves.  Flow paths
-    count as fallbacks only on a V-graph.  The first pair whose flow falls
-    short of k, if any, is returned as a counterexample with its flow
-    value and minimum cut.  ``k`` must be positive: asking for zero paths
-    per pair would certify anything.
+    count as fallbacks only on a V-graph.  Every certificate is collected
+    up to the first pair whose flow falls short of k, if any, which is
+    returned as a counterexample with its flow value and minimum cut.
+    ``k`` must be positive: asking for zero paths per pair would certify
+    anything.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -904,4 +893,11 @@ def certify_distance_two(g: RotationMap, k: int) -> Distance2Certification:
     pairs = _unique_pairs(g)
     if not pairs:
         raise VacuousCertificationError("no distance-2 pairs; pairwise criterion is vacuous")
-    return Distance2Certification(k, len(pairs), *_proof_bundles(g, pairs, k))
+    certs: list[tuple[int, int, int, PathCertificate]] = []
+    fallbacks = 0
+    for u, z, v, cert, fallback in _proof_bundles(g, pairs, k):
+        if type(cert) is Counterexample:
+            return Distance2Certification(k, len(pairs), tuple(certs), fallbacks, cert)
+        certs.append((u, z, v, cert))
+        fallbacks += fallback
+    return Distance2Certification(k, len(pairs), tuple(certs), fallbacks, None)

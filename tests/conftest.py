@@ -6,6 +6,8 @@ from itertools import combinations
 
 import pytest
 
+from venngraph import connectivity
+from venngraph.connectivity import CutCertificate
 from venngraph.generators import _circle_pair_points, from_circles, gen_venn3, gen_weave
 from venngraph.dual import winkler_extend
 from venngraph.maps import PlaneGraph, RotationMap
@@ -90,6 +92,36 @@ def reference_verify(g: RotationMap, cert) -> bool:
             return False
         interior_seen |= inner
     return True
+
+
+def reference_connectivity(g: RotationMap):
+    """The reference that ``vertex_connectivity`` is tested against: the
+    capped-flow loop it ran on every map that is not a V-graph before
+    both its bounds were certified.  One flow network serves every
+    distance-2 pair, each pair's flow stops at the best count so far,
+    starting from the minimum simple degree, and the first pair that
+    sets the answer gives the cut."""
+    n = g.vertex_count
+    comps = g.components
+    if len(comps) > 1:
+        rest = frozenset(x for c in comps[1:] for x in c)
+        return 0, CutCertificate(frozenset(), (frozenset(comps[0]), rest))
+    adj = g.adjacency_sets
+    s = min(range(n), key=lambda v: (len(adj[v] - {v}), v))
+    best = len(adj[s] - {s})
+    pairs = connectivity._unique_pairs(g)
+    if not pairs:
+        return n - 1, None
+    # s's neighbours separate it from any distance-2 partner
+    witness = next(p for p in pairs if s in p)
+    net = connectivity._FlowNet(g)
+    for u, v in pairs:
+        k = net.max_flow(u, v, best)
+        if k < best:
+            best, witness = k, (u, v)
+    k = net.max_flow(*witness)
+    assert k == best
+    return best, connectivity._extract_cut(net, g, *witness, k)
 
 
 def figure_eight() -> PlaneGraph:

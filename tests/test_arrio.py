@@ -343,7 +343,7 @@ class TestCertificateBlocks:
             ((cycle[2], cycle[1]), Segment(0, 1, 3, -1), Segment(0, 3, 3, 1)),
             (Segment(0, 2, 2, 1), Segment(0, 2, 1, 1), (cycle[0],)),
             ((cycle[3],), Segment(0, 0, 1, 1), Segment(0, 1, last, -1)),
-            (Segment(1, 1, 0, -1), (), Segment(1, 0, 0, 2)),
+            (Segment(1, 1, 0, -1), ()),
         ]
         names = PathNames(g)
         # the same diagram with its vertices numbered the other way round
@@ -368,13 +368,15 @@ class TestCertificateBlocks:
                 format_path_certificate(cert, names)
 
     def test_segments_outside_the_index_are_not_named(self):
-        # each would otherwise print a slice of some curve, or nothing
+        # each would otherwise print a slice of some curve, or nothing;
+        # a step other than 1 would read as -1
         g = gen_venn(4)
         index = g.curve_index
         curves = len(index.curve_vertices)
         names = PathNames(g)
         for segment in (Segment(0, -3, 2, 1), Segment(0, 1, 99, 1),
-                        Segment(-1, 0, 1, 1), Segment(curves, 0, 1, 1)):
+                        Segment(-1, 0, 1, 1), Segment(curves, 0, 1, 1),
+                        Segment(1, 0, 0, 2)):
             cert = PathCertificate(0, 1, pieces=((segment,),), index=index)
             with pytest.raises(ValueError, match=re.escape(repr(segment))):
                 format_path_certificate(cert, names)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import random
+import re
 import warnings
 from collections import deque
 from itertools import combinations
@@ -10,6 +11,7 @@ import pytest
 
 from venngraph import connectivity
 from venngraph.connectivity import (
+    Counterexample,
     CutCertificate,
     NotDistanceTwoError,
     NotVGraphError,
@@ -26,14 +28,17 @@ from venngraph.connectivity import (
     vertex_connectivity,
 )
 from venngraph.dual import dual
-from venngraph.generators import from_circles, gen_venn
+from venngraph.generators import from_circles, gen_venn, gen_weave
 from venngraph.maps import PlaneGraph, RotationMap
 from venngraph.validate import validate
 
 from conftest import (
     complete_rotation_map,
     random_circle_families,
+    random_circle_lists,
+    reference_connectivity,
     reference_verify,
+    rotation_map_from_edges,
     three_cliques,
 )
 from test_arrio import random_plane_graph
@@ -101,6 +106,30 @@ def straight_through_pairs(g: PlaneGraph) -> set[tuple[int, int]]:
             if a != b and b not in g.adjacency_sets[a]:
                 out.add((min(a, b), max(a, b)))
     return out
+
+
+@functools.cache
+def kappa_sample() -> tuple[RotationMap, ...]:
+    """Seeded maps of every connectivity: the first circle families of
+    ``random_circle_lists(Random(7), ...)``, connected random rotation
+    maps, weaves, duals of Venn diagrams, ``three_cliques()`` and K5."""
+    rng = random.Random(11)
+    maps = []
+    while len(maps) < 40:
+        g = random_plane_graph(rng)
+        if g.is_connected:
+            maps.append(g)
+    return (*(g for _, g in random_circle_lists(random.Random(7), 60)), *maps,
+            *(gen_weave(k) for k in range(2, 7)), dual(gen_venn(3)), dual(gen_venn(4)),
+            three_cliques(), clique_chain(), complete_rotation_map(5))
+
+
+def clique_chain() -> RotationMap:
+    """Three K5s in a row, joined by three disjoint edges and then by two:
+    minimum degree 4, and the sorted pairs meet a 3-cut before a 2-cut."""
+    return rotation_map_from_edges(15, [
+        *combinations(range(5), 2), *combinations(range(5, 10), 2),
+        *combinations(range(10, 15), 2), (0, 5), (1, 6), (2, 7), (8, 10), (9, 11)])
 
 
 @pytest.fixture
@@ -176,9 +205,8 @@ class TestMaxDisjointPaths:
     def test_paths_follow_the_flow_in_source_order(self, venn4):
         # each flow arc out of u-out starts one path; they come in the
         # order of those arcs, by their targets' ids
-        net = connectivity._FlowNet(venn4)
         for u, _, v in venn4.distance2_pairs():
-            k, cert, _ = connectivity._witnesses(net, venn4, u, v)
+            k, cert, _ = max_disjoint_paths(venn4, u, v)
             assert [p[1] for p in cert.paths] == sorted(p[1] for p in cert.paths)
             assert len(cert.paths) == k
 
@@ -296,6 +324,69 @@ class TestVertexConnectivity:
             assert flow_kappa == kappa
             assert len(flow_cut.cut) == 4 and verify_cut(plain, flow_cut)
 
+    def test_agrees_with_the_capped_flow_reference(self):
+        # the cut differs from the reference's only where kappa is the
+        # minimum degree, and is then the neighbours of its vertex
+        for g in kappa_sample():
+            kappa, cut = vertex_connectivity(g)
+            ref_kappa, ref_cut = reference_connectivity(g)
+            assert kappa == ref_kappa
+            if cut is None:
+                assert ref_cut is None
+                continue
+            assert len(cut.cut) == kappa and verify_cut(g, cut)
+            adj = g.adjacency_sets
+            s = min(range(g.vertex_count), key=lambda v: (len(adj[v] - {v}), v))
+            around = adj[s] - {s}
+            if kappa < len(around):
+                assert cut == ref_cut
+            else:
+                assert cut.cut == around and cut.sides[0] == {s}
+
+    def test_lower_bound_is_certified(self, monkeypatch):
+        # every distance-2 pair is certified with at least kappa paths,
+        # and a pair that lowers the bound comes first as a counterexample
+        real = connectivity._proof_bundles
+        pulled = []
+
+        def recording(g, pairs, k=4):
+            for item in real(g, pairs, k):
+                pulled.append(item)
+                yield item
+
+        monkeypatch.setattr(connectivity, "_proof_bundles", recording)
+        checked = lowered = 0
+        for g in kappa_sample():
+            if (not g.is_connected or not g.distance2_pairs()
+                    or isinstance(g, PlaneGraph) and validate(g).is_vgraph):
+                continue
+            pulled.clear()
+            kappa, _ = vertex_connectivity(g)
+            if kappa >= 4:
+                continue
+            certified, flows = {}, []
+            for i, (u, z, v, cert, fallback) in enumerate(pulled):
+                assert not fallback
+                if type(cert) is Counterexample:
+                    assert (cert.u, cert.v) == (u, v) and len(cert.cut.cut) == cert.flow
+                    assert verify_cut(g, cert.cut)
+                    nu, nz, nv, after, _ = pulled[i + 1]
+                    assert (nu, nz, nv) == (u, z, v) and type(after) is PathCertificate
+                    assert after.k == cert.flow
+                    flows.append(cert.flow)
+                    continue
+                assert (cert.u, cert.v) == (u, v) and (u, v) not in certified
+                assert cert.k >= kappa and reference_verify(g, cert)
+                certified[u, v] = cert
+            assert certified.keys() == {(u, v) for u, _, v in g.distance2_pairs()}
+            assert min(cert.k for cert in certified.values()) == kappa
+            # each counterexample lowers the bound, and the last sets it
+            assert flows == sorted(set(flows), reverse=True)
+            assert flows[-1:] in ([], [kappa])
+            checked += 1
+            lowered += len(flows)
+        assert checked > 80 and lowered >= 5
+
     def test_vgraph_lower_bound_is_certified(self, monkeypatch, venn5):
         real = connectivity._four_paths
         calls = []
@@ -341,11 +432,12 @@ class TestVertexConnectivity:
             return real(g, cert)
 
         monkeypatch.setattr(connectivity, "verify_cut", reject_first)
-        with pytest.warns(RuntimeWarning, match="using flow instead"):
+        with pytest.warns(RuntimeWarning, match="certifying every distance-2 pair instead"):
             kappa, cut = vertex_connectivity(venn5)
         assert kappa == 4
         assert len(rejected) == 1 and len(rejected[0].sides[0]) == 1
-        assert built_nets == [venn5]
+        # every venn5 bundle verifies, so no pair needs a flow
+        assert built_nets == []
         assert len(cut.cut) == 4 and real(venn5, cut)
 
 
@@ -654,9 +746,11 @@ def assert_rejected(g, mutant):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(connectivity, "_four_paths", lambda *args: mutant.pieces)
         patch.setattr(connectivity, "_FlowNet", shared_net)
-        ((_, _, _, cert),), _, counterexample = connectivity._proof_bundles(
-            g, {(u, v): min(adj[u] & adj[v])})
-    assert counterexample is None and cert.index is None
+        # the stream is lazy: read it while the patches hold
+        items = list(connectivity._proof_bundles(g, {(u, v): min(adj[u] & adj[v])}))
+    assert len(items) == 1
+    ((_, _, _, cert, _),) = items
+    assert type(cert) is PathCertificate and cert.index is None
     assert cert.k == 4 and verify_certificate(g, cert)
 
 
@@ -731,6 +825,15 @@ class TestCompactCertificates:
                 alone = PathCertificate(walk[0], walk[-1], pieces=((seg,),),
                                         index=g.curve_index)
                 assert alone.paths == (tuple(walk),)
+
+    def test_step_other_than_one_is_not_expanded(self, venn4):
+        # it would otherwise read as -1
+        index = venn4.curve_index
+        assert Segment(1, 0, 0, 1).vertices(index) == (index.curve_vertices[1][0],)
+        for step in (0, 2, -2):
+            segment = Segment(1, 0, 2, step)
+            with pytest.raises(ValueError, match=re.escape(repr(segment))):
+                segment.vertices(index)
 
     def test_not_expanded_on_the_kappa_route(self, monkeypatch, venn6):
         def no_expansion(*args):
