@@ -209,7 +209,7 @@ def _cmd_render(args) -> int:
     cert = None
     if args.paths:
         u, z, v = args.paths
-        cert = proof_paths(g, u, z, v)
+        cert = proof_paths(g, u, z, v).certificate
     svg = render_svg(g, labels=args.labels, hamilton=cycle, cert=cert)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -28,9 +28,10 @@ tuple of pieces, every piece starting at the vertex where the one before
 it (or u) ended: an explicit vertex run, or a curve segment (curve,
 start position, end position, step +-1) over the positions of
 :attr:`~venngraph.maps.PlaneGraph.curve_index`.  A flow path is one
-run.  The long path of a constructed bundle is one segment or two, and
-the perimeter paths are runs sliced out of face boundaries, so a bundle
-has O(face degree) numbers however long its paths are.  The verifier
+run, and a certificate of runs alone carries no index.  The long path
+of a constructed bundle is one segment or two, and the perimeter paths
+are runs sliced out of face boundaries, so a bundle has O(face degree)
+numbers however long its paths are.  The verifier
 checks explicit steps against the adjacency sets, which every
 :class:`~venngraph.maps.RotationMap` has, and reads the curve index only
 for a certificate with segments.  What it assumes of the curves holds on
@@ -164,17 +165,15 @@ class Segment(NamedTuple):
 Piece = Union[tuple[int, ...], Segment]
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class PathCertificate:
     """k internally disjoint u,v-paths.
 
-    Each path is held as a tuple of pieces, every piece starting at the
-    vertex where the one before it (or u) ended: vertex runs and
-    :class:`Segment` s over ``index``.  ``PathCertificate(u, v, paths)``
-    takes plain vertex tuples, each a path of one piece; a compact bundle
-    passes ``pieces`` and the ``index`` of its segments instead (given
-    both, the vertex tuples come first).  ``paths`` expands every path to
-    its vertex tuple on first access and keeps it, while
+    Each path is a tuple of pieces, every piece starting at the vertex
+    where the one before it (or u) ended: vertex runs and
+    :class:`Segment` s over ``index``, which a certificate of runs alone,
+    such as flow paths (one run each), leaves None.  ``paths`` expands
+    every path to its vertex tuple on first access and keeps it, while
     :meth:`iter_paths` expands them one at a time and keeps nothing.
     Certificates compare by identity.
     """
@@ -182,24 +181,7 @@ class PathCertificate:
     u: int
     v: int
     pieces: tuple[tuple[Piece, ...], ...]
-    index: CurveIndex | None = field(repr=False)
-
-    def __init__(
-        self,
-        u: int,
-        v: int,
-        paths: tuple[tuple[int, ...], ...] = (),
-        *,
-        pieces: tuple[tuple[Piece, ...], ...] = (),
-        index: CurveIndex | None = None,
-    ):
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        pieces = tuple(pieces)
-        if paths:
-            pieces = tuple((p,) for p in paths) + pieces
-        object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(self, "index", index)
+    index: CurveIndex | None = field(default=None, repr=False)
 
     def iter_paths(self) -> Iterator[tuple[int, ...]]:
         return (_expand(self.index, path) for path in self.pieces)
@@ -227,10 +209,6 @@ class ProofPathsResult:
     roles: dict[str, int]
     certificate: PathCertificate
     used_fallback: bool
-
-    @property
-    def paths(self) -> tuple[tuple[int, ...], ...]:
-        return self.certificate.paths
 
 
 @dataclass(frozen=True)
@@ -352,7 +330,7 @@ def verify_certificate(g: RotationMap, cert: PathCertificate) -> bool:
                 segments.append(piece)
                 points.append(at)
             else:
-                if not piece or piece[0] != at:
+                if type(piece) is not tuple or not piece or piece[0] != at:
                     return False
                 rest = piece[1:]
                 a = at
@@ -520,7 +498,7 @@ def _trace_paths(net: _FlowNet, g: RotationMap, u: int, v: int, k: int) -> PathC
         paths.append(tuple(path))
     if len(paths) != k:
         raise AssertionError(f"{len(paths)} flow paths leave u, expected {k}")
-    cert = PathCertificate(u, v, tuple(paths))
+    cert = PathCertificate(u, v, tuple((p,) for p in paths))
     if not verify_certificate(g, cert):
         raise AssertionError("flow paths failed verification")
     return cert
@@ -755,9 +733,7 @@ def _four_paths(
             _switch_path(g, index, du, 4 * z + (su + 3) % 4), ((u, z, v),))
 
 
-def proof_paths(
-    g: PlaneGraph, u: int, z: int, v: int, validated: bool = False
-) -> ProofPathsResult:
+def proof_paths(g: PlaneGraph, u: int, z: int, v: int) -> ProofPathsResult:
     """Four internally disjoint u,v-paths read off the structure around z.
 
     z must be a common neighbour of the non-adjacent pair u, v, all three
@@ -776,12 +752,11 @@ def proof_paths(
     :func:`verify_certificate`, which checks flow paths too; ``paths``
     expands it.  The bundle is the one item that :func:`_proof_bundles`,
     the loop every certification takes, yields for the pair; there a
-    verification failure swaps in flow-derived paths, which flags
-    ``used_fallback``.  Pass
-    ``validated=True`` to skip the V-graph check when the caller already
-    did it.
+    verification failure swaps in flow paths, one vertex run each, which
+    flags ``used_fallback``.  g is validated first, on every call:
+    anything but a V-graph raises :class:`NotVGraphError`.
     """
-    if not validated and not validate(g).is_vgraph:
+    if not validate(g).is_vgraph:
         raise NotVGraphError("construction requires a valid V-graph")
     n = g.vertex_count
     for x in (u, z, v):
@@ -848,8 +823,7 @@ def _proof_bundles(
                 around = arounds[z] = _around(g, index, z)
             try:
                 cert = PathCertificate(
-                    u, v, pieces=_four_paths(g, index, z, around, around[0].index(u), v),
-                    index=index)
+                    u, v, _four_paths(g, index, z, around, around[0].index(u), v), index)
             except _ConstructionSurprise:
                 cert = None
             if cert is not None and verify_certificate(g, cert):

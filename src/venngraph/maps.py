@@ -490,8 +490,3 @@ class PlaneGraph(RotationMap):
             face_vertices=tuple(tuple(d >> 2 for d in boundary) for boundary in self.faces),
             face_position=tuple(face_position),
         )
-
-    def vertex_curves(self, v: int) -> tuple[int, int]:
-        """The two curves crossing at v (slot parity 0, slot parity 1)."""
-        c = self.curve_of
-        return c[4 * v], c[4 * v + 1]

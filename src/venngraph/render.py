@@ -25,7 +25,10 @@ following the drawn edges, and one ``region-label`` text per face: its
 membership vector, venn_check's label XOR the outer face's.  An inner
 face is labelled at its centre, which the check proves inside it; the
 outer face, the one the map's ``outer`` hint names, at the middle of
-the bottom margin, below every corner.
+the bottom margin, below every corner.  Between two vertices joined by
+parallel edges, a cycle edge takes the first of them and the i-th step
+of the certified paths the i-th, so paths along distinct parallel
+edges are drawn apart.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from itertools import repeat
 from operator import eq
 from typing import Sequence
 
-from .connectivity import ProofPathsResult, vertex_connectivity
+from .connectivity import PathCertificate, vertex_connectivity
 from .maps import DisconnectedError, MapError, NotPlaneError, PlaneGraph, RotationMap
 from .validate import venn_check
 
@@ -375,14 +378,16 @@ def render_svg(
     g: PlaneGraph,
     labels: bool = False,
     hamilton: Sequence[int] | None = None,
-    cert: ProofPathsResult | None = None,
+    cert: PathCertificate | None = None,
     size: int = 760,
 ) -> str:
     """An SVG 1.1 document for the arrangement, drawn by :func:`grid_layout`.
 
-    ``hamilton`` overlays a vertex cycle; ``cert`` overlays four certified
-    paths; ``labels`` writes each region's membership vector in binary,
-    placed as the module docstring says.
+    ``hamilton`` overlays a vertex cycle; ``cert`` overlays the paths of a
+    :class:`~venngraph.connectivity.PathCertificate`, such as the
+    ``certificate`` of :func:`~venngraph.connectivity.proof_paths`;
+    ``labels`` writes each region's membership vector in binary, placed
+    as the module docstring says.
     """
     pos = barycentric_layout(g)
     n = g.vertex_count
@@ -391,16 +396,20 @@ def render_svg(
     to_screen = _viewport([pos[v] for v in range(corners)], size, margin=40)
     vertex_of, twin = g._vertex_of, g._twin
     bend = dict(zip(split, range(n, corners)))
-    # the overlays follow the first edge that joins two vertices
-    via = {}
-    for d in reversed(split):
+    # the midpoints of the parallel edges that join two vertices, in
+    # edge order, shared by both orders of the two
+    via: dict[tuple[int, int], list[int]] = {}
+    for d in split:
         a, b = vertex_of[d], vertex_of[twin[d]]
-        via[a, b] = via[b, a] = bend[d]
+        via[b, a] = via.setdefault((a, b), [])
+        via[a, b].append(bend[d])
 
-    def drawn(a: int, b: int) -> list[tuple[float, float]]:
-        """The screen points of the drawn edge from a to b, ends included."""
-        mid = via.get((a, b))
-        return [to_screen(pos[v]) for v in ((a, b) if mid is None else (a, mid, b))]
+    def drawn(a: int, b: int, i: int = 0) -> list[tuple[float, float]]:
+        """The screen points of the i-th drawn edge from a to b, ends
+        included, counting round when a and b have fewer edges."""
+        mids = via.get((a, b))
+        route = (a, b) if mids is None else (a, mids[i % len(mids)], b)
+        return [to_screen(pos[v]) for v in route]
 
     curve_of = g.curve_of
     out = [
@@ -432,10 +441,15 @@ def render_svg(
                 pts = " ".join("{:.2f},{:.2f}".format(*p) for p in points)
                 out.append(f'<polyline class="hamilton" points="{pts}" fill="none" {style}/>')
     if cert is not None:
-        for i, path in enumerate(cert.paths):
+        # the i-th step between two vertices, over all the paths, takes
+        # the i-th of their edges, so paths along parallel edges part
+        taken: Counter[tuple[int, int]] = Counter()
+        for i, path in enumerate(cert.iter_paths()):
             points = [to_screen(pos[path[0]])]
             for a, b in zip(path, path[1:]):
-                points += drawn(a, b)[1:]
+                key = (a, b) if a < b else (b, a)
+                points += drawn(a, b, taken[key])[1:]
+                taken[key] += 1
             pts = " ".join("{:.2f},{:.2f}".format(*p) for p in points)
             out.append(
                 f'<polyline class="cert cert-path-{i}" points="{pts}" '

@@ -67,9 +67,10 @@ def test_criterion_3_distance2_certificates(venn_family):
     for n in range(3, 6):
         g = venn_family["graphs"][n]
         for u, z, v in g.distance2_pairs():
-            result = proof_paths(g, u, z, v, validated=True)
-            assert len(result.paths) == 4
-            assert verify_certificate(g, PathCertificate(u, v, result.paths))
+            result = proof_paths(g, u, z, v)
+            paths = result.certificate.paths
+            assert len(paths) == 4
+            assert verify_certificate(g, PathCertificate(u, v, tuple((p,) for p in paths)))
             flow, _, _ = max_disjoint_paths(g, u, v)
             assert flow == 4, f"flow oracle disagrees at ({u},{z},{v}) in n={n}"
             total += 1

@@ -297,7 +297,7 @@ class TestGeneratedInputs:
 
 class TestCertificateBlocks:
     def test_path_lines(self):
-        cert = PathCertificate(0, 5, ((0, 2, 5), (0, 3, 1, 5)))
+        cert = PathCertificate(0, 5, (((0, 2, 5),), ((0, 3, 1, 5),)))
         names = PathNames(gen_venn(3))
         assert format_path_certificate(cert, names) == "path: 0 2 5\npath: 0 3 1 5\n"
 
@@ -363,7 +363,7 @@ class TestCertificateBlocks:
         g = gen_venn(3)
         names = PathNames(g)
         for x in (-1, g.vertex_count):
-            cert = PathCertificate(0, 5, ((0, x, 5),))
+            cert = PathCertificate(0, 5, (((0, x, 5),),))
             with pytest.raises(NotAVertexError):
                 format_path_certificate(cert, names)
 

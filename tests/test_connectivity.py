@@ -447,32 +447,31 @@ class TestProofPaths:
         result = proof_paths(venn3, u, z, v)
         assert result.case == 1
         assert not result.used_fallback
-        assert (u, z, v) in result.paths
+        assert (u, z, v) in result.certificate.paths
         a, b = result.roles["a"], result.roles["b"]
         assert len({u, v, a, b}) == 4
         # one path crosses each far neighbour of z
-        crossed = {x for p in result.paths for x in p[1:-1]}
+        crossed = {x for p in result.certificate.paths for x in p[1:-1]}
         assert {a, b} <= crossed
 
     def test_case2_appears_on_venn4(self, venn4):
         cases = set()
         for u, z, v in venn4.distance2_pairs():
-            result = proof_paths(venn4, u, z, v, validated=True)
+            result = proof_paths(venn4, u, z, v)
             cases.add(result.case)
             assert not result.used_fallback
-            assert verify_certificate(
-                venn4, PathCertificate(u, v, result.paths)
-            )
+            expanded = tuple((p,) for p in result.certificate.paths)
+            assert verify_certificate(venn4, PathCertificate(u, v, expanded))
         assert cases == {1, 2}
 
     def test_case2_path_structure(self, venn5):
         curve_of = venn5.curve_of
         for u, z, v in venn5.distance2_pairs():
-            result = proof_paths(venn5, u, z, v, validated=True)
+            result = proof_paths(venn5, u, z, v)
             if result.case != 2:
                 continue
             a, b = result.roles["a"], result.roles["b"]
-            path_a, path_b, path_c, path_d = result.paths
+            path_a, path_b, path_c, path_d = result.certificate.paths
             assert path_d == (u, z, v)
             # the two perimeter paths stay inside the faces around z and
             # pass through the far neighbours as prescribed
@@ -482,7 +481,7 @@ class TestProofPaths:
             on_curves = {
                 x
                 for x in range(venn5.vertex_count)
-                if set(venn5.vertex_curves(x))
+                if {curve_of[4 * x], curve_of[4 * x + 1]}
                 & {curve_of[venn5.dart(z, 0)], curve_of[venn5.dart(z, 1)]}
             }
             assert set(path_c) <= on_curves
@@ -491,15 +490,15 @@ class TestProofPaths:
     def test_roles_distinct_everywhere(self, venn_family):
         for g in venn_family["graphs"].values():
             for u, z, v in g.distance2_pairs():
-                result = proof_paths(g, u, z, v, validated=True)
+                result = proof_paths(g, u, z, v)
                 a, b = result.roles["a"], result.roles["b"]
                 assert len({u, v, a, b}) == 4
 
     def test_agrees_with_flow_count(self, venn4):
         for u, z, v in venn4.distance2_pairs():
-            result = proof_paths(venn4, u, z, v, validated=True)
+            result = proof_paths(venn4, u, z, v)
             k, _, _ = max_disjoint_paths(venn4, u, v)
-            assert len(result.paths) == 4 == k
+            assert result.certificate.k == 4 == k
 
     def test_preconditions(self, venn3, weaves):
         u, z, v = venn3.distance2_pairs()[0]
@@ -529,7 +528,7 @@ class TestProofPaths:
         monkeypatch.setattr(connectivity, "_proof_bundles", recording)
         for u, z, v in venn4.distance2_pairs():
             calls.clear()
-            proof_paths(venn4, u, z, v, validated=True)
+            proof_paths(venn4, u, z, v)
             assert calls == [{(u, v): z}]
 
     def test_rejected_bundle_falls_back_to_flow_paths(self, monkeypatch, venn4):
@@ -537,7 +536,7 @@ class TestProofPaths:
         monkeypatch.setattr(connectivity, "verify_certificate",
                             lambda g, cert: cert.index is None and verify_certificate(g, cert))
         for u, z, v in venn4.distance2_pairs():
-            result = proof_paths(venn4, u, z, v, validated=True)
+            result = proof_paths(venn4, u, z, v)
             assert result.used_fallback
             assert result.certificate.index is None
             assert verify_certificate(venn4, result.certificate)
@@ -809,7 +808,7 @@ class TestCompactCertificates:
             pairs = [(u, v) for u, _, v, _ in result.certificates]
             assert pairs == sorted(pairs) and len(pairs) == result.pair_count
             for u, z, v, cert in result.certificates:
-                alone = proof_paths(g, u, z, v, validated=True)
+                alone = proof_paths(g, u, z, v)
                 assert not alone.used_fallback
                 assert alone.certificate.pieces == cert.pieces
 
@@ -965,10 +964,10 @@ class TestCompactCertificates:
     def test_explicit_certificate_verifies_as_compact(self, venn4):
         u, _, v = venn4.distance2_pairs()[0]
         _, flow_cert, _ = max_disjoint_paths(venn4, u, v)
-        cert = PathCertificate(u, v, flow_cert.paths)
+        cert = PathCertificate(u, v, tuple((p,) for p in flow_cert.paths))
         assert cert.index is None and cert.paths == flow_cert.paths
         assert verify_certificate(venn4, cert)
-        twice = PathCertificate(u, v, flow_cert.paths[:1] * 2)
+        twice = PathCertificate(u, v, cert.pieces[:1] * 2)
         assert not verify_certificate(venn4, twice)
         # pieces that do not meet expand whole, which the reference
         # accepts; the verifier rejects the broken junction
@@ -1003,10 +1002,11 @@ class TestCompactCertificates:
 def mutants(g, cert, rng):
     """Seeded mutants of ``cert``: u or v set to -1 or V (with the runs
     that start or end there), a run vertex swapped with the next one or
-    replaced by any of -1..V, a run truncated.  Shifted and flipped
-    segments are the rejection tests' of TestCompactCertificates."""
+    replaced by any of -1..V, a run truncated, and the expanded paths
+    passed as the pieces, which makes every piece a vertex.  Shifted and
+    flipped segments are the rejection tests' of TestCompactCertificates."""
     n = g.vertex_count
-    out = []
+    out = [PathCertificate(cert.u, cert.v, tuple(cert.iter_paths()), cert.index)]
     for x in (-1, n):
         starts = tuple(((x,) + path[0][1:],) + path[1:] if type(path[0]) is tuple else path
                        for path in cert.pieces)
@@ -1081,7 +1081,7 @@ class TestOneVerifier:
         last = g.vertex_count - 1
         v = next(x for x in range(last) if x not in g.adjacency_sets[last])
         _, cert, _ = max_disjoint_paths(g, last, v)
-        moved = PathCertificate(-1, v, tuple((-1,) + path[1:] for path in cert.paths))
+        moved = PathCertificate(-1, v, tuple(((-1,) + path[1:],) for path in cert.paths))
         assert verify_certificate(g, cert)
         assert not verify_certificate(g, moved)
         assert not reference_verify(g, moved)

@@ -128,7 +128,8 @@ class TestWinklerExtend:
             if {d >> 2 for d in darts} == set(range(6, g4.vertex_count))
         )
         for d in g4.curves[new_curve]:
-            a, b = g4.vertex_curves(d >> 2)
+            v = d >> 2
+            a, b = g4.curve_of[4 * v], g4.curve_of[4 * v + 1]
             assert new_curve in (a, b)
             assert a != b
 

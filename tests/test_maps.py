@@ -272,8 +272,7 @@ class TestCurves:
 
     def test_distinct_curves_at_each_vertex(self, venn4):
         for v in range(venn4.vertex_count):
-            a, b = venn4.vertex_curves(v)
-            assert a != b
+            assert venn4.curve_of[4 * v] != venn4.curve_of[4 * v + 1]
 
 
 class TestDistanceTwo:

@@ -8,7 +8,7 @@ import pytest
 
 from venngraph import render
 from venngraph.arrio import parse_arr, write_arr
-from venngraph.connectivity import ProofPathsResult, max_disjoint_paths, proof_paths
+from venngraph.connectivity import max_disjoint_paths, proof_paths
 from venngraph.generators import from_circles, gen_venn, gen_venn3, gen_weave
 from venngraph.hamilton import find_hamilton
 from venngraph.maps import DisconnectedError, NotPlaneError, PlaneGraph
@@ -241,8 +241,7 @@ class TestRenderSvg:
 
     def test_paths_overlay(self, venn4):
         u, z, v = venn4.distance2_pairs()[0]
-        cert = proof_paths(venn4, u, z, v)
-        svg = render_svg(venn4, cert=cert)
+        svg = render_svg(venn4, cert=proof_paths(venn4, u, z, v).certificate)
         assert svg.count('class="cert cert-path-') == 4
 
     def test_weave_draws_every_lens(self, weaves):
@@ -269,14 +268,16 @@ class TestRenderSvg:
         # edge runs through that edge's midpoint
         g = parallel_arcs()
         _, cert, _ = max_disjoint_paths(g, 0, 1)
-        svg = render_svg(g, hamilton=find_hamilton(g).order,
-                         cert=ProofPathsResult(0, {}, cert, False))
+        svg = render_svg(g, hamilton=find_hamilton(g).order, cert=cert)
         edges, corners = drawn_edges(svg)
         ham, paths = overlay_points(svg, "hamilton"), overlay_points(svg, "cert")
         assert len(ham) == g.vertex_count and len(paths) == 4
         assert all(follows(points, edges, corners) for points in ham + paths)
-        # two of the paths are the arcs of circle 0, from vertex 0 to 1
+        # two of the paths are the arcs of circle 0, from vertex 0 to 1,
+        # and two are the parallel edges between them, each drawn apart
         assert sorted(map(len, paths)) == [3, 3, 5, 5]
+        direct = [points for points in paths if len(points) == 3]
+        assert direct[0] != direct[1]
         weave = gen_weave(3)
         svg = render_svg(weave, hamilton=find_hamilton(weave).order)
         edges, corners = drawn_edges(svg)
