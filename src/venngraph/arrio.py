@@ -5,7 +5,7 @@ Grammar::
     arrangement <V>
     v <id> <n0>.<s0> <n1>.<s1> <n2>.<s2> <n3>.<s3>
     coord <id> <x> <y>          # optional: checked, then ignored
-    outer <vertex>.<slot>       # optional, rendering hint only
+    outer <vertex>.<slot>       # optional, at most once: rendering hint only
 
 One ``v`` line per vertex, ids 0..V-1, listing the twin of each of the
 vertex's four darts counterclockwise as ``vertex.slot``.  ``#`` starts a
@@ -115,6 +115,8 @@ def parse_arr(text: str) -> PlaneGraph:
         elif directive == "outer":
             if len(tokens) != 2:
                 raise ArrSyntaxError(lineno, "expected 'outer <vertex>.<slot>'")
+            if outer is not None:
+                raise ArrSemanticError(lineno, "outer hint given twice")
             (outer,) = _parse_darts(tokens[1:], vertex_count, lineno)
         else:
             raise ArrSyntaxError(lineno, f"unknown directive {directive!r}")

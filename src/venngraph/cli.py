@@ -1,19 +1,33 @@
 """Command-line interface.
 
-All verbs read an arrangement in ARR format from a file argument (or
-stdin when the argument is ``-`` or omitted) and write results to stdout.
+Every verb but ``gen`` is a function of one map.  ``main`` reads the map
+in ARR format from the file argument (or stdin when the argument is
+``-`` or omitted) and calls the verb, which writes its results to
+stdout and returns the exit code: 0 the checked property holds or the
+artifact was produced, 1 it fails.
 
-Exit codes, and the prefixes of the stderr lines that explain them: 0
-the checked property holds or the artifact was produced; 1 the property
-fails, or the map fails a precondition of the verb, named alike by every
-verb (``not plane``, ``not connected``, ``not a v-graph``, ``not a
-diagram``, ``layout``, ``vacuous``, ``no Hamilton cycle to overlay``);
-2 input or usage error (``input error`` with a line number, ``budget``,
-``error``); 3 a guaranteed result was contradicted, which would be news
-rather than a bug in the input (``contradiction``, ``unextendable``,
-exit 1 past five curves); 141 (128 + SIGPIPE) stdout's reader went away,
-as in ``venngraph certify --verbose big.arr | head -1``; nothing is
-printed.
+``FAILURES`` is the exit-code policy for every error the library
+raises: ``main`` prints the first matching row's prefix and the error
+to stderr and exits with the row's code.
+
+- ``input error``, 2: the text does not parse; the message has its line;
+- ``budget``, 2: the search budget ran out;
+- ``vacuous``, 1: ``certify`` on a map with no distance-2 pairs;
+- ``layout``, 1: ``render`` finds no drawing;
+- ``not plane``, 1: region labels disagree across a curve;
+- ``not connected``, 1: the map is in more than one piece;
+- ``not a v-graph``, 1: ``paths`` off a V-graph;
+- ``not a diagram``, 1: ``extend`` on a map that is no simple diagram;
+- ``error``, 2: any other map, value or file error, a usage error.
+
+Three judgements stay with their verbs.  Exit 3 means a guaranteed
+result was contradicted, which would be news rather than a bug in the
+input: ``hamilton`` prints ``contradiction`` when a 4-connected plane
+map has no Hamilton cycle, and ``extend`` prints ``unextendable`` when
+the dual of a diagram has none, exit 3 up to five curves and 1 past
+them.  ``render --hamilton`` exits 1 with ``no Hamilton cycle to
+overlay``.  Exit 141 (128 + SIGPIPE): stdout's reader went away, as in
+``venngraph certify --verbose big.arr | head -1``; nothing is printed.
 """
 
 from __future__ import annotations
@@ -58,8 +72,7 @@ def _fmt_label(label: int, width: int) -> str:
     return format(label, f"0{max(width, 1)}b")
 
 
-def _cmd_validate(args) -> int:
-    g = _read_graph(args.input)
+def _cmd_validate(g, args) -> int:
     report = validate(g)
     gp = report.general_position
     print(f"general-position: {'ok' if report.is_general_position else 'fail'}")
@@ -81,8 +94,7 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if report.is_vgraph else EXIT_PROPERTY_FAIL
 
 
-def _cmd_venn_check(args) -> int:
-    g = _read_graph(args.input)
+def _cmd_venn_check(g, args) -> int:
     report = venn_check(g)
     print(f"curves: {report.curve_count}")
     print(f"regions: {report.face_count}")
@@ -98,17 +110,15 @@ def _cmd_venn_check(args) -> int:
     return EXIT_OK if report.is_simple_venn else EXIT_PROPERTY_FAIL
 
 
-def _cmd_connectivity(args) -> int:
-    g = _read_graph(args.input)
+def _cmd_connectivity(g, args) -> int:
     kappa, cut = vertex_connectivity(g)
     print(f"connectivity: {kappa}")
-    if cut is not None and kappa < g.vertex_count - 1:
+    if cut is not None:
         sys.stdout.write(arrio.format_cut_certificate(cut))
     return EXIT_OK if kappa == 4 else EXIT_PROPERTY_FAIL
 
 
-def _cmd_certify(args) -> int:
-    g = _read_graph(args.input)
+def _cmd_certify(g, args) -> int:
     result = certify_distance_two(g, args.k)
     print(f"k: {result.k}")
     print(f"pairs: {result.pair_count}")
@@ -124,13 +134,11 @@ def _cmd_certify(args) -> int:
     cx = result.counterexample
     print("certified: no")
     print(f"counterexample: {cx.u} {cx.v} flow {cx.flow}")
-    if cx.cut is not None:
-        sys.stdout.write(arrio.format_cut_certificate(cx.cut))
+    sys.stdout.write(arrio.format_cut_certificate(cx.cut))
     return EXIT_PROPERTY_FAIL
 
 
-def _cmd_paths(args) -> int:
-    g = _read_graph(args.input)
+def _cmd_paths(g, args) -> int:
     result = proof_paths(g, args.u, args.z, args.v)
     print(f"case: {result.case}")
     print(f"z: {result.roles['z']} a: {result.roles['a']} b: {result.roles['b']}")
@@ -139,8 +147,7 @@ def _cmd_paths(args) -> int:
     return EXIT_OK
 
 
-def _cmd_hamilton(args) -> int:
-    g = _read_graph(args.input)
+def _cmd_hamilton(g, args) -> int:
     cycle = find_hamilton(g, budget=args.budget)
     if cycle is not None:
         print("cycle:", *cycle.order)
@@ -157,8 +164,7 @@ def _cmd_hamilton(args) -> int:
     return EXIT_PROPERTY_FAIL
 
 
-def _cmd_dual(args) -> int:
-    g = _read_graph(args.input)
+def _cmd_dual(g, args) -> int:
     d = dual(g)
     print(f"dual {d.vertex_count} {d.edge_count}")
     crossed = list(chain.from_iterable(g.faces))
@@ -169,13 +175,9 @@ def _cmd_dual(args) -> int:
     return EXIT_OK
 
 
-def _cmd_extend(args) -> int:
-    g = _read_graph(args.input)
+def _cmd_extend(g, args) -> int:
     try:
         out = winkler_extend(g)
-    except NotVennError as exc:
-        print(f"not a diagram: {exc}", file=sys.stderr)
-        return EXIT_PROPERTY_FAIL
     except DualNotHamiltonianError as exc:
         print(f"unextendable: {exc}", file=sys.stderr)
         return EXIT_CONTRADICTION if exc.curve_count <= 5 else EXIT_PROPERTY_FAIL
@@ -183,7 +185,7 @@ def _cmd_extend(args) -> int:
     return EXIT_OK
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(_, args) -> int:
     if args.kind == "venn3":
         g = generators.gen_venn3()
     elif args.n is None:
@@ -197,8 +199,7 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _cmd_render(args) -> int:
-    g = _read_graph(args.input)
+def _cmd_render(g, args) -> int:
     cycle = None
     if args.hamilton:
         found = find_hamilton(g)
@@ -229,30 +230,31 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_input(p):
-        p.add_argument("input", nargs="?", default="-",
-                       help="ARR file, or - for stdin")
+    def verb(name, run, help, *vertices):
+        """A verb that reads a map: its vertex arguments, then the input."""
+        p = sub.add_parser(name, help=help)
+        for vertex in vertices:
+            p.add_argument(vertex, type=int)
+        p.add_argument("input", nargs="?", default="-", help="ARR file, or - for stdin")
+        p.set_defaults(run=run)
         return p
 
-    with_input(sub.add_parser("validate", help="general position, UFI, V-graph"))
-    with_input(sub.add_parser("venn-check", help="region label census"))
-    with_input(sub.add_parser("connectivity", help="exact vertex connectivity"))
-    p = with_input(sub.add_parser("certify", help="disjoint paths for all distance-2 pairs"))
+    verb("validate", _cmd_validate, "general position, UFI, V-graph")
+    verb("venn-check", _cmd_venn_check, "region label census")
+    verb("connectivity", _cmd_connectivity, "exact vertex connectivity")
+    p = verb("certify", _cmd_certify, "disjoint paths for all distance-2 pairs")
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--verbose", action="store_true")
-    p = sub.add_parser("paths", help="four disjoint paths around a common neighbour")
-    p.add_argument("u", type=int)
-    p.add_argument("z", type=int)
-    p.add_argument("v", type=int)
-    with_input(p)
-    p = with_input(sub.add_parser("hamilton", help="find a Hamilton cycle"))
+    verb("paths", _cmd_paths, "four disjoint paths around a common neighbour", "u", "z", "v")
+    p = verb("hamilton", _cmd_hamilton, "find a Hamilton cycle")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    with_input(sub.add_parser("dual", help="planar dual with the crossing map"))
-    with_input(sub.add_parser("extend", help="add one curve through a dual Hamilton cycle"))
+    verb("dual", _cmd_dual, "planar dual with the crossing map")
+    verb("extend", _cmd_extend, "add one curve through a dual Hamilton cycle")
     p = sub.add_parser("gen", help="emit a reference arrangement")
     p.add_argument("kind", choices=["venn3", "venn", "weave"])
     p.add_argument("n", type=int, nargs="?")
-    p = with_input(sub.add_parser("render", help="straight-line SVG drawing"))
+    p.set_defaults(run=_cmd_gen, input=None)
+    p = verb("render", _cmd_render, "straight-line SVG drawing")
     p.add_argument("--labels", action="store_true")
     p.add_argument("--hamilton", action="store_true")
     p.add_argument("--paths", type=int, nargs=3, metavar=("U", "Z", "V"))
@@ -260,52 +262,35 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "venn-check": _cmd_venn_check,
-    "connectivity": _cmd_connectivity,
-    "certify": _cmd_certify,
-    "paths": _cmd_paths,
-    "hamilton": _cmd_hamilton,
-    "dual": _cmd_dual,
-    "extend": _cmd_extend,
-    "gen": _cmd_gen,
-    "render": _cmd_render,
-}
+# The exit-code policy: the first row whose types match an error gives
+# its stderr prefix and exit code.  Subclasses come before the last row,
+# which catches every error main handles.
+FAILURES = (
+    ((arrio.ArrSyntaxError, arrio.ArrSemanticError), "input error", EXIT_USAGE),
+    (BudgetExceededError, "budget", EXIT_USAGE),
+    (VacuousCertificationError, "vacuous", EXIT_PROPERTY_FAIL),
+    (LayoutUnavailableError, "layout", EXIT_PROPERTY_FAIL),
+    (NotPlaneError, "not plane", EXIT_PROPERTY_FAIL),
+    (DisconnectedError, "not connected", EXIT_PROPERTY_FAIL),
+    (NotVGraphError, "not a v-graph", EXIT_PROPERTY_FAIL),
+    (NotVennError, "not a diagram", EXIT_PROPERTY_FAIL),
+    ((MapError, ValueError, OSError), "error", EXIT_USAGE),
+)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        code = _COMMANDS[args.command](args)
+        g = None if args.input is None else _read_graph(args.input)
+        code = args.run(g, args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
         return EXIT_BROKEN_PIPE
-    except (arrio.ArrSyntaxError, arrio.ArrSemanticError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetExceededError as exc:
-        print(f"budget: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except VacuousCertificationError as exc:
-        print(f"vacuous: {exc}", file=sys.stderr)
-        return EXIT_PROPERTY_FAIL
-    except LayoutUnavailableError as exc:
-        print(f"layout: {exc}", file=sys.stderr)
-        return EXIT_PROPERTY_FAIL
-    except NotPlaneError as exc:
-        print(f"not plane: {exc}", file=sys.stderr)
-        return EXIT_PROPERTY_FAIL
-    except DisconnectedError as exc:
-        print(f"not connected: {exc}", file=sys.stderr)
-        return EXIT_PROPERTY_FAIL
-    except NotVGraphError as exc:
-        print(f"not a v-graph: {exc}", file=sys.stderr)
-        return EXIT_PROPERTY_FAIL
-    except (MapError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except FAILURES[-1][0] as exc:
+        prefix, code = next((p, c) for types, p, c in FAILURES if isinstance(exc, types))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 def run() -> None:

@@ -216,7 +216,7 @@ class Counterexample:
     u: int
     v: int
     flow: int
-    cut: CutCertificate | None
+    cut: CutCertificate
 
 
 @dataclass(frozen=True)

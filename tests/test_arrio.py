@@ -213,6 +213,7 @@ class TestErrors:
         (V1 + "outer 0.1 0.2\n", ArrSyntaxError, 3, "expected 'outer <vertex>.<slot>'"),
         (V1 + "outer 0:1\n", ArrSyntaxError, 3, "expected vertex.slot, got '0:1'"),
         (V1 + "outer 0.7\n", ArrSemanticError, 3, "slot 7 out of range 0..3"),
+        (V1 + "outer 0.1\nouter 0.0\n", ArrSemanticError, 4, "outer hint given twice"),
         (V1 + "vertex 0 0.1 0.0 0.3 0.2\n", ArrSyntaxError, 3, "unknown directive 'vertex'"),
     ], ids=[
         "bad-header", "v-before-header", "zero-vertices", "empty", "comment-only",
@@ -220,7 +221,7 @@ class TestErrors:
         "dart-vertex-range", "dart-slot-range", "v-twice", "self-twin", "twin-mismatch",
         "truncated", "partial-coordinates", "coordinate-not-a-number", "coord-arity",
         "coord-id-range", "coord-twice", "outer-alone", "outer-arity", "outer-token",
-        "outer-slot-range", "unknown-directive",
+        "outer-slot-range", "outer-twice", "unknown-directive",
     ])
     def test_each_error_pins_class_line_and_message(self, text, error, line, message):
         with pytest.raises((ArrSyntaxError, ArrSemanticError)) as err:

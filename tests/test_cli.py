@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from venngraph import cli
 from venngraph.arrio import parse_arr, write_arr
 from venngraph.cli import main
+from venngraph.dual import DualNotHamiltonianError
 from venngraph.generators import from_circles, gen_venn, gen_weave
 from venngraph.hamilton import verify_cycle
 from venngraph.maps import PlaneGraph
@@ -320,6 +322,23 @@ class TestHamiltonCli:
 
     def test_budget_is_usage_error(self, capsys, venn3_file):
         assert main(["hamilton", "--budget", "1", venn3_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("budget: ")
+
+    def test_no_cycle_on_a_four_connected_plane_map_is_a_contradiction(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # the theorem guarantees a cycle, so a search that finds none is
+        # news, not a property of the input
+        path = tmp_path / "venn4.arr"
+        path.write_text(write_arr(gen_venn(4)))
+        monkeypatch.setattr(cli, "find_hamilton", lambda g, budget: None)
+        assert main(["hamilton", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "exhausted: no Hamilton cycle exists\n"
+        assert captured.err == ("contradiction: graph is 4-connected and planar, "
+                                "which guarantees a Hamilton cycle\n")
 
     def test_exhausted_search_is_a_property_failure(self, capsys, tmp_path):
         path = tmp_path / "three.arr"
@@ -338,6 +357,22 @@ class TestTransforms:
 
     def test_extend_rejects_weave(self, capsys, weave3_file):
         assert main(["extend", weave3_file]) == 1
+
+    @pytest.mark.parametrize("curves, code", [(5, 3), (6, 1)])
+    def test_unextendable_diagram_is_news_up_to_five_curves(
+        self, capsys, monkeypatch, venn3_file, curves, code
+    ):
+        # every diagram of at most five curves is known to extend; past
+        # that a dual with no Hamilton cycle is a property failure
+        def refuse(g):
+            raise DualNotHamiltonianError(curves)
+
+        monkeypatch.setattr(cli, "winkler_extend", refuse)
+        assert main(["extend", venn3_file]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"unextendable: the dual of this {curves}-curve diagram "
+                                "has no Hamilton cycle\n")
 
     def test_dual_listing(self, capsys, venn3_file):
         assert main(["dual", venn3_file]) == 0
@@ -419,6 +454,13 @@ class TestTransforms:
         assert 'class="region-label"' in capsys.readouterr().out
         assert main(["render", venn3_file]) == 0
         assert "region-label" not in capsys.readouterr().out
+
+
+class TestFailureTable:
+    def test_docstring_lists_the_table_row_for_row(self):
+        # the module docstring states the exit-code policy that main keeps
+        rows = re.findall(r"^- ``([^`]+)``, (\d):", cli.__doc__, re.MULTILINE)
+        assert rows == [(prefix, str(code)) for _, prefix, code in cli.FAILURES]
 
 
 class TestInputHandling:

@@ -1,15 +1,16 @@
-"""Scale sweep: one CLI process per verb, and one in-process call per
-layer, on simple Venn diagrams of 3 to 16 curves.
+"""Scale sweep: three CLI processes per verb, and one in-process call
+per layer, on simple Venn diagrams of 3 to 16 curves.
 
 The maps are ``gen venn 3`` to ``gen venn 12``, and the 14- and 16-curve
 diagrams that ``extend`` builds from the 12-curve one, two and four
 steps on.  For each map the sweep records:
 
 - per verb (``validate``, ``venn-check``, ``certify``, ``connectivity``,
-  ``hamilton``, ``render -o``): the wall time of one ``python -m
-  venngraph.cli`` process, its exit code, and its peak resident set
-  size, read from the child's own resource usage as ``os.wait4``
-  returns it (the accounting ``RUSAGE_CHILDREN`` sums);
+  ``hamilton``, ``render -o``), over three ``python -m venngraph.cli``
+  processes: the median wall time as ``wall_s`` and the fastest and
+  slowest as ``wall_range_s``, the exit code, and the largest peak
+  resident set size, each read from the child's own resource usage as
+  ``os.wait4`` returns it (the accounting ``RUSAGE_CHILDREN`` sums);
 - as ``build``, the same record for the last process of the pipeline
   that made the map: ``gen venn N``, or the last ``extend``;
 - per layer: the ``perf_counter`` seconds of one call, each on a map
@@ -20,9 +21,10 @@ Run from the repository root::
 
     python3 tools/scale.py
 
-It takes about a minute and writes ``BENCH_scale.json`` beside
-``tools/`` (or the ``-o`` path).  Nothing gates on it: a change that claims speed names the layer, the n,
-and the before and after from that file.
+It takes about three minutes and writes ``BENCH_scale.json`` beside
+``tools/`` (or the ``-o`` path).  Nothing gates on it: a change that
+claims speed names the layer, the n, and the before and after from that
+file.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -48,6 +51,9 @@ from venngraph.render import grid_layout  # noqa: E402
 from venngraph.validate import validate, venn_check  # noqa: E402
 
 VERBS = ("validate", "venn-check", "certify", "connectivity", "hamilton", "render")
+# processes per verb and map: one process's wall time varies by a third
+# on a shared machine, which the median of three mostly resolves
+REPEATS = 3
 
 # each takes a freshly parsed map
 LAYERS = {
@@ -78,6 +84,18 @@ def run_child(argv: list[str], stdout) -> dict:
     # ru_maxrss is in KiB on Linux
     return {"wall_s": round(wall, 3), "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
             "exit": proc.returncode}
+
+
+def time_verb(argv: list[str]) -> dict:
+    """Median wall time of ``REPEATS`` processes, with their range, the
+    exit code they share and the largest of their peak RSS."""
+    runs = [run_child(argv, subprocess.DEVNULL) for _ in range(REPEATS)]
+    walls = sorted(r["wall_s"] for r in runs)
+    exits = {r["exit"] for r in runs}
+    if len(exits) > 1:
+        raise SystemExit(f"{' '.join(argv)} exited with {sorted(exits)}")
+    return {"wall_s": statistics.median(walls), "wall_range_s": [walls[0], walls[-1]],
+            "peak_rss_mb": max(r["peak_rss_mb"] for r in runs), "exit": exits.pop()}
 
 
 def build_maps(tmp: Path) -> dict[int, tuple[str, Path, dict]]:
@@ -120,7 +138,7 @@ def sweep() -> dict:
                 args = [verb, str(path)]
                 if verb == "render":
                     args += ["-o", str(tmp / "out.svg")]
-                row["cli"][verb] = run_child(cli(*args), subprocess.DEVNULL)
+                row["cli"][verb] = time_verb(cli(*args))
             for name, layer in LAYERS.items():
                 g = parse_arr(text)
                 start = time.perf_counter()
