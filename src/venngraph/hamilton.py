@@ -140,8 +140,11 @@ def find_hamilton(
     """A verified Hamilton cycle, or None when exhaustive search rules one out.
 
     Raises :class:`BudgetExceededError` when the budget runs out first, a
-    distinct outcome from definitive exhaustion.
+    distinct outcome from definitive exhaustion, and ValueError for a
+    budget below 1, which allows no expansion.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     n = g.vertex_count
 
     # collapse parallel edges and drop loops, ordered by canonical dart

@@ -13,14 +13,14 @@ vertex ``v`` in rotation slot ``s`` (0..3) is ``4 * v + s``.
 
 The derived structure is held as int tables, each filled by one pass:
 the face successor of every dart, with each dart's face id and each
-face's first dart; each dart's curve id and each curve's first dart;
-and the connected components, by a search over the twin table.  The
-checks in :mod:`venngraph.validate` read only these tables.  A face or
-a curve is nothing more than its orbit, a tuple of darts:
-:attr:`RotationMap.faces` and :attr:`PlaneGraph.curves` walk each orbit
-from its first dart on first request, with the tables' numbering.
-:attr:`PlaneGraph.curve_orbit_data` and :attr:`RotationMap.adjacency_sets`
-are likewise built from the tables on first request.
+face's first dart; each dart's curve id and each curve's first dart,
+from one walk per curve; and the connected components, by a search
+over the twin table.  The checks in :mod:`venngraph.validate` read only
+these tables.  A face or a curve is nothing more than its orbit, a
+tuple of darts: :attr:`RotationMap.faces` and :attr:`PlaneGraph.curves`
+walk each orbit from its first dart on first request, with the tables'
+numbering, and :attr:`RotationMap.adjacency_sets` is built likewise.
+:attr:`PlaneGraph.curve_orbit_data` keeps a curve's orientations apart.
 
 Maps are immutable once constructed; everything derived is computed
 lazily and cached, so instances are safe to share across concurrent
@@ -391,31 +391,30 @@ class PlaneGraph(RotationMap):
     # -- curve recovery ---------------------------------------------------
 
     @cached_property
-    def _curve_table(self) -> tuple[tuple[int, ...], ...]:
-        succ = tuple(map(xor, self._twin, repeat(2)))
-        orbit_of, orbit_first = _orbit_table(succ)
-        # the orbit of d ^ 2 is the orbit of d reversed (see the
-        # venngraph.validate docstring); one id covers both, and ids rise
-        # with each curve's smallest dart, which starts its first orbit
-        curve_of_orbit = [-1] * len(orbit_first)
+    def _curve_table(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Curve ids and first darts, one walk per curve: it labels d and
+        d ^ 2 along the orbit of the curve's smallest dart, both orientations
+        at once (the first lemma of the :mod:`venngraph.validate` docstring)."""
+        twin = self._twin
+        curve_of = [-1] * len(twin)
         curve_first: list[int] = []
-        for oid, d0 in enumerate(orbit_first):
-            if curve_of_orbit[oid] < 0:
-                curve_of_orbit[oid] = curve_of_orbit[orbit_of[d0 ^ 2]] = len(curve_first)
+        for d0 in range(len(twin)):
+            if curve_of[d0] < 0:
+                c = len(curve_first)
                 curve_first.append(d0)
-        curve_of = tuple(map(curve_of_orbit.__getitem__, orbit_of))
-        return succ, tuple(orbit_of), tuple(orbit_first), curve_of, tuple(curve_first)
+                d = d0
+                while curve_of[d] < 0:
+                    curve_of[d] = curve_of[d ^ 2] = c
+                    d = twin[d] ^ 2
+        return tuple(curve_of), tuple(curve_first)
 
     @cached_property
     def curve_orbit_data(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """Raw orbits of ``curve_next`` and the orbit id of every dart.
-
-        Purely structural: no simplicity or transversality checks, so
-        validators can inspect degenerate inputs without tripping the
-        exceptions that :attr:`curves` raises.
-        """
-        succ, orbit_of, orbit_first = self._curve_table[:3]
-        return tuple(_walk(succ, d0) for d0 in orbit_first), orbit_of
+        """Raw orbits of ``curve_next``, numbered by their smallest darts, and
+        each dart's orbit id: a curve's two orientations apart, never raising."""
+        succ = tuple(map(xor, self._twin, repeat(2)))
+        orbit_of, first = _orbit_table(succ)
+        return tuple(_walk(succ, d0) for d0 in first), tuple(orbit_of)
 
     @property
     def curve_of(self) -> tuple[int, ...]:
@@ -427,12 +426,12 @@ class PlaneGraph(RotationMap):
         vertex simply carries its id on both dart pairs there
         (:attr:`self_crossings`).
         """
-        return self._curve_table[3]
+        return self._curve_table[0]
 
     @property
     def curve_first(self) -> tuple[int, ...]:
         """Per curve id, its smallest dart, where its canonical orbit starts."""
-        return self._curve_table[4]
+        return self._curve_table[1]
 
     @cached_property
     def self_crossings(self) -> tuple[int, ...]:
@@ -452,7 +451,7 @@ class PlaneGraph(RotationMap):
         (:attr:`curve_first`), one dart per edge.  Defined on every map
         and never raising; a curve that revisits a vertex is reported by
         :attr:`self_crossings` and refused by :attr:`curve_index`."""
-        succ = self._curve_table[0]
+        succ = tuple(map(xor, self._twin, repeat(2)))
         return tuple(_walk(succ, d0) for d0 in self.curve_first)
 
     @cached_property

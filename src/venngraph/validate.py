@@ -129,12 +129,15 @@ def check_ufi(g: PlaneGraph) -> tuple[UfiViolation, ...]:
 
     Every dart lies on one face and one curve, so UFI holds exactly when
     no two darts share a (face, curve) pair; the pairs are counted only
-    when some do.
+    when some do, keyed ``face * n + curve``, and only the repeated keys
+    are sorted.
     """
     if len(_face_curve_pairs(g)) == g.dart_count:
         return ()
-    counts = Counter(zip(g.face_of, g.curve_of))
-    return tuple(UfiViolation(f, c, k) for (f, c), k in sorted(counts.items()) if k >= 2)
+    n = len(g.curve_first)
+    counts = Counter(f * n + c for f, c in zip(g.face_of, g.curve_of))
+    repeats = sorted(key for key, k in counts.items() if k >= 2)
+    return tuple(UfiViolation(*divmod(key, n), counts[key]) for key in repeats)
 
 
 def _face_curve_pairs(g: PlaneGraph) -> set[int]:

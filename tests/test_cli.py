@@ -326,6 +326,13 @@ class TestHamiltonCli:
         assert captured.out == ""
         assert captured.err.startswith("budget: ")
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_budget_below_one_is_an_input_error(self, capsys, venn3_file, budget):
+        assert main(["hamilton", "--budget", budget, venn3_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: budget must be at least 1, got {budget}\n"
+
     def test_no_cycle_on_a_four_connected_plane_map_is_a_contradiction(
         self, capsys, monkeypatch, tmp_path
     ):

@@ -88,6 +88,15 @@ class TestFindHamilton:
         with pytest.raises(BudgetExceededError):
             find_hamilton(venn5, budget=2)
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_one_is_refused(self, venn5, budget):
+        # before the root refusals too: the figure eight has no cycle to seek
+        from venngraph.maps import PlaneGraph
+
+        for g in (venn5, PlaneGraph(1, [1, 0, 3, 2])):
+            with pytest.raises(ValueError, match=f"^budget must be at least 1, got {budget}$"):
+                find_hamilton(g, budget=budget)
+
     def test_too_small_rejected(self, weaves):
         from venngraph.maps import PlaneGraph
 
@@ -130,9 +139,10 @@ def thinned_circle_families(count: int, seed: int) -> list[RotationMap]:
 
 
 def outcome_and_expansions(g) -> tuple[tuple[int, ...] | None, int]:
-    """find_hamilton's outcome on g (the cycle, or None) and the
-    expansions it spends: the least budget within which it returns."""
-    lo, hi = -1, 0  # the budget lo raises, hi is the next one to try
+    """find_hamilton's outcome on g (the cycle, or None) and the least
+    budget within which it returns, at least 1 (a map refused at the root
+    spends no expansion, but no budget below 1 is accepted)."""
+    lo, hi = 0, 1  # the budget lo raises or is refused, hi is the next one to try
     while True:
         try:
             cycle = find_hamilton(g, budget=hi)
@@ -298,7 +308,7 @@ class TestRouteAgreement:
             assert (None if cycle is None else cycle.order) == order
             # every cycle starts at 0 and heads to its lower neighbour
             assert order is None or order[0] == 0 and order[1] < order[-1]
-            if spent:
+            if spent > 1:
                 with pytest.raises(BudgetExceededError) as exc:
                     find_hamilton(g, budget=spent - 1)
                 assert exc.value.expanded == spent - 1

@@ -115,6 +115,26 @@ def reference_tables(g: PlaneGraph):
     return face_of, curve_of, tuple(components)
 
 
+def reference_curves(g: PlaneGraph):
+    """Curve first darts, curves and orientation orbits by their
+    definitions, from ``curve_next`` alone: every orbit walked from its
+    smallest dart, orbits in order of those darts, and a curve is the
+    orbits of d and d ^ 2, kept from the smaller of their first darts."""
+    n = g.dart_count
+    orbit_of = orbit_ids(g.curve_next, n)
+    orbits = []
+    for d0 in range(n):
+        if orbit_of[d0] == len(orbits):
+            orbit, d = [d0], g.curve_next(d0)
+            while d != d0:
+                orbit.append(d)
+                d = g.curve_next(d)
+            orbits.append(tuple(orbit))
+    first = sorted({min(orbits[orbit_of[d]][0], orbits[orbit_of[d ^ 2]][0]) for d in range(n)})
+    curves = [orbits[orbit_of[d]] for d in first]
+    return first, curves, (tuple(orbits), tuple(orbit_of))
+
+
 def reference_reports(g: PlaneGraph):
     """The ``check_ufi``, ``validate`` and ``venn_check`` results by their
     definitions; the last is the exception venn_check must raise, if any."""
@@ -228,6 +248,10 @@ class TestGeneralPosition:
             assert list(g.face_of) == face_of
             assert list(g.curve_of) == curve_of
             assert g.components == components
+            curve_first, curves, orbit_data = reference_curves(g)
+            assert list(g.curve_first) == curve_first
+            assert list(g.curves) == curves
+            assert g.curve_orbit_data == orbit_data
             ufi, report, venn = reference_reports(g)
             assert check_ufi(g) == ufi
             assert validate(g) == report
