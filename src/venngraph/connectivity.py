@@ -114,7 +114,6 @@ minimum separator S separates.  Proof:
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -586,22 +585,21 @@ def vertex_connectivity(g: RotationMap) -> tuple[int, CutCertificate | None]:
     sides of S, and two of them form a distance-2 pair that S separates.
     It is also at most the minimum simple degree δ: the neighbours of a
     vertex s of that degree are a cut with sides ``{s}`` and the rest.
-    Both bounds come from the stream of :func:`_proof_bundles`, read
-    item by item and kept by no one.
+    Both bounds come from one loop over the stream of
+    :func:`_proof_bundles`, read item by item and kept by no one: it
+    certifies the pairs from k = δ, each counterexample lowers k to its
+    flow, and the last one's verified cut is the upper bound, or with
+    none the verified cut around s.  On any map but a V-graph the
+    pairs are every distance-2 pair, and ``(vertex_count - 1, None)`` is
+    the answer for complete graphs, which have none and which no vertex
+    set separates.
 
     On a V-graph (a :class:`PlaneGraph` that ``validate`` accepts) the
-    answer is 4 with no flow at all.  Verified :func:`proof_paths`
-    bundles for the straight-through pairs alone give the lower bound,
-    by the lemma in the module docstring: about 2V pairs, each one curve
-    segment and three short paths.  V-graphs are simple and 4-regular
-    (see the module docstring), so the verified cut around s has size 4.
-    Should it fail, a :class:`RuntimeWarning` precedes the route below.
-
-    On any other map every distance-2 pair is certified from k = δ; each
-    counterexample lowers k to its flow, and the last one's verified cut
-    is the upper bound, or with none the verified cut around s.  Returns
-    ``(vertex_count - 1, None)`` for complete graphs, which no vertex set
-    separates.
+    pairs are the straight-through pairs alone, by the lemma in the
+    module docstring: about 2V pairs, each one curve segment and three
+    short paths, with no flow at all.  V-graphs are simple and 4-regular
+    (see the module docstring), so δ = 4, no pair has a counterexample
+    (a flow below 4 raises), and the verified cut around s has size 4.
     """
     n = g.vertex_count
     comps = g.components
@@ -614,19 +612,9 @@ def vertex_connectivity(g: RotationMap) -> tuple[int, CutCertificate | None]:
     around = adj[s] - {s}
     kappa = len(around)
     cut = CutCertificate(around, (frozenset((s,)), frozenset(range(n)) - around - {s}))
-    if _is_vgraph(g):
-        deque(_proof_bundles(g, _straight_pairs(g)), maxlen=0)
-        if kappa == 4 and verify_cut(g, cut):
-            return 4, cut
-        warnings.warn(
-            f"the neighbours of vertex {s} do not give a verified 4-cut of "
-            f"this V-graph (minimum degree {kappa}); certifying every "
-            "distance-2 pair instead",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    pairs = _unique_pairs(g)
-    if not pairs:
+    vgraph = _is_vgraph(g)
+    pairs = _straight_pairs(g) if vgraph else _unique_pairs(g)
+    if not pairs and not vgraph:
         return n - 1, None
     low = None
     for _, _, _, cert, _ in _proof_bundles(g, pairs, kappa):

@@ -39,8 +39,7 @@ exclusion is judged by the faces beside the edge:
 So the faces are built once, kept in a union-find by vertex-set size
 without path compression, with one vertex set per root.  Excluding xy
 merges its two faces and rejects the node when they are one face already
-or share a third vertex; each merge goes on the same trail as every other
-change and is undone with it.  A node is therefore rejected exactly when a
+or share a third vertex.  A node is therefore rejected exactly when a
 Tarjan pass over the admissible graph would reject it, and the search
 tree, the cycle and the expansion count do not depend on which test runs.
 The lemma needs a plane embedding, so a map whose collapsed graph is not
@@ -54,6 +53,17 @@ a set that inclusions and undos update, so choosing costs nothing like a
 scan of all vertices.  Identical inputs therefore yield identical cycles.
 The decisions live on an explicit stack, so the search depth is not
 bounded by Python's recursion limit.
+
+Each decided edge e = ab leaves one trail entry (e, x, y), and undoing
+it reads what was decided off ``state[e]``.  An exclusion gives a and b
+back an admissible edge and, if it merged faces, splits face y off its
+root x.  An inclusion lowers the included count and the included
+degrees of a and b and, if it joined two paths, sets ``mate[x], mate[y]
+= a, b``: before the join, x = mate[a] was the far end of a's path and
+pointed back to a (or was a itself, when a was isolated), likewise y
+for b, and the join changed no other mate.  x = y = -1 marks an
+inclusion that closed the tour, which changed no mate, and an exclusion
+that merged no faces.
 
 Finding Hamilton cycles in arbitrary crossing-structure graphs is
 NP-complete, hence the node-expansion budget; on 4-connected planar inputs
@@ -93,9 +103,10 @@ class HamiltonCycle:
 
 
 def verify_cycle(g: RotationMap, order: Sequence[int]) -> bool:
-    """True iff order is a Hamilton cycle of g."""
+    """True iff order is a Hamilton cycle of g: a cycle of its collapsed
+    simple graph, so on three or more vertices, as the search finds them."""
     n = g.vertex_count
-    if len(order) != n or len(set(order)) != n:
+    if n < 3 or len(order) != n or len(set(order)) != n:
         return False
     if any(not 0 <= v < n for v in order):
         return False
@@ -181,49 +192,57 @@ def find_hamilton(
     face_up: list[int] = []
     face_verts: list[set[int]] = []
 
-    # trail entries: (0, e, old_state) (1, v, old_mate) (2, v) inc--
-    # (3, v) adm++ (4,) included-- (5, root, child, e) split merged faces
-    trail: list[tuple] = []
+    # one entry (e, x, y) per decided edge e, as the module docstring says
+    trail: list[tuple[int, int, int]] = []
     pending: deque[tuple[bool, int]] = deque()
 
     def include(e: int) -> bool:
         nonlocal included
-        if state[e] == _INCLUDED:
-            return True
-        if state[e] == _EXCLUDED:
-            return False
+        if state[e] != _UNDECIDED:
+            return state[e] == _INCLUDED
         a, b = edges[e]
         if deg_inc[a] == 2 or deg_inc[b] == 2:
             return False
         ea, eb = mate[a], mate[b]
-        if ea == b and included + 1 != n:
-            return False  # would close a short cycle
-        trail.append((0, e, _UNDECIDED))
+        if ea == b:
+            if included + 1 != n:
+                return False  # would close a short cycle
+            trail.append((e, -1, -1))
+        else:
+            trail.append((e, ea, eb))
+            mate[ea], mate[eb] = eb, ea
         state[e] = _INCLUDED
-        trail.append((4,))
         included += 1
         for x in (a, b):
-            trail.append((2, x))
             deg_inc[x] += 1
             if deg_inc[x] == 1:
                 ends.add(x)
-            else:
+            else:  # x is full: exclude its other edges
                 ends.discard(x)
-        if ea != b:
-            trail.append((1, ea, mate[ea]))
-            mate[ea] = eb
-            trail.append((1, eb, mate[eb]))
-            mate[eb] = ea
-        for x in (a, b):
-            if deg_inc[x] == 2:
                 for _, other in incident[x]:
                     if state[other] == _UNDECIDED:
                         pending.append((False, other))
         return True
 
-    def merge_faces(e: int) -> bool:
-        """Merge the two faces beside e, which was just excluded; False
-        when that leaves a cut vertex (the lemma above)."""
+    def exclude(e: int) -> bool:
+        """Exclude e; False when an end keeps fewer than two admissible
+        edges or, on a plane map, a cut vertex appears (the lemma above)."""
+        if state[e] != _UNDECIDED:
+            return state[e] == _EXCLUDED
+        trail.append((e, -1, -1))
+        state[e] = _EXCLUDED
+        a, b = edges[e]
+        deg_adm[a] -= 1
+        deg_adm[b] -= 1
+        if deg_adm[a] < 2 or deg_adm[b] < 2:
+            return False
+        for x in (a, b):
+            if deg_adm[x] == 2:
+                for _, other in incident[x]:
+                    if state[other] == _UNDECIDED:
+                        pending.append((True, other))
+        if sides is None:
+            return True
         f, h = sides[e]
         while face_up[f] != f:
             f = face_up[f]
@@ -236,28 +255,10 @@ def find_hamilton(
         # both faces hold e's ends, so any third common vertex is a cut
         if len(face_verts[f] & face_verts[h]) > 2:
             return False
-        trail.append((5, f, h, e))
+        trail[-1] = (e, f, h)
         face_up[h] = f
         face_verts[f] |= face_verts[h]
         return True
-
-    def exclude(e: int) -> bool:
-        if state[e] == _EXCLUDED:
-            return True
-        if state[e] == _INCLUDED:
-            return False
-        trail.append((0, e, _UNDECIDED))
-        state[e] = _EXCLUDED
-        for x in edges[e]:
-            trail.append((3, x))
-            deg_adm[x] -= 1
-            if deg_adm[x] < 2:
-                return False
-            if deg_adm[x] == 2:
-                for _, other in incident[x]:
-                    if state[other] == _UNDECIDED:
-                        pending.append((True, other))
-        return sides is None or merge_faces(e)
 
     def propagate() -> bool:
         while pending:
@@ -269,30 +270,30 @@ def find_hamilton(
         return True
 
     def undo(mark: int) -> None:
+        """Undecide the edges decided since the trail held mark entries,
+        reading each one's decision off ``state``."""
         nonlocal included
         while len(trail) > mark:
-            entry = trail.pop()
-            kind = entry[0]
-            if kind == 0:
-                state[entry[1]] = entry[2]
-            elif kind == 1:
-                mate[entry[1]] = entry[2]
-            elif kind == 2:
-                x = entry[1]
-                deg_inc[x] -= 1
-                if deg_inc[x] == 1:
-                    ends.add(x)
-                else:
-                    ends.discard(x)
-            elif kind == 3:
-                deg_adm[entry[1]] += 1
-            elif kind == 4:
+            e, x, y = trail.pop()
+            a, b = edges[e]
+            if state[e] == _INCLUDED:
                 included -= 1
+                for v in (a, b):
+                    deg_inc[v] -= 1
+                    if deg_inc[v] == 1:
+                        ends.add(v)
+                    else:
+                        ends.discard(v)
+                if x >= 0:
+                    mate[x], mate[y] = a, b
             else:
-                _, f, h, e = entry
-                face_up[h] = h
-                face_verts[f] -= face_verts[h]
-                face_verts[f].update(edges[e])
+                deg_adm[a] += 1
+                deg_adm[b] += 1
+                if x >= 0:
+                    face_up[y] = y
+                    face_verts[x] -= face_verts[y]
+                    face_verts[x].update((a, b))
+            state[e] = _UNDECIDED
 
     def no_cut_vertex() -> bool:
         """One iterative Tarjan low-link pass over the admissible graph:
@@ -335,11 +336,6 @@ def find_hamilton(
             nxt[x] = i
         return clock == n
 
-    def two_connected() -> bool:
-        """True iff the admissible graph is still 2-connected; on a plane
-        map every exclusion has already answered that."""
-        return sides is not None or no_cut_vertex()
-
     def choose_branch() -> int | None:
         """The lowest undecided edge at the path end with the fewest
         admissible edges (lowest id on ties), or the lowest undecided edge
@@ -355,10 +351,12 @@ def find_hamilton(
     stack: list[tuple[int, int, bool]] = []
 
     def decide(want_in: bool, e: int) -> bool:
+        """Decide e and propagate, or undo it all and answer False; on a
+        plane map the exclusions have tested 2-connectivity already."""
         mark = len(trail)
         pending.clear()
         pending.append((want_in, e))
-        if propagate() and two_connected():
+        if propagate() and (sides is not None or no_cut_vertex()):
             stack.append((e, mark, want_in))
             return True
         undo(mark)
@@ -376,7 +374,7 @@ def find_hamilton(
         if deg_adm[v] == 2:
             for _, e in incident[v]:
                 pending.append((True, e))
-    if not propagate() or not two_connected():
+    if not propagate() or sides is None and not no_cut_vertex():
         return None
     expansions = 0
     while True:  # one search node per iteration

@@ -153,15 +153,15 @@ def two_faces(g: PlaneGraph) -> tuple[int, ...]:
     return tuple(f for f in range(len(g.face_first)) if curves_at[f] == 2)
 
 
-def venn_check(g: PlaneGraph, root_face: int = 0) -> VennReport:
+def venn_check(g: PlaneGraph) -> VennReport:
     """Label every region with its curve-membership bit vector.
 
     Crossing an edge of curve c toggles bit c, so labels are propagated by
-    breadth-first search over face adjacency and are well defined up to one
-    global XOR offset (the unknown label of the root face).  For reporting,
-    the offset is normalised so the most frequent label becomes zero
-    (smallest such label on ties); a diagram has all labels distinct, which
-    makes the normalisation the identity on its own output.
+    breadth-first search over face adjacency from face 0 and are well
+    defined up to one global XOR offset (the unknown label of face 0).  For
+    reporting, the offset is normalised so the most frequent label becomes
+    zero (smallest such label on ties); a diagram has all labels distinct,
+    which makes the normalisation the identity on its own output.
 
     ``missing_labels`` lists the absent labels when 2^n <= F and is None
     otherwise, when at least 2^n - F labels are absent; every field costs
@@ -176,8 +176,8 @@ def venn_check(g: PlaneGraph, root_face: int = 0) -> VennReport:
     across = list(map(g.face_of.__getitem__, g._twin))
     bit = list(map((1).__lshift__, curve_of))
     labels: list[int | None] = [None] * len(first)
-    labels[root_face] = 0
-    queue = [root_face]
+    labels[0] = 0
+    queue = [0]
     for f in queue:
         here = labels[f]
         d = d0 = first[f]

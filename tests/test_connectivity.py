@@ -421,7 +421,9 @@ class TestVertexConnectivity:
             assert min(net.max_flow(u, v) for u, v in straight_through_pairs(g)) == kappa
             low += kappa < 4
 
-    def test_rejected_cut_falls_back_to_flow(self, monkeypatch, built_nets, venn5):
+    def test_rejected_cut_is_an_error(self, monkeypatch, built_nets, venn5):
+        # a V-graph's one upper bound is the cut around a vertex of degree
+        # 4; every pair route ends at the same cut, so a rejection stops
         real = connectivity.verify_cut
         rejected = []
 
@@ -432,13 +434,11 @@ class TestVertexConnectivity:
             return real(g, cert)
 
         monkeypatch.setattr(connectivity, "verify_cut", reject_first)
-        with pytest.warns(RuntimeWarning, match="certifying every distance-2 pair instead"):
-            kappa, cut = vertex_connectivity(venn5)
-        assert kappa == 4
+        with pytest.raises(AssertionError, match="^the neighbours of vertex 0 do not separate it$"):
+            vertex_connectivity(venn5)
         assert len(rejected) == 1 and len(rejected[0].sides[0]) == 1
         # every venn5 bundle verifies, so no pair needs a flow
         assert built_nets == []
-        assert len(cut.cut) == 4 and real(venn5, cut)
 
 
 class TestProofPaths:

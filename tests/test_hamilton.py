@@ -16,10 +16,10 @@ from venngraph.hamilton import (
     find_hamilton,
     verify_cycle,
 )
-from venngraph.maps import RotationMap
+from venngraph.maps import PlaneGraph, RotationMap
 from venngraph.validate import validate
 
-from conftest import theta_rotation_map
+from conftest import LENS_CIRCLES, rotation_map_from_edges, theta_rotation_map
 from test_arrio import random_plane_graph
 
 FIXED_DIAGRAMS = Path(__file__).resolve().parents[1] / "perfbench" / "data"
@@ -97,6 +97,14 @@ class TestFindHamilton:
             with pytest.raises(ValueError, match=f"^budget must be at least 1, got {budget}$"):
                 find_hamilton(g, budget=budget)
 
+    def test_cut_vertex_at_the_tarjan_root(self):
+        # two K4s sharing vertex 0, not plane, so the root runs the Tarjan
+        # pass, whose DFS root 0 has two children
+        g = rotation_map_from_edges(7, [(a, b) for k in ((0, 1, 2, 3), (0, 4, 5, 6))
+                                        for i, a in enumerate(k) for b in k[i + 1:]])
+        assert hamilton._plane_faces(g, list(g.edges())) is None
+        assert find_hamilton(g, budget=1) is None
+
     def test_too_small_rejected(self, weaves):
         from venngraph.maps import PlaneGraph
 
@@ -163,7 +171,7 @@ class TestSearchEffort:
     """The budget counts search nodes, so it bounds the work deterministically."""
 
     @pytest.mark.parametrize("name, spent", [
-        ("venn7.arr", 75), ("venn8.arr", 147), (9, 356), (10, 710),
+        ("venn7.arr", 75), ("venn8.arr", 147), (8, 176), (9, 356), (10, 710), (12, 2828),
     ])
     def test_expansions_are_pinned(self, name, spent):
         if isinstance(name, int):
@@ -251,6 +259,16 @@ class TestVerifyCycle:
         order = list(find_hamilton(venn3).order)
         for x in (venn3.vertex_count, -1):
             assert verify_cycle(venn3, [x] + order[1:]) is False
+
+    @pytest.mark.parametrize("g, order", [
+        (RotationMap((1, 1), (1, 0)), [0, 1]),  # one edge, walked there and back
+        (PlaneGraph(1, [1, 0, 3, 2]), [0]),  # a loop
+        (from_circles(LENS_CIRCLES), [0, 1]),  # two pairs of parallel edges
+    ], ids=["edge", "loop", "lens"])
+    def test_fewer_than_three_vertices_fail(self, g, order):
+        # a cycle needs three vertices, and find_hamilton finds none here
+        assert find_hamilton(g) is None
+        assert verify_cycle(g, order) is False
 
 
 class TestBruteForceAgreement:

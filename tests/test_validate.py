@@ -382,13 +382,6 @@ class TestVennCheck:
         assert report.duplicated_labels == (0b000,)
         assert report.distinct_labels < 1 << report.curve_count
 
-    def test_root_choice_does_not_matter(self, venn3, flower):
-        for g in (venn3, flower):
-            reports = [venn_check(g, root_face=i) for i in range(len(g.faces))]
-            assert len({r.is_simple_venn for r in reports}) == 1
-            assert len({r.distinct_labels for r in reports}) == 1
-            assert len({r.missing_labels for r in reports}) == 1
-
     def test_disconnected_rejected(self, weaves):
         w = weaves[2]
         twin = list(w._twin) + [t + 16 for t in w._twin]

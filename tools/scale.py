@@ -1,4 +1,4 @@
-"""Scale sweep: three CLI processes per verb, and one in-process call
+"""Scale sweep: three CLI processes per verb, and three in-process calls
 per layer, on simple Venn diagrams of 3 to 16 curves.
 
 The maps are ``gen venn 3`` to ``gen venn 12``, and the 14- and 16-curve
@@ -13,9 +13,10 @@ steps on.  For each map the sweep records:
   ``os.wait4`` returns it (the accounting ``RUSAGE_CHILDREN`` sums);
 - as ``build``, the same record for the last process of the pipeline
   that made the map: ``gen venn N``, or the last ``extend``;
-- per layer: the ``perf_counter`` seconds of one call, each on a map
-  parsed afresh, so that no layer is charged or credited for the tables
-  another one cached.
+- per layer, over three calls: the median ``perf_counter`` seconds as
+  ``layers_s`` and the fastest and slowest as ``layers_range_s``, each
+  call but ``parse_arr``'s on a map parsed afresh, so that no layer is
+  charged or credited for the tables another call cached.
 
 Run from the repository root::
 
@@ -51,8 +52,9 @@ from venngraph.render import grid_layout  # noqa: E402
 from venngraph.validate import validate, venn_check  # noqa: E402
 
 VERBS = ("validate", "venn-check", "certify", "connectivity", "hamilton", "render")
-# processes per verb and map: one process's wall time varies by a third
-# on a shared machine, which the median of three mostly resolves
+# processes per verb and map, and calls per layer and map: one run's time
+# varies by a third on a shared machine, which the median of three mostly
+# resolves
 REPEATS = 3
 
 # each takes a freshly parsed map
@@ -98,6 +100,24 @@ def time_verb(argv: list[str]) -> dict:
             "peak_rss_mb": max(r["peak_rss_mb"] for r in runs), "exit": exits.pop()}
 
 
+def time_layers(text: str) -> dict[str, list[float]]:
+    """``REPEATS`` timings of ``parse_arr`` on text and of each layer,
+    every layer call on a map parsed afresh."""
+    times = {"parse_arr": [], **{name: [] for name in LAYERS}}
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        parse_arr(text)
+        times["parse_arr"].append(time.perf_counter() - start)
+    for name, layer in LAYERS.items():
+        for _ in range(REPEATS):
+            g = parse_arr(text)
+            start = time.perf_counter()
+            layer(g)
+            times[name].append(time.perf_counter() - start)
+            del g
+    return times
+
+
 def build_maps(tmp: Path) -> dict[int, tuple[str, Path, dict]]:
     """The swept maps as ARR files, each with the pipeline that made it
     and the record of that pipeline's last process."""
@@ -128,24 +148,17 @@ def sweep() -> dict:
         tmp = Path(tmp)
         for n, (source, path, built) in build_maps(tmp).items():
             text = path.read_text()
-            start = time.perf_counter()
-            g = parse_arr(text)
-            layers = {"parse_arr": round(time.perf_counter() - start, 6)}
-            row = {"n": n, "source": source, "vertices": g.vertex_count, "build": built,
-                   "cli": {}}
-            del g
+            row = {"n": n, "source": source, "vertices": parse_arr(text).vertex_count,
+                   "build": built, "cli": {}}
             for verb in VERBS:
                 args = [verb, str(path)]
                 if verb == "render":
                     args += ["-o", str(tmp / "out.svg")]
                 row["cli"][verb] = time_verb(cli(*args))
-            for name, layer in LAYERS.items():
-                g = parse_arr(text)
-                start = time.perf_counter()
-                layer(g)
-                layers[name] = round(time.perf_counter() - start, 6)
-                del g
-            row["layers_s"] = layers
+            times = time_layers(text)
+            row["layers_s"] = {name: round(statistics.median(t), 6) for name, t in times.items()}
+            row["layers_range_s"] = {name: [round(min(t), 6), round(max(t), 6)]
+                                     for name, t in times.items()}
             runs.append(row)
             print(f"n = {n}: V = {row['vertices']}, "
                   + ", ".join(f"{v} {r['wall_s']} s" for v, r in row["cli"].items()),
