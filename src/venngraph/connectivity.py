@@ -30,8 +30,8 @@ start position, end position, step +-1) over the positions of
 :attr:`~venngraph.maps.PlaneGraph.curve_index`.  A flow path is one
 run, and a certificate of runs alone carries no index.  The long path
 of a constructed bundle is one segment or two, and the perimeter paths
-are runs sliced out of face boundaries, so a bundle has O(face degree)
-numbers however long its paths are.  The verifier
+are runs walked round the faces at z by the map's face successor, so a
+bundle has O(face degree) numbers however long its paths are.  The verifier
 checks explicit steps against the adjacency sets, which every
 :class:`~venngraph.maps.RotationMap` has, and reads the curve index only
 for a certificate with segments.  What it assumes of the curves holds on
@@ -117,7 +117,6 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Collection, Iterator, NamedTuple, Union
 
 from .maps import CurveIndex, DisconnectedError, MapError, NotAVertexError, PlaneGraph, RotationMap
@@ -164,17 +163,17 @@ class Segment(NamedTuple):
 Piece = Union[tuple[int, ...], Segment]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PathCertificate:
     """k internally disjoint u,v-paths.
 
     Each path is a tuple of pieces, every piece starting at the vertex
     where the one before it (or u) ended: vertex runs and
     :class:`Segment` s over ``index``, which a certificate of runs alone,
-    such as flow paths (one run each), leaves None.  ``paths`` expands
-    every path to its vertex tuple on first access and keeps it, while
-    :meth:`iter_paths` expands them one at a time and keeps nothing.
-    Certificates compare by identity.
+    such as flow paths (one run each), leaves None.  The pieces are all
+    it keeps: ``paths`` expands every path to its vertex tuple on each
+    access, and :meth:`iter_paths` one at a time.  Certificates are
+    slotted records, with no instance dict, and compare by identity.
     """
 
     u: int
@@ -185,7 +184,7 @@ class PathCertificate:
     def iter_paths(self) -> Iterator[tuple[int, ...]]:
         return (_expand(self.index, path) for path in self.pieces)
 
-    @cached_property
+    @property
     def paths(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.iter_paths())
 
@@ -638,17 +637,19 @@ class _ConstructionSurprise(Exception):
 def _around(
     g: PlaneGraph, index: CurveIndex, z: int
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """z's neighbours by slot, and its corner arcs: the arc of slot s is
-    the face of dart 4z + s, z's corner face between slots s - 1 and s,
-    from neighbour(s) round to neighbour(s - 1), without z.  Everything
-    the bundles around z read off the faces."""
-    face_of = g.face_of
+    """z's neighbours by slot, and its corner arcs: the arc of slot s
+    walks :attr:`~venngraph.maps.RotationMap.face_next` round the face of
+    dart 4z + s, z's corner face between slots s - 1 and s, from
+    neighbour(s) to neighbour(s - 1), without z."""
+    succ, vertex_of = g.face_next, g._vertex_of
     nbr, corners = [], []
     for d in range(4 * z, 4 * z + 4):
         nbr.append(g.twin(d) >> 2)
-        i = index.face_position[d]
-        ring = index.face_vertices[face_of[d]]
-        corners.append(ring[i + 1:] + ring[:i])
+        arc, x = [], succ[d]
+        while x != d:
+            arc.append(vertex_of[x])
+            x = succ[x]
+        corners.append(tuple(arc))
     return tuple(nbr), tuple(corners)
 
 
@@ -735,7 +736,7 @@ def proof_paths(g: PlaneGraph, u: int, z: int, v: int) -> ProofPathsResult:
 
     The bundle is a compact :class:`PathCertificate`: the long path is
     one curve :class:`Segment` in case 1 and one or two in case 2, and the
-    perimeter paths are slices of the face vertex tuples.  It costs
+    perimeter paths are runs of z's corner arcs (:func:`_around`).  It costs
     O(face degree + log V) to build and to verify with
     :func:`verify_certificate`, which checks flow paths too; ``paths``
     expands it.  The bundle is the one item that :func:`_proof_bundles`,

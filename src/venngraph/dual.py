@@ -32,7 +32,7 @@ import warnings
 from itertools import chain
 from typing import Sequence
 
-from .hamilton import find_hamilton
+from .hamilton import DEFAULT_BUDGET, find_hamilton
 from .maps import MapError, PlaneGraph, RotationMap
 from .validate import venn_check
 
@@ -141,8 +141,7 @@ def winkler_extend(g: PlaneGraph, budget: int | None = None) -> PlaneGraph:
             RuntimeWarning,
             stacklevel=2,
         )
-        kwargs = {} if budget is None else {"budget": budget}
-        cycle = find_hamilton(dual(g), **kwargs)
+        cycle = find_hamilton(dual(g), budget=DEFAULT_BUDGET if budget is None else budget)
         if cycle is None:
             raise DualNotHamiltonianError(report.curve_count)
         order = cycle.order    # verified by the search, so never refused
@@ -152,7 +151,9 @@ def winkler_extend(g: PlaneGraph, budget: int | None = None) -> PlaneGraph:
     face_of = g.face_of
 
     twin = list(g._twin) + [-1] * (4 * nf)
-    side: dict[tuple[int, int], int] = {}  # (step, flanking face) -> new dart
+    # own[i]: crossing i's new dart on the side of order[i]; its dart on
+    # the side of order[i + 1] is own[i] ^ 2
+    own = [0] * nf
     for i, e in enumerate(chosen):
         t = g.twin(e)
         x = 4 * (v0 + i)
@@ -164,12 +165,9 @@ def winkler_extend(g: PlaneGraph, budget: int | None = None) -> PlaneGraph:
         twin[t] = x + 0
         twin[x + 2] = e
         twin[e] = x + 2
-        side[(i, face_of[e])] = x + 3
-        side[(i, face_of[t])] = x + 1
+        own[i] = x + 3 if face_of[e] == order[i] else x + 1
     for i in range(nf):
-        f = order[i]
-        a = side[((i - 1) % nf, f)]
-        b = side[(i, f)]
+        a, b = own[i - 1] ^ 2, own[i]
         twin[a] = b
         twin[b] = a
 

@@ -105,31 +105,27 @@ def _walk(succ: Sequence[int], d0: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class CurveIndex:
-    """Where every vertex sits on its curves and faces, built in O(V).
+    """Where every vertex sits on its curves, built in O(V).
 
-    Paths that follow a curve or a face boundary can then be named by
-    positions instead of walked.  Positions refer to each curve's
-    canonical orbit (:attr:`PlaneGraph.curves`) and to each face's
-    boundary orbit (:attr:`RotationMap.faces`).
+    Paths that follow a curve can then be named by positions instead of
+    walked.  Positions refer to each curve's canonical orbit
+    (:attr:`PlaneGraph.curves`).  A face boundary needs no copy here: it
+    is walked by :attr:`RotationMap.face_next`.
 
-    - ``curve_vertices[c]``: curve c's vertices in curve order;
+    - ``curve_vertices[c]``: curve c's vertices in curve order, the
+      map's own vertex ints;
     - ``position[d]``: the position of dart d's vertex on d's curve;
     - ``step[d]``: +1 if d leaves its vertex in curve order, else -1;
     - ``crossings[a, b]``: the sorted positions on curve a of the
-      vertices where it crosses curve b (absent when they never cross);
-    - ``face_vertices[f]``: face f's vertices in boundary order;
-    - ``face_position[d]``: d's index in its face's boundary.
+      vertices where it crosses curve b (absent when they never cross).
 
-    The curve and face of a dart are :attr:`PlaneGraph.curve_of` and
-    :attr:`RotationMap.face_of`.
+    The curve of a dart is :attr:`PlaneGraph.curve_of`.
     """
 
     curve_vertices: tuple[tuple[int, ...], ...]
     position: tuple[int, ...]
     step: tuple[int, ...]
     crossings: Mapping[tuple[int, int], tuple[int, ...]]
-    face_vertices: tuple[tuple[int, ...], ...]
-    face_position: tuple[int, ...]
 
 
 class RotationMap:
@@ -456,7 +452,7 @@ class PlaneGraph(RotationMap):
 
     @cached_property
     def curve_index(self) -> CurveIndex:
-        """Positions on curves and faces (see :class:`CurveIndex`).
+        """Positions on curves (see :class:`CurveIndex`).
 
         Raises :class:`SelfCrossingCurveError`, at the smallest vertex a
         curve revisits, when the arrangement is not a family of simple
@@ -477,15 +473,10 @@ class PlaneGraph(RotationMap):
                 position[d] = position[d ^ 2] = i
                 step[d], step[d ^ 2] = 1, -1
                 crossings.setdefault((c, curve_of[d ^ 1]), []).append(i)
-        face_position = [0] * n
-        for boundary in self.faces:
-            for i, d in enumerate(boundary):
-                face_position[d] = i
+        vertex_of = self._vertex_of.__getitem__
         return CurveIndex(
-            curve_vertices=tuple(tuple(d >> 2 for d in darts) for darts in self.curves),
+            curve_vertices=tuple(tuple(map(vertex_of, darts)) for darts in self.curves),
             position=tuple(position),
             step=tuple(step),
             crossings={k: tuple(x) for k, x in crossings.items()},
-            face_vertices=tuple(tuple(d >> 2 for d in boundary) for boundary in self.faces),
-            face_position=tuple(face_position),
         )

@@ -21,14 +21,14 @@ Every edge becomes one ``<path>`` element coloured by its curve, bent
 at its midpoint if it has one, so the number of path elements equals
 the edge count.  Optional overlays add one ``hamilton``-classed element
 per cycle edge, one ``cert``-classed polyline per certified path, both
-following the drawn edges, and one ``region-label`` text per face: its
-membership vector, venn_check's label XOR the outer face's.  An inner
-face is labelled at its centre, which the check proves inside it; the
-outer face, the one the map's ``outer`` hint names, at the middle of
-the bottom margin, below every corner.  Between two vertices joined by
-parallel edges, a cycle edge takes the first of them and the i-th step
-of the certified paths the i-th, so paths along distinct parallel
-edges are drawn apart.
+verified first and following the drawn edges, and one ``region-label``
+text per face: its membership vector, venn_check's label XOR the outer
+face's.  An inner face is labelled at its centre, which the check
+proves inside it; the outer face, the one the map's ``outer`` hint
+names, at the middle of the bottom margin, below every corner.  Between
+two vertices joined by parallel edges, a cycle edge takes the first of
+them and the i-th step of the certified paths the i-th, so paths along
+distinct parallel edges are drawn apart.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ from itertools import repeat
 from operator import eq
 from typing import Sequence
 
-from .connectivity import PathCertificate, vertex_connectivity
+from .connectivity import PathCertificate, verify_certificate, vertex_connectivity
+from .hamilton import verify_cycle
 from .maps import DisconnectedError, MapError, NotPlaneError, PlaneGraph, RotationMap
 from .validate import venn_check
 
@@ -387,8 +388,13 @@ def render_svg(
     :class:`~venngraph.connectivity.PathCertificate`, such as the
     ``certificate`` of :func:`~venngraph.connectivity.proof_paths`;
     ``labels`` writes each region's membership vector in binary, placed
-    as the module docstring says.
+    as the module docstring says.  An overlay that ``verify_cycle`` or
+    ``verify_certificate`` rejects on g raises :class:`ValueError`.
     """
+    if hamilton is not None and not verify_cycle(g, hamilton):
+        raise ValueError("the hamilton overlay is not a Hamilton cycle of the map")
+    if cert is not None and not verify_certificate(g, cert):
+        raise ValueError("the cert overlay fails verification on the map")
     pos = barycentric_layout(g)
     n = g.vertex_count
     split = _split_edges(g)

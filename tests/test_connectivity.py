@@ -10,6 +10,7 @@ from itertools import combinations
 import pytest
 
 from venngraph import connectivity
+from venngraph.arrio import PathNames, format_path_certificate, parse_arr, write_arr
 from venngraph.connectivity import (
     Counterexample,
     CutCertificate,
@@ -778,13 +779,19 @@ class TestCompactCertificates:
             index = g.curve_index
             assert index.curve_vertices == tuple(
                 tuple(d >> 2 for d in darts) for darts in g.curves)
-            assert index.face_vertices == tuple(
-                tuple(d >> 2 for d in boundary) for boundary in g.faces)
             for d in range(g.dart_count):
                 c = g.curve_of[d]
                 assert index.curve_vertices[c][index.position[d]] == d >> 2
                 assert index.step[d] == (1 if d in g.curves[c] else -1)
-                assert g.faces[g.face_of[d]][index.face_position[d]] == d
+            # every corner arc is its face's boundary after z's dart,
+            # sliced round to just before it
+            for z in range(g.vertex_count):
+                _, corners = connectivity._around(g, index, z)
+                for s, arc in enumerate(corners):
+                    boundary = g.faces[g.face_of[4 * z + s]]
+                    i = boundary.index(4 * z + s)
+                    ring = tuple(d >> 2 for d in boundary)
+                    assert arc == ring[i + 1:] + ring[:i]
             for c, darts in enumerate(g.curves):
                 for other in range(len(g.curves)):
                     want = tuple(i for i, d in enumerate(darts)
@@ -841,8 +848,24 @@ class TestCompactCertificates:
         monkeypatch.setattr(connectivity, "_expand", no_expansion)
         assert vertex_connectivity(venn6)[0] == 4
         result = certify_distance_two(venn6, 4)
-        assert all(segments_of(cert) and "paths" not in vars(cert)
+        assert all(segments_of(cert) and not hasattr(cert, "__dict__")
                    for *_, cert in result.certificates)
+
+    def test_certification_builds_no_face_tuples(self, monkeypatch):
+        # corner arcs walk face_next and the curve index keeps no face
+        # table, so no route of certification reads RotationMap.faces
+        def no_faces(self):
+            raise AssertionError("a face tuple was built")
+
+        g = parse_arr(write_arr(gen_venn(8)))
+        monkeypatch.setattr(RotationMap, "faces", property(no_faces))
+        result = certify_distance_two(g, 4)
+        assert result.certified and result.fallback_count == 0
+        names = PathNames(g)
+        for *_, cert in result.certificates:
+            assert format_path_certificate(cert, names).count("path: ") == 4
+        assert vertex_connectivity(g)[0] == 4
+        assert not proof_paths(g, 0, 2, 1).used_fallback
 
     def test_shifted_segment_end_is_rejected(self, mutant_corpus):
         for g, cert in sample(mutant_corpus):

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import chain
 
 import pytest
 
 from venngraph import dual as dual_module
+from venngraph.arrio import write_arr
 from venngraph.dual import NotVennError, _crossed_edges, dual, prism_order, winkler_extend
 from venngraph.generators import gen_venn
 from venngraph.hamilton import verify_cycle
@@ -141,6 +143,15 @@ class TestWinklerExtend:
 
     def test_deterministic(self, venn3):
         assert winkler_extend(venn3)._twin == winkler_extend(venn3)._twin
+
+    @pytest.mark.parametrize("n, digest", [
+        (6, "8839562354e69b469e366abdad820951480209606390f7d55bb6fc0524240fe0"),
+        (8, "9d99ffaeb9f6a70e4b937477745d4b7f3b92d11dfe3d3717e482625eae382c4c"),
+        (10, "2644d81d215f8e9c4cf197b35d5bee89ffa7894769ce4f6ad95dd2b8d103f27e"),
+    ])
+    def test_chain_output_is_pinned(self, n, digest):
+        # the extension chain's diagrams, byte for byte as written
+        assert hashlib.sha256(write_arr(gen_venn(n)).encode()).hexdigest() == digest
 
 
 class TestRemovableCurve:

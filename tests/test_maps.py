@@ -85,6 +85,17 @@ def bfs_distances(g, start):
 
 
 class TestBuild:
+    @pytest.mark.parametrize("build", [
+        lambda: RotationMap((), ()),
+        lambda: RotationMap((2, 0), (1, 0)),
+        lambda: RotationMap((2,), (1, 0, 2)),
+        lambda: PlaneGraph(0, []),
+        lambda: gen_venn3().dart(0, 9),
+    ], ids=["no-vertex", "degree-0", "twin-length", "no-plane-vertex", "no-slot"])
+    def test_bad_slots_are_refused(self, build):
+        with pytest.raises(BadSlotError):
+            build()
+
     def test_venn3_counts_against_euler(self, venn3):
         assert venn3.vertex_count == 6
         assert venn3.edge_count == 12

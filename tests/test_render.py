@@ -8,7 +8,7 @@ import pytest
 
 from venngraph import render
 from venngraph.arrio import parse_arr, write_arr
-from venngraph.connectivity import max_disjoint_paths, proof_paths
+from venngraph.connectivity import PathCertificate, max_disjoint_paths, proof_paths
 from venngraph.generators import from_circles, gen_venn, gen_venn3, gen_weave
 from venngraph.hamilton import find_hamilton
 from venngraph.maps import DisconnectedError, NotPlaneError, PlaneGraph
@@ -243,6 +243,17 @@ class TestRenderSvg:
         u, z, v = venn4.distance2_pairs()[0]
         svg = render_svg(venn4, cert=proof_paths(venn4, u, z, v).certificate)
         assert svg.count('class="cert cert-path-') == 4
+
+    @pytest.mark.parametrize("overlay", [
+        # layout points from n on are face centres, not vertices of the map
+        lambda n: {"hamilton": [0, n + 3, 1]},
+        lambda n: {"hamilton": [0, 999]},
+        lambda n: {"cert": PathCertificate(0, 1, (((0, n + 2, 1),),))},
+    ], ids=["cycle-through-a-face-centre", "cycle-off-the-map", "unverified-cert"])
+    def test_unverified_overlays_are_refused(self, overlay):
+        g = gen_venn3()
+        with pytest.raises(ValueError, match="overlay"):
+            render_svg(g, **overlay(g.vertex_count))
 
     def test_weave_draws_every_lens(self, weaves):
         # every edge of a weave has a parallel partner and bends at its

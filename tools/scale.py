@@ -16,7 +16,9 @@ steps on.  For each map the sweep records:
 - per layer, over three calls: the median ``perf_counter`` seconds as
   ``layers_s`` and the fastest and slowest as ``layers_range_s``, each
   call but ``parse_arr``'s on a map parsed afresh, so that no layer is
-  charged or credited for the tables another call cached.
+  charged or credited for the tables another call cached.  All of one
+  map's layer calls run in a fresh interpreter, a ``multiprocessing``
+  "spawn" child, so that none runs in a heap the maps before it left.
 
 Run from the repository root::
 
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import platform
 import statistics
@@ -102,7 +105,13 @@ def time_verb(argv: list[str]) -> dict:
 
 def time_layers(text: str) -> dict[str, list[float]]:
     """``REPEATS`` timings of ``parse_arr`` on text and of each layer,
-    every layer call on a map parsed afresh."""
+    every layer call on a map parsed afresh, in a "spawn" child process
+    that times this map alone."""
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        return pool.apply(_layer_times, (text,))
+
+
+def _layer_times(text: str) -> dict[str, list[float]]:
     times = {"parse_arr": [], **{name: [] for name in LAYERS}}
     for _ in range(REPEATS):
         start = time.perf_counter()
