@@ -634,9 +634,7 @@ class _ConstructionSurprise(Exception):
     """The curve structure around z is not the one the construction needs."""
 
 
-def _around(
-    g: PlaneGraph, index: CurveIndex, z: int
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+def _around(g: PlaneGraph, z: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """z's neighbours by slot, and its corner arcs: the arc of slot s
     walks :attr:`~venngraph.maps.RotationMap.face_next` round the face of
     dart 4z + s, z's corner face between slots s - 1 and s, from
@@ -699,7 +697,7 @@ def _four_paths(
     v: int,
 ) -> tuple[tuple[Piece, ...], ...]:
     """The pieces of :func:`proof_paths` from z's neighbour in slot su to
-    its neighbour v, given ``around = _around(g, index, z)``."""
+    its neighbour v, given ``around = _around(g, z)``."""
     nbr, corners = around
     if len(set(nbr)) != 4:
         raise _ConstructionSurprise("corner neighbours of z are not distinct")
@@ -802,14 +800,14 @@ def _proof_bundles(
     index = None
     if k == 4 and isinstance(g, PlaneGraph) and not g.self_crossings:
         index = g.curve_index
-        arounds = [None] * g.vertex_count  # _around(g, index, z), on first use
+        arounds = [None] * g.vertex_count  # _around(g, z), on first use
     net = None
     vgraph = False
     for (u, v), z in pairs.items():
         if index is not None:
             around = arounds[z]
             if around is None:
-                around = arounds[z] = _around(g, index, z)
+                around = arounds[z] = _around(g, z)
             try:
                 cert = PathCertificate(
                     u, v, _four_paths(g, index, z, around, around[0].index(u), v), index)

@@ -1,16 +1,20 @@
 """Reference arrangements: the 3-circle diagram, iterated extensions, weaves.
 
 All generators are deterministic; repeated calls return dart-identical
-graphs.  Geometry is used only in :func:`from_circles`, to order the
-crossings along each circle and round each crossing, and to name the
-unbounded region by the map's ``outer`` hint; the emitted map keeps no
+graphs.  A generated map is built in two steps.  The first gives each
+curve its crossings: :func:`_crossing_rings` is the one place geometry is
+used, to order the crossings along each circle and round each crossing;
+``from_circles`` also reads it to name the unbounded region by the map's
+``outer`` hint.  The second, :func:`_thread`, is the only way a generator
+builds a twin table: it joins each curve's crossings in curve order.
+``gen_weave`` hands it its two curves directly, and ``from_polylines``
+(ROADMAP item 14) is to feed it the same way.  The emitted map keeps no
 coordinates.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from typing import Sequence
 
 from .maps import PlaneGraph
@@ -19,8 +23,9 @@ _EPS = 1e-9
 
 Circle = tuple[float, float, float]
 
-# gen_venn(12) has 4094 crossings and takes about 0.15 s; the extension is
-# linear, so each further curve doubles time and memory.
+# gen_venn(12) has 4094 crossings and takes about 0.03 s (CPython 3.11, one
+# core of a shared 2-vCPU machine); the extension is linear, so each
+# further curve doubles time and memory.
 MAX_VENN_CURVES = 12
 
 
@@ -44,31 +49,73 @@ def _circle_pair_points(a: Circle, b: Circle) -> list[tuple[float, float]]:
     return [(mx + ox, my + oy), (mx - ox, my - oy)]
 
 
+def _crossing_rings(
+    circles: Sequence[Circle],
+) -> tuple[list[tuple[float, float]], list[list[tuple[float, int, int]]]]:
+    """The crossings of circle pairs i < j in order, each pair's two points
+    sorted, and each circle's ring: per crossing on it, in crossing order,
+    (angle round the centre, dart leaving counterclockwise, dart leaving
+    clockwise).
+
+    A dart's slot is the rank of its direction among the four at the
+    crossing.  Each circle's two directions there are opposite, so the two
+    circles' directions interleave: the smaller of their lower angles ranks
+    0, the other circle's lower angle 1, and each higher angle two places
+    after its circle's lower one.
+    """
+    points: list[tuple[float, float]] = []
+    rings: list[list[tuple[float, int, int]]] = [[] for _ in circles]
+    for i, (ax, ay, _) in enumerate(circles):
+        for j in range(i + 1, len(circles)):
+            bx, by, _ = circles[j]
+            for p in sorted(_circle_pair_points(circles[i], circles[j])):
+                d = 4 * len(points)  # the crossing's slot-0 dart
+                points.append(p)
+                ux, uy = p[0] - ax, p[1] - ay
+                wx, wy = p[0] - bx, p[1] - by
+                # each circle's tangent directions, counterclockwise first
+                a_ccw, a_cw = math.atan2(ux, -uy), math.atan2(-ux, uy)
+                b_ccw, b_cw = math.atan2(wx, -wy), math.atan2(-wx, wy)
+                a_low = 0 if min(a_ccw, a_cw) <= min(b_ccw, b_cw) else 1
+                a = d + (a_low if a_ccw < a_cw else a_low + 2)
+                b = d + (1 - a_low if b_ccw < b_cw else 3 - a_low)
+                rings[i].append((math.atan2(uy, ux), a, a ^ 2))
+                rings[j].append((math.atan2(wy, wx), b, b ^ 2))
+    return points, rings
+
+
+def _thread(
+    vertex_count: int, rings: Sequence[Sequence[tuple[int, int]]], outer_dart: int | None = None
+) -> PlaneGraph:
+    """The map whose curves are ``rings``: each ring lists one curve's
+    crossings in curve order as (forward dart, backward dart), and each
+    forward dart meets the backward dart of the next crossing."""
+    twin = [-1] * (4 * vertex_count)
+    for ring in rings:
+        for (fwd, _), (_, bwd) in zip(ring, ring[1:] + ring[:1]):
+            twin[fwd] = bwd
+            twin[bwd] = fwd
+    return PlaneGraph(vertex_count, twin, outer_dart=outer_dart)
+
+
 def from_circles(circles: Sequence[Circle]) -> PlaneGraph:
     """Build the crossing map of a family of circles in general position.
 
     Every circle must cross at least one other circle (an isolated circle
-    has no darts and cannot be represented).  Tangencies, concentric pairs
-    and near-coincident crossing points are rejected.  Vertices are the
-    crossings of circle pairs i < j in order, each pair's two points
-    sorted, and ``outer_dart`` names the unbounded region.
+    has no darts and cannot be represented).  Non-finite circles, radii
+    that are not positive, tangencies, concentric pairs and near-coincident
+    crossing points are rejected.  Vertices are the crossings of circle
+    pairs i < j in order, each pair's two points sorted, and
+    ``outer_dart`` names the unbounded region.
     """
-    points: list[tuple[float, float]] = []
-    on_circle: dict[int, list[int]] = defaultdict(list)
-    for i in range(len(circles)):
-        for j in range(i + 1, len(circles)):
-            inter = _circle_pair_points(circles[i], circles[j])
-            if not inter:
-                continue
-            for p in sorted(inter):
-                vid = len(points)
-                points.append(p)
-                on_circle[i].append(vid)
-                on_circle[j].append(vid)
+    for c, (x, y, r) in enumerate(circles):
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(r) and r > 0):
+            raise ValueError(f"circle {c} is not a finite circle of positive radius")
+    points, rings = _crossing_rings(circles)
     if not points:
         raise ValueError("no crossings: nothing to build")
-    for c in range(len(circles)):
-        if not on_circle[c]:
+    for c, ring in enumerate(rings):
+        if not ring:
             raise ValueError(f"circle {c} crosses nothing; not representable")
     # sweep by x: a pair closer than 1e-6 is also closer than 1e-6 in x
     swept = sorted(points)
@@ -79,49 +126,13 @@ def from_circles(circles: Sequence[Circle]) -> PlaneGraph:
                 break
             if math.dist(p, q) < 1e-6:
                 raise ValueError("coincident crossings; not in general position")
-
-    def ccw_tangent(c: int, vid: int) -> tuple[float, float]:
-        cx, cy, _ = circles[c]
-        px, py = points[vid]
-        rx, ry = px - cx, py - cy
-        return -ry, rx
-
-    # slot layout per vertex: the four edge-end directions sorted ccw
-    slot_of: dict[tuple[int, int, int], int] = {}  # (vertex, circle, sense)
-    circles_at: dict[int, list[int]] = defaultdict(list)
-    for c, vids in on_circle.items():
-        for vid in vids:
-            circles_at[vid].append(c)
-    for vid, cs in circles_at.items():
-        dirs = []
-        for c in cs:
-            tx, ty = ccw_tangent(c, vid)
-            dirs.append((math.atan2(ty, tx), c, +1))
-            dirs.append((math.atan2(-ty, -tx), c, -1))
-        dirs.sort()
-        for s, (_, c, sense) in enumerate(dirs):
-            slot_of[(vid, c, sense)] = s
-
+    rings = [[(ccw, cw) for _, ccw, cw in sorted(ring)] for ring in rings]
     # the unbounded region touches the circle that reaches furthest left
     # at its leftmost point, angle pi, on the arc from its last crossing by
     # angle to its first; the region lies right of that arc's
     # counterclockwise dart, in the face ``face_of`` gives the dart
     left = min(range(len(circles)), key=lambda c: circles[c][0] - circles[c][2])
-    twin = [-1] * (4 * len(points))
-    for c, vids in on_circle.items():
-        cx, cy, _ = circles[c]
-        ring = sorted(
-            vids, key=lambda vid: math.atan2(points[vid][1] - cy, points[vid][0] - cx)
-        )
-        for idx, v in enumerate(ring):
-            w = ring[(idx + 1) % len(ring)]
-            dv = 4 * v + slot_of[(v, c, +1)]
-            dw = 4 * w + slot_of[(w, c, -1)]
-            twin[dv] = dw
-            twin[dw] = dv
-        if c == left:
-            outer = dv  # leaves the last crossing in the ring
-    return PlaneGraph(len(points), twin, outer_dart=outer)
+    return _thread(len(points), rings, outer_dart=rings[left][-1][0])
 
 
 def gen_venn3() -> PlaneGraph:
@@ -171,28 +182,9 @@ def gen_weave(k: int) -> PlaneGraph:
     """
     if k < 2:
         raise ValueError("need at least 2 crossings per half (k >= 2)")
-    n = 2 * k
-
-    # slot layout at crossing i (phase alternates with parity):
-    #   even i: 0 = A forward, 1 = B forward, 2 = A back, 3 = B back
-    #   odd  i: 0 = B forward, 1 = A forward, 2 = B back, 3 = A back
-    def a_fwd(i: int) -> int:
-        return 4 * i + (0 if i % 2 == 0 else 1)
-
-    def a_bwd(i: int) -> int:
-        return 4 * i + (2 if i % 2 == 0 else 3)
-
-    def b_fwd(i: int) -> int:
-        return 4 * i + (1 if i % 2 == 0 else 0)
-
-    def b_bwd(i: int) -> int:
-        return 4 * i + (3 if i % 2 == 0 else 2)
-
-    twin = [-1] * (4 * n)
-    for i in range(n):
-        j = (i + 1) % n
-        twin[a_fwd(i)] = a_bwd(j)
-        twin[a_bwd(j)] = a_fwd(i)
-        twin[b_fwd(i)] = b_bwd(j)
-        twin[b_bwd(j)] = b_fwd(i)
-    return PlaneGraph(n, twin)
+    # crossing i holds curve A at slots p and p + 2 and curve B at the
+    # other two, with p = i % 2 on A and 1 - i % 2 on B, forward first
+    return _thread(
+        2 * k,
+        [[(4 * i + (i + c) % 2, 4 * i + 2 + (i + c) % 2) for i in range(2 * k)] for c in (0, 1)],
+    )

@@ -673,7 +673,7 @@ class TestConstructFirstCertification:
                 continue
             index = g.curve_index
             for (u, v), z in connectivity._unique_pairs(g).items():
-                around = connectivity._around(g, index, z)
+                around = connectivity._around(g, z)
                 try:
                     connectivity._four_paths(g, index, z, around, around[0].index(u), v)
                 except connectivity._ConstructionSurprise:
@@ -786,7 +786,7 @@ class TestCompactCertificates:
             # every corner arc is its face's boundary after z's dart,
             # sliced round to just before it
             for z in range(g.vertex_count):
-                _, corners = connectivity._around(g, index, z)
+                _, corners = connectivity._around(g, z)
                 for s, arc in enumerate(corners):
                     boundary = g.faces[g.face_of[4 * z + s]]
                     i = boundary.index(4 * z + s)
@@ -944,7 +944,7 @@ class TestCompactCertificates:
                 a1, c1, a2, c2 = (g.twin(d) >> 2 for d in range(4 * x, 4 * x + 4))
                 across = Segment(g.curve_of[4 * x + 1], index.position[g.twin(4 * x + 1)],
                                  index.position[g.twin(4 * x + 3)], index.step[4 * x + 3])
-                around = connectivity._around(g, index, x)[1][3]
+                around = connectivity._around(g, x)[1][3]
                 along = Segment(g.curve_of[4 * x], index.position[g.twin(4 * x + 2)],
                                 index.position[g.twin(4 * x)], index.step[4 * x])
                 cert = PathCertificate(c1, a1, pieces=((across, around, along),), index=index)
