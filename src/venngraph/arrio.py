@@ -168,8 +168,8 @@ class PathNames:
     slice of its curve's names joined in its direction, or two slices
     when it wraps round the curve; each curve is joined once per
     direction, the first time a segment on it is printed.  A segment
-    outside its index, or with a step other than 1 or -1, raises
-    :class:`ValueError` instead.
+    with no index or outside it, or with a step other than 1 or -1,
+    raises :class:`ValueError` instead (:meth:`Segment.cycle`).
     """
 
     def __init__(self, g: PlaneGraph):
@@ -199,14 +199,9 @@ class PathNames:
         last = None
         for piece in pieces:
             if type(piece) is Segment:
+                cycle = piece.cycle(index)
                 c, start, end, step = piece
-                curves = index.curve_vertices
-                cycle = curves[c] if 0 <= c < len(curves) else ()
                 length = len(cycle)
-                if not (0 <= start < length and 0 <= end < length):
-                    raise ValueError(f"{piece} lies outside its curve index")
-                if step not in (1, -1):
-                    raise ValueError(f"{piece} steps by neither 1 nor -1")
                 first, last_before = cycle[start], last
                 last = cycle[end]
                 joined, starts = self._curve(index, c, step == 1)

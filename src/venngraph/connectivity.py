@@ -150,14 +150,26 @@ class Segment(NamedTuple):
     end: int
     step: int
 
-    def vertices(self, index: CurveIndex) -> tuple[int, ...]:
-        """The segment's vertices in its order, read off ``index``."""
-        if self.step not in (1, -1):
+    def cycle(self, index: CurveIndex | None) -> tuple[int, ...]:
+        """The vertices of the segment's curve in ``index``; raises
+        :class:`ValueError` when the segment has no index, lies outside
+        it or steps by neither 1 nor -1."""
+        c, start, end, step = self
+        curves = () if index is None else index.curve_vertices
+        cycle = curves[c] if 0 <= c < len(curves) else ()
+        if not (0 <= start < len(cycle) and 0 <= end < len(cycle)):
+            raise ValueError(f"{self} lies outside its curve index")
+        if step not in (1, -1):
             raise ValueError(f"{self} steps by neither 1 nor -1")
-        cycle = index.curve_vertices[self.curve]
-        lo, hi = (self.start, self.end) if self.step == 1 else (self.end, self.start)
+        return cycle
+
+    def vertices(self, index: CurveIndex | None) -> tuple[int, ...]:
+        """The segment's vertices in its order, read off ``index``."""
+        cycle = self.cycle(index)
+        _, start, end, step = self
+        lo, hi = (start, end) if step == 1 else (end, start)
         run = cycle[lo:hi + 1] if lo <= hi else cycle[lo:] + cycle[:hi + 1]
-        return run if self.step == 1 else run[::-1]
+        return run if step == 1 else run[::-1]
 
 
 Piece = Union[tuple[int, ...], Segment]
@@ -172,8 +184,9 @@ class PathCertificate:
     :class:`Segment` s over ``index``, which a certificate of runs alone,
     such as flow paths (one run each), leaves None.  The pieces are all
     it keeps: ``paths`` expands every path to its vertex tuple on each
-    access, and :meth:`iter_paths` one at a time.  Certificates are
-    slotted records, with no instance dict, and compare by identity.
+    access, and :meth:`iter_paths` one at a time, both raising as
+    :meth:`Segment.cycle` does.  Certificates are slotted records, with
+    no instance dict, and compare by identity.
     """
 
     u: int

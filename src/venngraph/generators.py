@@ -5,11 +5,11 @@ graphs.  A generated map is built in two steps.  The first gives each
 curve its crossings: :func:`_crossing_rings` is the one place geometry is
 used, to order the crossings along each circle and round each crossing;
 ``from_circles`` also reads it to name the unbounded region by the map's
-``outer`` hint.  The second, :func:`_thread`, is the only way a generator
-builds a twin table: it joins each curve's crossings in curve order.
-``gen_weave`` hands it its two curves directly, and ``from_polylines``
-(ROADMAP item 14) is to feed it the same way.  The emitted map keeps no
-coordinates.
+``outer`` hint.  The second, :func:`_thread`, joins each curve's
+crossings in curve order into a twin table; ``gen_weave`` hands it its
+two curves directly.  ``gen_venn(n >= 4)`` does not: ``winkler_extend``
+copies the twin table and patches four entries per new crossing
+(ROADMAP item 20 says why).  The emitted map keeps no coordinates.
 """
 
 from __future__ import annotations

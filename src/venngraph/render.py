@@ -105,17 +105,14 @@ def _centre_triangulation(m: RotationMap) -> tuple[list[int], list[int], list[in
     rotation is its face's boundary backwards, and the triangle of dart
     d is d's tail, d's head and the centre of d's face, in that order.
     """
-    n, twin, vertex_of, offsets = m.vertex_count, m._twin, m._vertex_of, m._offsets
+    n, twin, vertex_of, succ = m.vertex_count, m._twin, m._vertex_of, m.face_next
     size = len(twin)
-    rot = list(range(1, size + 1))  # the next dart counterclockwise in m
-    rot_back = list(range(-1, size - 1))
-    for base, end in zip(offsets, offsets[1:]):
-        rot[end - 1] = base
-        rot_back[base] = end - 1
-    # the boundary dart before b: the twin of the dart before b in rotation
-    face_prev = map(twin.__getitem__, rot_back)
     head = [*map(vertex_of.__getitem__, twin), *[n + f for f in m.face_of], *vertex_of]
-    nxt = [*[size + d for d in rot], *range(size), *[2 * size + b for b in face_prev]]
+    # rot(d) in m is succ[twin[d]]; a centre turns from 2D + b to 2D + d,
+    # d the boundary dart before b, as its rotation is its face backwards
+    nxt = [*[size + succ[t] for t in twin], *range(size), *repeat(0, size)]
+    for d, b in enumerate(succ, 2 * size):
+        nxt[2 * size + b] = d
     back = [*twin, *range(2 * size, 3 * size), *range(size, 2 * size)]
     return head, nxt, back
 
@@ -352,14 +349,8 @@ def grid_layout(g: PlaneGraph) -> dict[int, tuple[int, int]]:
     return {v: (xs[v], ys[v]) for v in range(size) if v != top}
 
 
-def barycentric_layout(g: PlaneGraph) -> dict[int, tuple[float, float]]:
-    """:func:`grid_layout` with each integer coordinate given as the
-    float equal to it.
-
-    The name dates from the averaging layout this replaced and is kept
-    for its callers: ``perfbench/spans.py`` times the layout under it.
-    """
-    return {v: (float(x), float(y)) for v, (x, y) in grid_layout(g).items()}
+# perfbench/spans.py times the layout by wrapping this name, so render_svg calls it
+barycentric_layout = grid_layout
 
 
 def _viewport(points: Sequence[tuple[float, float]], size: float, margin: float):

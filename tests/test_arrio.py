@@ -383,12 +383,18 @@ class TestCertificateBlocks:
         index = g.curve_index
         curves = len(index.curve_vertices)
         names = PathNames(g)
-        for segment in (Segment(0, -3, 2, 1), Segment(0, 1, 99, 1),
-                        Segment(-1, 0, 1, 1), Segment(curves, 0, 1, 1),
-                        Segment(1, 0, 0, 2)):
-            cert = PathCertificate(0, 1, pieces=((segment,),), index=index)
+        cases = [(segment, index) for segment in (
+            Segment(0, -3, 2, 1), Segment(0, 1, 99, 1), Segment(-1, 0, 1, 1),
+            Segment(curves, 0, 1, 1), Segment(1, 0, 0, 2))]
+        # a segment in a certificate with no index lies outside it too
+        cases.append((Segment(0, 0, 1, 1), None))
+        for segment, of in cases:
+            cert = PathCertificate(0, 1, pieces=((segment,),), index=of)
             with pytest.raises(ValueError, match=re.escape(repr(segment))):
                 format_path_certificate(cert, names)
+            # nor expanded to a truncated, empty or wrong-curve path
+            with pytest.raises(ValueError, match=re.escape(repr(segment))):
+                cert.paths
 
     def test_cut_line_sorted(self):
         cert = CutCertificate(frozenset({4, 1, 2}), (frozenset({0}), frozenset({5})))

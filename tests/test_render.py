@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import re
@@ -11,7 +12,7 @@ from venngraph.arrio import parse_arr, write_arr
 from venngraph.connectivity import PathCertificate, max_disjoint_paths, proof_paths
 from venngraph.generators import from_circles, gen_venn, gen_venn3, gen_weave
 from venngraph.hamilton import find_hamilton
-from venngraph.maps import DisconnectedError, NotPlaneError, PlaneGraph
+from venngraph.maps import DisconnectedError, MapError, NotPlaneError, PlaneGraph
 from venngraph.render import (
     LayoutUnavailableError,
     barycentric_layout,
@@ -297,6 +298,21 @@ class TestRenderSvg:
         assert len(ham) == 6
         assert all(len(points) == 3 and follows(points, edges, corners) for points in ham)
 
+    def test_drawings_are_pinned(self):
+        # the bytes of every drawing, or of its refusal, in one digest
+        corpus = [*map(gen_venn, range(3, 8)), *map(gen_weave, range(2, 5)),
+                  *(g for _, g in random_circle_lists(random.Random(7), 100))]
+        digest = hashlib.sha256()
+        for g in corpus:
+            for labels in (False, True):
+                try:
+                    text = render_svg(g, labels=labels)
+                except MapError as e:
+                    text = f"{type(e).__name__}: {e}"
+                digest.update(text.encode())
+        assert digest.hexdigest() == (
+            "6c8189354d4800079e3af6c0b8d28df6c5f86fa3e0db5bdf8c790ec1f400ee3d")
+
 
 class TestBarycentricLayout:
     def test_extended_diagram_renders_without_coords(self, venn5):
@@ -308,10 +324,9 @@ class TestBarycentricLayout:
         with pytest.raises(LayoutUnavailableError, match="not a simple cycle"):
             barycentric_layout(figure_eight())
 
-    def test_floats_equal_the_integer_grid(self, venn4):
-        pos = barycentric_layout(venn4)
-        assert pos == grid_layout(venn4)
-        assert all(type(c) is float for p in pos.values() for c in p)
+    def test_is_the_integer_grid(self):
+        # the old name of the layout, kept as an alias
+        assert barycentric_layout is grid_layout
 
 
 class TestGridLayout:
