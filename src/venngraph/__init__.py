@@ -60,7 +60,6 @@ from .validate import (
     UfiViolation,
     ValidationReport,
     VennReport,
-    check_general_position,
     check_ufi,
     two_faces,
     validate,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from itertools import accumulate, chain
 from math import isfinite
+from typing import Iterable
 
 from .connectivity import CutCertificate, NotAVertexError, PathCertificate, Piece, Segment
 from .maps import CurveIndex, NonInvolutiveTwinError, PlaneGraph, SelfTwinError
@@ -162,12 +163,12 @@ def write_arr(g: PlaneGraph) -> str:
 class PathNames:
     """Vertex names for printing the paths of one graph's certificates.
 
-    ``vertex[v]`` is ``str(v)`` for v in 0..V-1 only, so a run through
-    any other number raises :class:`NotAVertexError` rather than printing
-    the name it would alias.  A curve :class:`Segment` prints as one
-    slice of its curve's names joined in its direction, or two slices
-    when it wraps round the curve; each curve is joined once per
-    direction, the first time a segment on it is printed.  A segment
+    ``vertex[v]`` is ``str(v)`` for v in 0..V-1 only, so a run or a
+    curve through any other number raises :class:`NotAVertexError` rather
+    than printing the name it would alias.  A curve :class:`Segment`
+    prints as one slice of its curve's names joined in its direction, or
+    two slices when it wraps round the curve; each curve is joined once
+    per direction, the first time a segment on it is printed.  A segment
     with no index or outside it, or with a step other than 1 or -1,
     raises :class:`ValueError` instead (:meth:`Segment.cycle`).
     """
@@ -176,6 +177,12 @@ class PathNames:
         self.vertex = {v: str(v) for v in range(g.vertex_count)}
         self._index: CurveIndex | None = None
         self._joined: dict[tuple[int, bool], tuple[str, list[int]]] = {}
+
+    def _names(self, run: Iterable[int]) -> list[str]:
+        try:
+            return list(map(self.vertex.__getitem__, run))
+        except KeyError as e:
+            raise NotAVertexError(f"path vertex {e.args[0]} is not a vertex") from None
 
     def _curve(self, index: CurveIndex, c: int, forward: bool) -> tuple[str, list[int]]:
         """Curve c's names joined in curve order or against it, and where
@@ -186,7 +193,7 @@ class PathNames:
         key = (c, forward)
         if key not in self._joined:
             cycle = index.curve_vertices[c]
-            names = [self.vertex[x] for x in (cycle if forward else reversed(cycle))]
+            names = self._names(cycle if forward else reversed(cycle))
             starts = list(accumulate((len(name) + 1 for name in names), initial=0))
             self._joined[key] = (" ".join(names), starts)
         return self._joined[key]
@@ -216,10 +223,7 @@ class PathNames:
                 continue
             run = piece[1:] if piece and piece[0] == last else piece
             if run:
-                try:
-                    parts.append(" ".join(map(self.vertex.__getitem__, run)))
-                except KeyError as e:
-                    raise NotAVertexError(f"path vertex {e.args[0]} is not a vertex") from None
+                parts.append(" ".join(self._names(run)))
                 last = run[-1]
         return " ".join(parts)
 

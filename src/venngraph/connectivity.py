@@ -309,7 +309,8 @@ def verify_certificate(g: RotationMap, cert: PathCertificate) -> bool:
     is accepted only on a :class:`PlaneGraph` without
     :attr:`~venngraph.maps.PlaneGraph.self_crossings`, from a certificate
     that carries that graph's own :attr:`PlaneGraph.curve_index`, from
-    which its ``paths`` expand.
+    which its ``paths`` expand, and only where :meth:`Segment.cycle`, the
+    one bounds and step rule, finds its curve.
     """
     adj = g.adjacency_sets
     n = g.vertex_count
@@ -330,14 +331,13 @@ def verify_certificate(g: RotationMap, cert: PathCertificate) -> bool:
                         return False
                     index = cert.index
                     curves = index.curve_vertices
-                c, start, end, step = piece
-                if not 0 <= c < len(curves):
+                try:
+                    cycle = piece.cycle(index)
+                except ValueError:
                     return False
-                cycle = curves[c]
-                if (not (0 <= start < len(cycle) and 0 <= end < len(cycle))
-                        or step not in (1, -1) or cycle[start] != at):
+                if cycle[piece.start] != at:
                     return False
-                at = cycle[end]
+                at = cycle[piece.end]
                 segments.append(piece)
                 points.append(at)
             else:
@@ -736,8 +736,9 @@ def _four_paths(
 def proof_paths(g: PlaneGraph, u: int, z: int, v: int) -> ProofPathsResult:
     """Four internally disjoint u,v-paths read off the structure around z.
 
-    z must be a common neighbour of the non-adjacent pair u, v, all three
-    vertices of g; otherwise :class:`NotDistanceTwoError`.  The curve
+    u, z and v must be vertices of g, else :class:`NotAVertexError`, and
+    z a common neighbour of the non-adjacent pair u, v, else
+    :class:`NotDistanceTwoError`.  The curve
     through the z-u edge plays the 'along' role.  If v is z's opposite
     neighbour on that curve (case 1), the paths are u-z-v, the rest of
     that curve, and the two halves of the perimeter of the four faces
@@ -756,12 +757,12 @@ def proof_paths(g: PlaneGraph, u: int, z: int, v: int) -> ProofPathsResult:
     flags ``used_fallback``.  g is validated first, on every call:
     anything but a V-graph raises :class:`NotVGraphError`.
     """
-    if not validate(g).is_vgraph:
+    if not _is_vgraph(g):
         raise NotVGraphError("construction requires a valid V-graph")
     n = g.vertex_count
     for x in (u, z, v):
         if not 0 <= x < n:
-            raise NotDistanceTwoError(f"vertex {x} is not in 0..{n - 1}")
+            raise NotAVertexError(f"vertex {x} is not in 0..{n - 1}")
     adj = g.adjacency_sets
     if u == v or v in adj[u]:
         raise NotDistanceTwoError(f"{u} and {v} must be distinct and non-adjacent")

@@ -38,8 +38,10 @@ exclusion is judged by the faces beside the edge:
 
 So the faces are built once, kept in a union-find by vertex-set size
 without path compression, with one vertex set per root.  Excluding xy
-merges its two faces and rejects the node when they are one face already
-or share a third vertex.  A node is therefore rejected exactly when a
+merges its two faces and rejects the node when they share a third
+vertex.  That one test also rejects F1 = F2: the search graph is simple
+and 2-connected, so each face, and each union of faces, holds three
+vertices or more.  A node is therefore rejected exactly when a
 Tarjan pass over the admissible graph would reject it, and the search
 tree, the cycle and the expansion count do not depend on which test runs.
 The lemma needs a plane embedding, so a map whose collapsed graph is not
@@ -248,11 +250,10 @@ def find_hamilton(
             f = face_up[f]
         while face_up[h] != h:
             h = face_up[h]
-        if f == h:
-            return False
         if len(face_verts[f]) < len(face_verts[h]):
             f, h = h, f
-        # both faces hold e's ends, so any third common vertex is a cut
+        # both faces hold e's ends, so any third common vertex is a cut;
+        # f == h shares the whole face, which holds three vertices or more
         if len(face_verts[f] & face_verts[h]) > 2:
             return False
         trail[-1] = (e, f, h)

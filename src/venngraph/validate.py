@@ -74,15 +74,17 @@ class UfiViolation(NamedTuple):
 
 @dataclass(frozen=True)
 class GeneralPositionReport:
-    """Outcome of the general-position check.
+    """What the general-position verdict is read from.
 
     4-regularity and closedness of curves are structural (the dart
     representation cannot express anything else), so the checkable content
     is: no curve revisits a vertex, the two dart pairs at each vertex
     belong to distinct curves, and the embedding is genus zero.
+    ``self_crossings`` are the vertices whose two dart pairs share a curve
+    id, which are also the vertices a curve revisits (see the module
+    docstring).
     """
 
-    ok: bool
     self_crossings: tuple[int, ...]
     is_planar: bool
 
@@ -106,22 +108,6 @@ class ValidationReport:
     ufi_violations: tuple[UfiViolation, ...]
     is_vgraph: bool
     general_position: GeneralPositionReport
-
-
-def check_general_position(g: PlaneGraph) -> GeneralPositionReport:
-    """Report general-position violations; never raises.
-
-    ``self_crossings`` are the vertices whose two dart pairs share a curve
-    id, which are also the vertices a curve revisits (see the module
-    docstring).
-    """
-    self_crossings = g.self_crossings
-    planar = g.is_planar
-    return GeneralPositionReport(
-        ok=not self_crossings and planar,
-        self_crossings=self_crossings,
-        is_planar=planar,
-    )
 
 
 def check_ufi(g: PlaneGraph) -> tuple[UfiViolation, ...]:
@@ -221,15 +207,16 @@ def venn_check(g: PlaneGraph) -> VennReport:
 
 def validate(g: PlaneGraph) -> ValidationReport:
     """Decide whether g is a V-graph; total on any built graph, O(V)."""
-    gp = check_general_position(g)
+    gp = GeneralPositionReport(g.self_crossings, g.is_planar)
+    general = not gp.self_crossings and gp.is_planar
     connected = g.is_connected
     n = len(g.curve_first)
     ufi = check_ufi(g)
     return ValidationReport(
-        is_general_position=gp.ok,
+        is_general_position=general,
         is_connected=connected,
         curve_count=n,
         ufi_violations=ufi,
-        is_vgraph=gp.ok and connected and n >= 3 and not ufi,
+        is_vgraph=general and connected and n >= 3 and not ufi,
         general_position=gp,
     )

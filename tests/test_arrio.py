@@ -21,6 +21,7 @@ from venngraph.connectivity import (
     PathCertificate,
     Segment,
     certify_distance_two,
+    verify_certificate,
 )
 from venngraph.generators import gen_venn
 from venngraph.maps import MapError, PlaneGraph
@@ -376,6 +377,15 @@ class TestCertificateBlocks:
             with pytest.raises(NotAVertexError):
                 format_path_certificate(cert, names)
 
+    def test_curves_through_vertices_outside_the_graph_are_not_named(self):
+        # a bundle of the five-curve diagram printed with the three-curve
+        # diagram's names: its segments' curves run through vertices the
+        # smaller map does not have
+        cert = certify_distance_two(gen_venn(5), 4).certificates[0][3]
+        names = PathNames(gen_venn(3))
+        with pytest.raises(NotAVertexError, match="is not a vertex"):
+            format_path_certificate(cert, names)
+
     def test_segments_outside_the_index_are_not_named(self):
         # each would otherwise print a slice of some curve, or nothing;
         # a step other than 1 would read as -1
@@ -395,6 +405,8 @@ class TestCertificateBlocks:
             # nor expanded to a truncated, empty or wrong-curve path
             with pytest.raises(ValueError, match=re.escape(repr(segment))):
                 cert.paths
+            # nor accepted: the verifier reads Segment.cycle's refusal
+            assert verify_certificate(g, cert) is False
 
     def test_cut_line_sorted(self):
         cert = CutCertificate(frozenset({4, 1, 2}), (frozenset({0}), frozenset({5})))

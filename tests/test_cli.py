@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import importlib
 import math
 import re
@@ -201,6 +202,24 @@ class TestChecks:
         assert main(["certify", "--verbose", venn3_file]) == 0
         out = capsys.readouterr().out
         assert out.count("path: ") >= 12
+
+    @pytest.mark.parametrize("make, args, lines, paths, digest", [
+        # the constructive route: segments and corner arcs, printed by name
+        (lambda: gen_venn(6), ["certify", "--verbose"], 1179, 940,
+         "47e5f5ca83a0f6e6bd76776559eacde3537b78ec2293a9ca3323b8c040ba80f7"),
+        # a kappa = 3 circle family off the V-graph route: flow paths only
+        (lambda: from_circles([(3.0, 3.2, 2.4), (3.0, 3.7, 0.8), (1.9, 3.8, 1.9),
+                               (3.6, 0.5, 1.6), (1.0, 2.2, 1.8)]),
+         ["certify", "--k", "3", "--verbose"], 148, 108,
+         "57834aa81f8455c7327a25b9faac7d59b52e51ea27208ef3b6822c1a90d4b5f1"),
+    ], ids=["venn6", "kappa3"])
+    def test_certificate_text_is_pinned(self, capsys, tmp_path, make, args, lines, paths, digest):
+        path = tmp_path / "map.arr"
+        path.write_text(write_arr(make()))
+        assert main([*args, str(path)]) == 0
+        out = capsys.readouterr().out
+        assert (out.count("\n"), out.count("path: ")) == (lines, paths)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_paths(self, capsys, venn3_file, venn3):
         u, z, v = venn3.distance2_pairs()[0]

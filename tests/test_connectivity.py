@@ -511,11 +511,18 @@ class TestProofPaths:
             wu, wz, wv = weaves[3].distance2_pairs()[0]
             proof_paths(weaves[3], wu, wz, wv)
 
+    def test_a_rotation_map_is_not_a_vgraph(self, venn3):
+        # the same darts without the plane-graph tables: refused by the
+        # V-graph test that certification uses, not by a missing attribute
+        plain = RotationMap((4,) * venn3.vertex_count, venn3._twin)
+        with pytest.raises(NotVGraphError):
+            proof_paths(plain, *venn3.distance2_pairs()[0])
+
     def test_vertices_outside_the_graph_are_rejected(self, venn3):
         u, z, v = venn3.distance2_pairs()[0]
         n = venn3.vertex_count
         for triple in ((n, z, v), (u, -n, v), (u, z, -1)):
-            with pytest.raises(NotDistanceTwoError, match=f"not in 0..{n - 1}"):
+            with pytest.raises(NotAVertexError, match=f"not in 0..{n - 1}"):
                 proof_paths(venn3, *triple)
 
     def test_bundle_comes_from_the_certification_route(self, monkeypatch, venn4):

@@ -21,7 +21,6 @@ from venngraph.validate import (
     UfiViolation,
     ValidationReport,
     VennReport,
-    check_general_position,
     check_ufi,
     two_faces,
     validate,
@@ -146,9 +145,10 @@ def reference_reports(g: PlaneGraph):
     revisits = orbit_walk_revisits(g)
     planar = g.vertex_count - g.edge_count + faces == 2 * len(components)
     connected = len(components) == 1
-    gp = GeneralPositionReport(not revisits and planar, revisits, planar)
-    report = ValidationReport(gp.ok, connected, curves, ufi,
-                              gp.ok and connected and curves >= 3 and not ufi, gp)
+    general = not revisits and planar
+    report = ValidationReport(general, connected, curves, ufi,
+                              general and connected and curves >= 3 and not ufi,
+                              GeneralPositionReport(revisits, planar))
     # breadth-first from face 0, each face's darts in boundary order from
     # its smallest one, as the venn_check docstring defines the labels; a
     # disagreement proves the map not plane, whatever its connectivity
@@ -203,32 +203,32 @@ def corpus(weaves, flower):
 
 class TestGeneralPosition:
     def test_venn3_passes(self, venn3):
-        report = check_general_position(venn3)
-        assert report.ok
-        assert report.is_planar
-        assert not report.self_crossings
+        verdict = validate(venn3)
+        assert verdict.is_general_position
+        assert verdict.general_position.is_planar
+        assert not verdict.general_position.self_crossings
 
     def test_figure_eight_fails_as_self_crossing(self):
-        report = check_general_position(figure_eight())
-        assert not report.ok
-        assert report.self_crossings == (0,)
+        verdict = validate(figure_eight())
+        assert not verdict.is_general_position
+        assert verdict.general_position.self_crossings == (0,)
 
     def test_weave_is_general_position(self, weaves):
         # the weave is a legal configuration; it fails UFI, not position
-        assert check_general_position(weaves[4]).ok
+        assert validate(weaves[4]).is_general_position
 
     def test_torus_crossing_fails_planarity(self):
         # two loops through one vertex crossing once: only embeds on a torus
         g = PlaneGraph(1, [2, 3, 0, 1])
-        report = check_general_position(g)
-        assert not report.is_planar
-        assert not report.ok
+        verdict = validate(g)
+        assert not verdict.general_position.is_planar
+        assert not verdict.is_general_position
 
     def test_curve_ids_agree_with_the_orbit_walk(self, corpus):
         # the lemma in the validate docstring, against the orbit walk
         revisiting = 0
         for g in corpus:
-            report = check_general_position(g)
+            report = validate(g).general_position
             walked = orbit_walk_revisits(g)
             assert report.self_crossings == walked
             if walked:
